@@ -21,6 +21,7 @@
 #include "durability/io.hpp"
 #include "durability/plane.hpp"
 #include "sim/scenario_registry.hpp"
+#include "util/annotations.hpp"
 
 #include "bench_output.hpp"
 
@@ -82,14 +83,16 @@ RunResult run_once(int tenants, const std::string& durable_dir) {
       sim, make_options(tenants, durable_dir));
   fleet->start();
   const auto t0 = Clock::now();
-  sim.run_until(SimTime::seconds(kHorizonS));
+  fleet->run_until(SimTime::seconds(kHorizonS));
   const auto t1 = Clock::now();
 
   RunResult r;
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  r.events = sim.executed();
+  r.events = sim.executed() + fleet->coordinator()->stats().shard_events;
   for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
-    r.repairs += fleet->tenant(t).framework->engine().records().size();
+    core::FleetTenant& tenant = fleet->tenant(t);
+    util::SerialLane in_lane(tenant.lane());
+    r.repairs += tenant.framework->engine().records().size();
   }
   if (durability::DurabilityPlane* plane = fleet->durability_plane()) {
     r.plane_wall_s = plane->wall_s();

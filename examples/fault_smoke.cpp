@@ -18,6 +18,7 @@
 #include "core/framework_builder.hpp"
 #include "core/report.hpp"
 #include "sim/scenario_registry.hpp"
+#include "util/annotations.hpp"
 
 using namespace arcadia;
 
@@ -100,12 +101,15 @@ int run_crashy_fleet(std::uint64_t seed) {
   opt.config.fault.fleet.crash_duration = SimTime::seconds(90);
   auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
   fleet->start();
-  sim.run_until(SimTime::seconds(400));
+  fleet->run_until(SimTime::seconds(400));
+  const std::uint64_t events =
+      sim.executed() + fleet->coordinator()->stats().shard_events;
 
   std::uint64_t crashes = 0;
   for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
-    if (const fault::FaultPlane* plane =
-            fleet->tenant(t).framework->fault_plane()) {
+    core::FleetTenant& tenant = fleet->tenant(t);
+    util::SerialLane in_lane(tenant.lane());
+    if (const fault::FaultPlane* plane = tenant.framework->fault_plane()) {
       crashes += plane->stats().tenant_crashes;
     }
   }
@@ -126,7 +130,8 @@ int run_crashy_fleet(std::uint64_t seed) {
   }
   std::cout << "OK crashy-fleet: " << crashes << " tenant crashes, "
             << mgr->stats().shards_quarantined
-            << " quarantine transitions, all shards healthy again\n";
+            << " quarantine transitions, all shards healthy again ("
+            << events << " events)\n";
   return 0;
 }
 

@@ -26,15 +26,13 @@ Fleet::Fleet(sim::Simulator& sim, FleetOptions options)
     plane_ = std::make_unique<durability::DurabilityPlane>(options_.durability);
   }
 
-  if (options_.sim_threads > 0) {
-    // Sharded kernel: per-tenant sub-simulators in conservative windows.
-    // Tenants couple only at control-simulator events (sweeps, snapshots),
-    // which the window bound tracks exactly — infinite lookahead.
-    sim::SimCoordinatorOptions copt;
-    copt.threads = static_cast<unsigned>(options_.sim_threads);
-    coordinator_ = std::make_unique<sim::SimCoordinator>(sim_, copt);
-    coordinator_->set_barrier_hook([this](SimTime) { drain_staging(); });
-  }
+  // Per-tenant sub-simulators in conservative windows. Tenants couple only
+  // at control-simulator events (sweeps, snapshots), which the window bound
+  // tracks exactly — infinite lookahead.
+  sim::SimCoordinatorOptions copt;
+  copt.threads = static_cast<unsigned>(options_.sim_threads);
+  coordinator_ = std::make_unique<sim::SimCoordinator>(sim_, copt);
+  coordinator_->set_barrier_hook([this](SimTime) { drain_staging(); });
 
   if (options_.coordinated) {
     // One source of truth for the check cadence: the framework-level knobs
@@ -47,29 +45,20 @@ Fleet::Fleet(sim::Simulator& sim, FleetOptions options)
   }
 
   const std::size_t reserve_hint = sim::estimate_event_reserve(base);
-  if (!coordinator_) {
-    // Legacy shared simulator hosts every tenant's events at once.
-    sim_.reserve(reserve_hint * static_cast<std::size_t>(tenants) + 256);
-  }
-
   tenants_.reserve(static_cast<std::size_t>(tenants));
   for (int k = 0; k < tenants; ++k) {
     sim::ScenarioConfig cfg = base;
     cfg.fleet.tenant_index = k;
-    auto tenant = std::make_unique<FleetTenant>();
+    auto tenant = std::make_unique<FleetTenant>(coordinator_->add_shard());
     tenant->name = "tenant" + std::to_string(k + 1);
-    sim::Simulator* tenant_sim = &sim_;
-    if (coordinator_) {
-      tenant->shard = &coordinator_->add_shard();
-      tenant_sim = &tenant->shard->sim();
-      tenant_sim->reserve(reserve_hint);
-    }
+    sim::Simulator& tenant_sim = tenant->shard.sim();
+    tenant_sim.reserve(reserve_hint);
     // Each tenant gets its own fault plane, seed-decorrelated exactly like
     // the testbed builder decorrelates workload seeds — tenants must not
-    // crash or lose reports in lockstep. Under the sharded kernel the
-    // plane lives on the shard's clock, so its draw sequences are a pure
-    // function of the shard's (serial) event stream — independent of the
-    // worker-thread count by construction.
+    // crash or lose reports in lockstep. The plane lives on the shard's
+    // clock, so its draw sequences are a pure function of the shard's
+    // (serial) event stream — independent of the worker-thread count by
+    // construction.
     FrameworkConfig tenant_fw = fw;
     if (!tenant_fw.fault.enabled && cfg.fault.enabled) {
       tenant_fw.fault = cfg.fault;
@@ -83,30 +72,23 @@ Fleet::Fleet(sim::Simulator& sim, FleetOptions options)
       // (buses, gauge manager, plan executor) bind to their first caller,
       // and that must be the lane that will run the tenant's windows.
       util::SerialLane in_lane(tenant->lane());
-      tenant->testbed = sim::build_scenario(*tenant_sim, options_.scenario,
+      tenant->testbed = sim::build_scenario(tenant_sim, options_.scenario,
                                             cfg);
       tenant->framework = std::make_unique<Framework>(
-          *tenant_sim, tenant->testbed, tenant_fw);
+          tenant_sim, tenant->testbed, tenant_fw);
     }
     if (plane_) {
-      if (coordinator_) {
-        // Workers may not write the single-writer plane: stage per shard,
-        // drain in (time, shard, seq) order at barriers (drain_staging).
-        staging_.push_back(std::make_unique<durability::StagingSink>());
-        tenant->framework->attach_journal_sink(
-            staging_.back().get(), static_cast<std::uint32_t>(k));
-      } else {
-        tenant->framework->attach_durability(plane_.get(),
+      // Workers may not write the single-writer plane: stage per shard,
+      // drain in (time, shard, seq) order at barriers (drain_staging).
+      staging_.push_back(std::make_unique<durability::StagingSink>());
+      tenant->framework->attach_journal_sink(staging_.back().get(),
                                              static_cast<std::uint32_t>(k));
-      }
     }
     if (manager_) {
       const FleetManager::ShardId id = manager_->add_shard(
           tenant->name, tenant->framework->manager(),
           tenant->framework->gauge_bus(), tenant->testbed.manager_node);
-      if (coordinator_) {
-        manager_->bind_shard_executor(id, tenant_sim, tenant->lane());
-      }
+      manager_->bind_shard_executor(id, &tenant_sim, tenant->lane());
     }
     tenants_.push_back(std::move(tenant));
   }
@@ -160,9 +142,9 @@ void Fleet::start() {
   if (manager_) manager_->start();
   // One snapshot stream for the whole fleet: snapshot-0 anchors replay,
   // then periodic captures of every shard together (a torn multi-shard
-  // snapshot is impossible — the capture is a single atomic file). Under
-  // the sharded kernel the staged journal must be drained first so the
-  // mark lands after every record it supersedes.
+  // snapshot is impossible — the capture is a single atomic file). The
+  // staged journal is drained first so the mark lands after every record
+  // it supersedes.
   if (plane_) {
     drain_staging();
     plane_->take_snapshot(sim_.now(), capture_snapshot());
@@ -177,22 +159,17 @@ void Fleet::start() {
   }
   ARC_INFO << "fleet: " << tenants_.size() << " tenants started ("
            << (manager_ ? "coordinated" : "per-tenant loops") << ", "
-           << (coordinator_
-                   ? std::to_string(coordinator_->effective_threads()) +
-                         " sim threads"
-                   : std::string("single simulator"))
-           << ")";
+           << coordinator_->effective_threads() << " sim threads)";
 }
 
 std::uint64_t Fleet::run_until(SimTime horizon) {
-  if (!coordinator_) return sim_.run_until(horizon);
   const std::uint64_t ran = coordinator_->run_until(horizon);
   drain_staging();
   return ran;
 }
 
 void Fleet::drain_staging() {
-  if (!plane_ || staging_.empty()) return;
+  if (!plane_) return;
   struct Ref {
     SimTime at;
     std::uint32_t shard;

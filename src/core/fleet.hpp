@@ -1,26 +1,26 @@
 // Fleet assembly: N tenant stacks — testbed, monitoring, model shard,
-// repair engine — over ONE simulator, coordinated by a FleetManager.
+// repair engine — each on a private ShardSimulator, advanced in
+// conservative time windows by a SimCoordinator and coordinated by a
+// FleetManager (DESIGN.md §9).
 //
-//   sim::Simulator sim;
+//   sim::Simulator sim;                    // the control clock
 //   core::FleetOptions opt;
 //   opt.tenants = 8;                       // 0 = scenario default
-//   opt.sim_threads = 4;                   // 0 = legacy shared simulator
+//   opt.sim_threads = 4;                   // 0 = hardware concurrency
 //   auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
 //   fleet->start();
 //   fleet->run_until(SimTime::seconds(600));
 //
-// With sim_threads > 0 each tenant runs on a private ShardSimulator and a
-// SimCoordinator advances them concurrently in conservative time windows
-// (DESIGN.md §9); `sim` becomes the control clock (sweeps, snapshots).
-// Event order is bit-identical for any sim_threads >= 1.
+// `sim` hosts only fleet-wide events (sweeps, snapshots); drive the run
+// with Fleet::run_until, never sim.run_until. Event order is bit-identical
+// for any sim_threads.
 //
 // Every tenant is a full Framework (its own probes, gauges, buses, model,
 // constraint checker, and repair engine) built from a registered scenario;
 // the scenario's `fleet.tenant_index` is looped to clone phase-shifted
 // tenants. With `coordinated` (the default), the per-tenant architecture
 // managers are passive and the FleetManager batches reports and sweeps in
-// parallel; with it off, every tenant runs the classic per-tenant loop —
-// the baseline bench_fleet_scaling measures against.
+// parallel; with it off, every tenant runs the classic per-tenant loop.
 #pragma once
 
 #include <memory>
@@ -57,38 +57,37 @@ struct FleetOptions {
   bool coordinated = true;
 
   /// Shared durability plane: ONE journal/snapshot stream for the whole
-  /// fleet, each tenant tagged with its shard index. Appends happen on the
-  /// simulation thread in shard order ("parallel detect, ordered dispatch"),
-  /// so the journal bytes are identical for any sweep_threads setting. An
-  /// empty dir disables it. (FrameworkConfig::durability is ignored per
-  /// tenant here — a fleet must not scatter N private journals.)
+  /// fleet, each tenant tagged with its shard index. Tenants stage records
+  /// per shard; barriers append them in (time, shard, emission) order, so
+  /// the journal bytes are identical for any sweep_threads or sim_threads
+  /// setting. An empty dir disables it. (FrameworkConfig::durability is
+  /// ignored per tenant here — a fleet must not scatter N private
+  /// journals.)
   durability::Options durability;
 
-  /// Sharded simulation kernel (DESIGN.md §9). 0 = legacy: every tenant's
-  /// events run on the one shared simulator. >= 1 = each tenant gets a
-  /// private ShardSimulator advanced in conservative time windows by a
-  /// SimCoordinator with this many worker threads; drive the run with
-  /// Fleet::run_until instead of Simulator::run_until. The event order —
-  /// and therefore every repair, journal byte, and fault draw — is
-  /// bit-identical for sim_threads = 1 and sim_threads = N (windows are
-  /// serial per shard; all coupling happens at barriers in shard order).
-  std::size_t sim_threads = 0;
+  /// Worker threads advancing the tenants' shard windows (DESIGN.md §9);
+  /// 0 = hardware concurrency. The event order — and therefore every
+  /// repair, journal byte, and fault draw — is bit-identical for any value
+  /// (windows are serial per shard; all coupling happens at barriers in
+  /// shard order).
+  std::size_t sim_threads = 1;
 };
 
 /// One tenant's stack. Heap-allocated and pinned: the framework holds
 /// references into the testbed, so neither may relocate. Declaration order
 /// matters too — the framework must be destroyed first.
 struct FleetTenant {
+  explicit FleetTenant(sim::ShardSimulator& shard) : shard(shard) {}
+
+  /// The tenant's sub-simulator (owned by the coordinator). testbed and
+  /// framework run on its clock, inside its lane.
+  sim::ShardSimulator& shard;
   std::string name;
   sim::Testbed testbed;
   std::unique_ptr<Framework> framework;
-  /// The tenant's sub-simulator under the sharded kernel (owned by the
-  /// coordinator; null in legacy mode). testbed and framework run on its
-  /// clock, inside its lane.
-  sim::ShardSimulator* shard = nullptr;
 
-  /// SerialLane token for this tenant (0 in legacy mode: thread-keyed).
-  std::uintptr_t lane() const { return shard ? shard->lane() : 0; }
+  /// SerialLane token for this tenant.
+  std::uintptr_t lane() const { return shard.lane(); }
 };
 
 class Fleet {
@@ -103,10 +102,9 @@ class Fleet {
   /// Start every tenant's framework and drivers, then the fleet manager.
   void start();
 
-  /// Advance the fleet to `horizon`. Legacy mode runs the shared simulator
-  /// directly; sharded mode runs the coordinator's window loop and drains
-  /// staged journal records at every barrier (and once more at the end).
-  /// Returns total events executed.
+  /// Advance the fleet to `horizon`: runs the coordinator's window loop and
+  /// drains staged journal records at every barrier (and once more at the
+  /// end). Returns total events executed.
   std::uint64_t run_until(SimTime horizon);
 
   std::size_t tenant_count() const { return tenants_.size(); }
@@ -116,7 +114,7 @@ class Fleet {
   FleetManager* manager() { return manager_.get(); }
   /// Null unless options.durability was set.
   durability::DurabilityPlane* durability_plane() { return plane_.get(); }
-  /// Null unless options.sim_threads > 0.
+  /// Never null.
   sim::SimCoordinator* coordinator() { return coordinator_.get(); }
   const FleetOptions& options() const { return options_; }
 
@@ -137,9 +135,9 @@ class Fleet {
   /// it through raw sink pointers, so it must be destroyed after every
   /// framework and after the final drain.
   std::unique_ptr<durability::DurabilityPlane> plane_;
-  /// Per-tenant journal staging under the sharded kernel (parallel windows
-  /// may not write the single-writer plane); indexed by shard. Declared
-  /// before the tenants so teardown-time journaling still has a sink.
+  /// Per-tenant journal staging (parallel windows may not write the
+  /// single-writer plane); indexed by shard. Declared before the tenants so
+  /// teardown-time journaling still has a sink.
   std::vector<std::unique_ptr<durability::StagingSink>> staging_;
   /// Owns the ShardSimulators the tenant testbeds run on — destroyed after
   /// the tenants that reference them.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <utility>
 
 #include "model/revision.hpp"
@@ -29,7 +30,7 @@ FleetManager::ShardId FleetManager::add_shard(std::string name,
   shard.manager = &manager;
   shard.bus = &gauge_bus;
   shard.manager_node = manager_node;
-  shard.clock = &sim_;  // legacy default; bind_shard_executor overrides
+  shard.clock = &sim_;  // unbound default; bind_shard_executor overrides
   shards_.push_back(std::move(shard));
   return shards_.size() - 1;
 }
@@ -333,6 +334,15 @@ void FleetManager::flush(ShardId id) {
 
 void FleetManager::run_sweep() {
   serial_.check();
+  for (const Shard& shard : shards_) {
+    if (shard.clock->now() != sim_.now()) {
+      throw Error("FleetManager: sweep at control time " +
+                  std::to_string(sim_.now().as_seconds()) + " s but shard '" +
+                  shard.name + "' is at " +
+                  std::to_string(shard.clock->now().as_seconds()) +
+                  " s; drive the fleet with Fleet::run_until");
+    }
+  }
   const auto wall0 = std::chrono::steady_clock::now();
   ++stats_.sweep_rounds;
   // Apply everything still coalescing so this sweep sees values at least as

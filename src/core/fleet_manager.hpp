@@ -1,7 +1,7 @@
-// Fleet-scale adaptation (the ROADMAP's many-tenant north star): one
-// simulator hosts N independent tenant applications, each with its own
-// architectural model *shard* (an ArchitectureManager in passive mode), and
-// a single FleetManager coordinates the control loop across all of them:
+// Fleet-scale adaptation: N independent tenant applications, each with its
+// own architectural model *shard* (an ArchitectureManager in passive mode),
+// and a single FleetManager coordinating the control loop across all of
+// them from the control simulator:
 //
 //   * batched gauge application — reports landing on a shard's gauge bus
 //     within a coalescing window are applied in one model pass; reports for
@@ -18,12 +18,11 @@
 //
 // Determinism contract: parallel evaluation only *detects* violations.
 // Violation dispatch — and therefore every repair, every model mutation,
-// every scheduled simulator event — happens afterwards on the simulation
-// thread in fixed shard order. A fleet run is bit-for-bit identical for any
-// sweep_threads value — and, under the sharded kernel (core::Fleet with
-// sim_threads > 0, DESIGN.md §9), for any simulation-thread count: shard
-// windows are serial per shard and the sweep runs at barriers where every
-// clock agrees.
+// every scheduled simulator event — happens afterwards on the control
+// thread in fixed shard order. A fleet run (core::Fleet, DESIGN.md §9) is
+// bit-for-bit identical for any sweep_threads and any simulation-thread
+// count: shard windows are serial per shard and the sweep runs at barriers
+// where every clock agrees.
 #pragma once
 
 #include <array>
@@ -155,14 +154,15 @@ class FleetManager {
   }
   ShardHealth shard_health(ShardId id) const { return shards_[id].health; }
 
-  /// Sharded-kernel binding (core::Fleet with sim_threads > 0): shard `id`'s
-  /// tenant events run on `clock` (its ShardSimulator) inside logical lane
-  /// `lane`. Report enqueueing, coalescing timers, and liveness stamps then
-  /// use the shard clock — which leads the control clock mid-window — and
-  /// the per-shard SerialDomain keys on the lane, so windows may migrate
-  /// between pool workers. Unbound shards (legacy single-simulator fleets)
-  /// keep clock = the control simulator and lane = 0 (thread-keyed). Call
-  /// after add_shard, before start().
+  /// Shard-simulator binding (what core::Fleet does for every tenant):
+  /// shard `id`'s tenant events run on `clock` (its ShardSimulator) inside
+  /// logical lane `lane`. Report enqueueing, coalescing timers, and
+  /// liveness stamps then use the shard clock — which leads the control
+  /// clock mid-window — and the per-shard SerialDomain keys on the lane, so
+  /// windows may migrate between pool workers. Unbound shards (hand-rolled
+  /// rigs whose tenants share the control simulator) keep clock = the
+  /// control simulator and lane = 0 (thread-keyed). Call after add_shard,
+  /// before start().
   void bind_shard_executor(ShardId id, sim::Simulator* clock,
                            std::uintptr_t lane);
 
@@ -179,7 +179,10 @@ class FleetManager {
 
   /// One fleet sweep: flush pending batches, detect (parallel) on every
   /// non-clean shard, dispatch in shard order. Runs from the periodic task;
-  /// public so tests and benches can drive sweeps explicitly.
+  /// public so tests and benches can drive sweeps explicitly. Sweeps run at
+  /// window barriers, so throws Error if any shard clock differs from
+  /// the control clock (a bound fleet driven with the control simulator's
+  /// run_until instead of Fleet::run_until).
   void run_sweep();
 
  private:
@@ -194,10 +197,10 @@ class FleetManager {
     events::SubscriptionId lifecycle_sub = 0;
 
     /// Executor binding (bind_shard_executor): the clock tenant events run
-    /// on — the control simulator for legacy fleets, the shard's private
-    /// ShardSimulator under the sharded kernel — and the SerialLane token
-    /// of that shard (0 = none). All per-shard mutation goes through
-    /// `serial`, keyed on the lane, instead of the fleet-wide serial_.
+    /// on — the shard's private ShardSimulator, or the control simulator
+    /// when unbound — and the SerialLane token of that shard (0 = none).
+    /// All per-shard mutation goes through `serial`, keyed on the lane,
+    /// instead of the fleet-wide serial_.
     sim::Simulator* clock = nullptr;
     std::uintptr_t lane = 0;
     util::SerialDomain serial;
@@ -250,13 +253,13 @@ class FleetManager {
   sim::Simulator& sim_;
   FleetManagerConfig config_;
   /// Concurrency capability: each shard's state is owned by its serial
-  /// execution context — the simulation thread for legacy fleets, the
-  /// shard's lane under the sharded kernel (windows migrate between pool
+  /// execution context — the shard's lane (windows migrate between pool
   /// workers but are serial per shard, and barrier-time work re-enters the
-  /// lane). run_sweep farms the *detection* phase to the pool, but those
-  /// tasks only call const ArchitectureManager::detect() on disjoint
-  /// models — every write to a Shard (enqueue, flush, dispatch, stats)
-  /// happens inside its lane, which debug builds assert via Shard::serial;
+  /// lane), or the control thread for unbound shards. run_sweep farms the
+  /// *detection* phase to the pool, but those tasks only call const
+  /// ArchitectureManager::detect() on disjoint models — every write to a
+  /// Shard (enqueue, flush, dispatch, stats) happens inside its lane,
+  /// which debug builds assert via Shard::serial;
   /// fleet-wide control state stays behind serial_.
   std::vector<Shard> shards_;
   std::unique_ptr<ThreadPool> pool_;

@@ -176,23 +176,19 @@ class Framework {
   /// Null unless config().fault.enabled.
   fault::FaultPlane* fault_plane() { return fault_plane_.get(); }
 
-  /// The journal/snapshot plane this framework reports into, or null when
-  /// durability is off. Solo frameworks own theirs (config().durability);
-  /// fleet tenants share the Fleet's plane via attach_durability().
-  durability::DurabilityPlane* durability_plane() { return durability_sink_; }
+  /// The journal/snapshot plane this framework owns (config().durability),
+  /// or null when durability is off — always for fleet tenants, whose
+  /// journal is the Fleet's.
+  durability::DurabilityPlane* durability_plane() {
+    return durability_plane_.get();
+  }
 
-  /// Wire an externally-owned durability plane (the fleet's shared journal).
-  /// Every repair commit, plan event, and applied gauge fold on this
-  /// framework is journaled under `shard`. Call before start().
-  void attach_durability(durability::DurabilityPlane* plane,
-                         std::uint32_t shard);
-
-  /// Wire a bare JournalSink instead of a plane: the sharded fleet kernel
-  /// gives every tenant a per-shard durability::StagingSink (drained into
-  /// the shared plane at window barriers), so tenants never touch the
-  /// single-writer plane from pool workers. Unlike attach_durability this
-  /// leaves durability_plane() null — snapshot capture stays with the
-  /// Fleet, which owns the real plane. Call before start().
+  /// Journal into a bare JournalSink under `shard`: a fleet gives every
+  /// tenant a per-shard durability::StagingSink (drained into the shared
+  /// plane at window barriers), so tenants never touch the single-writer
+  /// plane from pool workers. durability_plane() stays null — snapshot
+  /// capture stays with the Fleet, which owns the real plane. Call before
+  /// start().
   void attach_journal_sink(durability::JournalSink* sink, std::uint32_t shard);
 
   /// Capture this framework's durable state for a snapshot: the full model
@@ -235,10 +231,9 @@ class Framework {
   std::unique_ptr<repair::RepairEngine> engine_;
   std::unique_ptr<ArchitectureManager> manager_;
   monitor::ProbeSet probes_;
-  // Durability: the owned plane (solo mode, null when config_.durability is
-  // empty or a fleet plane was attached) and the active sink (own or shared).
+  // Durability: the owned plane (solo mode; null when config_.durability is
+  // empty) and the shard this framework journals and snapshots as.
   std::unique_ptr<durability::DurabilityPlane> durability_plane_;
-  durability::DurabilityPlane* durability_sink_ = nullptr;
   std::uint32_t durability_shard_ = 0;
   std::unique_ptr<sim::PeriodicTask> snapshot_task_;
   bool started_ = false;

@@ -44,9 +44,8 @@ struct FlashCrowdConfig {
   double rate_multiplier = 6.0;  ///< normal_rate_hz * this during the crowd
 };
 
-/// Fleet-mode knobs (used by the "fleet-NxM" scenarios): one simulator
-/// hosting `tenants` independent copies of a tenant testbed, each with its
-/// own seed and a workload schedule phase-shifted by `tenant_index *
+/// Fleet-mode knobs (used by the "fleet-NxM" scenarios): `tenants`
+/// independent copies of a tenant testbed, each with its own seed and a workload schedule phase-shifted by `tenant_index *
 /// phase_shift` so tenants do not hit their stress windows in lockstep.
 /// The scenario factory builds ONE tenant (the `tenant_index`-th);
 /// core::Fleet loops the index to assemble the whole fleet.

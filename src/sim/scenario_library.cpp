@@ -247,7 +247,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
         "One tenant shard of a 64-tenant fleet, 256 clients each (the "
         "sharded-kernel scale target, DESIGN.md §9): 8 server groups x 3 "
         "replicas + 4 spares per tenant, stress phases staggered by 4 s; "
-        "drive with core::Fleet{sim_threads > 0} and Fleet::run_until";
+        "drive with core::Fleet and Fleet::run_until";
     spec.defaults.fleet.tenants = 64;
     spec.defaults.fleet.phase_shift = SimTime::seconds(4);
     spec.defaults.grid.groups = 8;

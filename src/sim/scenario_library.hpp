@@ -16,7 +16,8 @@
 //   fleet-4x16        one tenant shard of a fleet: a grid-4x16 clone whose
 //                     workload schedule is phase-shifted and re-seeded by
 //                     ScenarioConfig::fleet::tenant_index; core::Fleet
-//                     builds one per tenant over a shared simulator
+//                     builds one per tenant, each on its own shard
+//                     simulator
 #pragma once
 
 #include "sim/scenario.hpp"

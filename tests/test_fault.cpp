@@ -679,7 +679,7 @@ struct FleetFaultFingerprint {
 };
 
 FleetFaultFingerprint run_faulted_fleet(std::size_t sweep_threads,
-                                        std::size_t sim_threads = 0) {
+                                        std::size_t sim_threads = 1) {
   sim::Simulator sim;
   core::FleetOptions opt;
   opt.scenario = "fleet-4x16";
@@ -695,26 +695,24 @@ FleetFaultFingerprint run_faulted_fleet(std::size_t sweep_threads,
   opt.config.normal_rate_hz = 2.0;
   opt.config.fleet.phase_shift = SimTime::seconds(30);
   // The fault plane rides into every tenant (decorrelated per-tenant seed);
-  // all draws happen on the sim thread, so the sweep width must not matter.
+  // all draws happen in the tenant's serial shard, so the sweep width must
+  // not matter.
   opt.config.fault.enabled = true;
   opt.config.fault.monitoring.report_loss = 0.10;
   opt.config.fault.monitoring.report_delay = 0.05;
   opt.config.fault.repair.op_transient = 0.10;
   opt.manager.sweep_threads = sweep_threads;
   opt.manager.coalesce_window = SimTime::millis(500);
-  opt.sim_threads = sim_threads;  // 0 = legacy shared simulator
+  opt.sim_threads = sim_threads;
   auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
   fleet->start();
   fleet->run_until(SimTime::seconds(320));
 
   FleetFaultFingerprint fp;
-  fp.events = sim.executed();
-  if (fleet->coordinator()) {
-    fp.events += fleet->coordinator()->stats().shard_events;
-  }
+  fp.events = sim.executed() + fleet->coordinator()->stats().shard_events;
   for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
     core::FleetTenant& tenant = fleet->tenant(t);
-    util::SerialLane in_lane(tenant.lane());  // no-op on the legacy kernel
+    util::SerialLane in_lane(tenant.lane());
     std::vector<std::tuple<std::string, std::string, double>> rs;
     for (const repair::RepairRecord& r :
          tenant.framework->engine().records()) {

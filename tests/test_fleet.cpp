@@ -19,6 +19,7 @@
 #include "sim/scenario_registry.hpp"
 #include "sim/shard_sim.hpp"
 #include "util/annotations.hpp"
+#include "util/error.hpp"
 
 namespace arcadia {
 namespace {
@@ -196,7 +197,7 @@ struct FleetFingerprint {
 };
 
 FleetFingerprint run_fleet(std::size_t sweep_threads, SimTime coalesce,
-                           std::size_t sim_threads = 0) {
+                           std::size_t sim_threads = 1) {
   sim::Simulator sim;
   core::FleetOptions opt;
   opt.scenario = "fleet-4x16";
@@ -216,20 +217,16 @@ FleetFingerprint run_fleet(std::size_t sweep_threads, SimTime coalesce,
   opt.config.fleet.phase_shift = SimTime::seconds(30);
   opt.manager.sweep_threads = sweep_threads;
   opt.manager.coalesce_window = coalesce;
-  opt.sim_threads = sim_threads;  // 0 = legacy shared simulator
+  opt.sim_threads = sim_threads;
   auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
   fleet->start();
   fleet->run_until(SimTime::seconds(320));
 
   FleetFingerprint fp;
-  fp.events = sim.executed();
-  if (fleet->coordinator()) {
-    fp.events += fleet->coordinator()->stats().shard_events;
-  }
+  fp.events = sim.executed() + fleet->coordinator()->stats().shard_events;
   for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
     core::FleetTenant& tenant = fleet->tenant(t);
-    // Fingerprinting reads shard state; enter the tenant's lane (a no-op
-    // under the legacy kernel, where lane() is 0).
+    // Fingerprinting reads shard state; enter the tenant's lane.
     util::SerialLane in_lane(tenant.lane());
     std::vector<std::tuple<std::string, std::string, std::string, double>> rs;
     for (const repair::RepairRecord& r : tenant.framework->engine().records()) {
@@ -265,10 +262,7 @@ TEST(FleetDeterminismTest, IdenticalRepairSequencesForThreadCounts1AndN) {
 TEST(FleetDeterminismTest, ShardedKernelBitIdenticalFor1AndNSimThreads) {
   // The sharded-kernel oracle: per-tenant sub-simulators advanced in
   // conservative time windows must replay bit-identically whether the
-  // windows execute on one worker thread or four. The baseline is
-  // sharded-with-1-thread, not the legacy kernel — legacy interleaves all
-  // tenants on one global event sequence, which is a different (equally
-  // deterministic) schedule.
+  // windows execute on one worker thread or four.
   FleetFingerprint one = run_fleet(2, SimTime::millis(500), 1);
   FleetFingerprint four = run_fleet(2, SimTime::millis(500), 4);
   EXPECT_EQ(one.events, four.events);
@@ -294,6 +288,26 @@ TEST(FleetDeterminismTest, BatchingDoesNotChangeRepairDecisions) {
     EXPECT_EQ(batched.models[t], unbatched.models[t]) << "tenant " << t;
   }
   EXPECT_GT(batched.repairs_total, 0u);
+}
+
+TEST(FleetDeterminismTest, SweepRejectsShardClocksBehindControl) {
+  // Misuse guard: running the control simulator directly fires sweeps while
+  // every tenant's shard clock is still at t=0. The sweep must refuse
+  // instead of adapting against models that never advanced.
+  sim::Simulator sim;
+  core::FleetOptions opt;
+  opt.scenario = "fleet-4x16";
+  opt.tenants = 2;
+  opt.use_scenario_defaults = false;
+  opt.config = sim::scenario_defaults("fleet-4x16");
+  opt.config.grid.groups = 2;
+  opt.config.grid.clients = 8;
+  opt.config.grid.spares = 1;
+  opt.sim_threads = 1;
+  auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
+  fleet->start();
+  EXPECT_THROW(sim.run_until(opt.framework.first_check + SimTime::seconds(1)),
+               Error);
 }
 
 }  // namespace
