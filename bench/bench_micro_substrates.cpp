@@ -56,6 +56,46 @@ void BM_MaxMinReallocate(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxMinReallocate)->Arg(4)->Arg(16)->Arg(64);
 
+// The sparse case: a grid-scenario-shaped topology (a ring of 16 routers,
+// 18 hosts on each: 304 nodes, 608 channels) where only the few dozen
+// channels under 4-16 concurrent flows are active. Reallocation cost should
+// follow the flows, not the topology.
+void BM_MaxMinReallocateSparse(benchmark::State& state) {
+  sim::Simulator sim;
+  sim::Topology topo;
+  const int routers = 16;
+  const int hosts_per_router = 18;
+  std::vector<sim::NodeId> ring;
+  std::vector<sim::NodeId> hosts;
+  for (int r = 0; r < routers; ++r) {
+    ring.push_back(topo.add_node("r" + std::to_string(r), sim::NodeKind::Router));
+  }
+  for (int r = 0; r < routers; ++r) {
+    topo.add_link(ring[r], ring[(r + 1) % routers], Bandwidth::mbps(100));
+    for (int h = 0; h < hosts_per_router; ++h) {
+      hosts.push_back(topo.add_node("h" + std::to_string(r) + "_" +
+                                        std::to_string(h),
+                                    sim::NodeKind::Host));
+      topo.add_link(hosts.back(), ring[r], Bandwidth::mbps(10));
+    }
+  }
+  topo.compute_routes();
+  sim::FlowNetwork net(sim, topo);
+  const int flows = static_cast<int>(state.range(0));
+  const std::size_t n = hosts.size();
+  for (auto _ : state) {
+    std::vector<sim::FlowId> ids;
+    for (int i = 0; i < flows; ++i) {
+      const std::size_t src = static_cast<std::size_t>(i) * 37 % n;
+      ids.push_back(net.start_transfer(hosts[src], hosts[(src + 101) % n],
+                                       DataSize::megabytes(100), [] {}));
+    }
+    for (sim::FlowId id : ids) net.cancel_transfer(id);
+  }
+  state.SetItemsProcessed(state.iterations() * flows);
+}
+BENCHMARK(BM_MaxMinReallocateSparse)->Arg(4)->Arg(16);
+
 void BM_BusPublishMatch(benchmark::State& state) {
   events::LocalEventBus bus;
   const int subs = static_cast<int>(state.range(0));

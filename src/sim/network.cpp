@@ -41,11 +41,13 @@ std::pair<NodeId, NodeId> Topology::channel_endpoints(ChannelId c) const {
 }
 
 void Topology::compute_routes() {
+  // The topology is frozen once routed, so a second BFS would compute the
+  // same tables; returning early keeps every path() reference alive.
+  if (routes_ready_) return;
   const std::size_t n = nodes_.size();
   parent_node_.assign(n * n, kNoNode);
   parent_link_.assign(n * n, -1);
   reachable_.assign(n * n, false);
-  path_cache_.clear();
   // BFS from every source; deterministic neighbor order = insertion order.
   // Only the predecessor matrices are kept; channel sequences materialize
   // on demand in path().
@@ -111,6 +113,14 @@ FlowNetwork::FlowNetwork(Simulator& sim, const Topology& topo)
   if (!topo_.routes_ready()) {
     throw SimError("FlowNetwork requires Topology::compute_routes()");
   }
+  const std::size_t channels = topo_.channel_count();
+  capacity_.resize(channels);
+  residual_.resize(channels);
+  load_.resize(channels);
+  bottleneck_.resize(channels);
+  active_mark_.resize(channels);
+  active_.reserve(channels);
+  refresh_capacity();
 }
 
 FlowId FlowNetwork::start_transfer(NodeId src, NodeId dst, DataSize size,
@@ -153,6 +163,7 @@ FlowId FlowNetwork::add_background(NodeId src, NodeId dst) {
   b.dst = dst;
   b.path = &topo_.path(src, dst);
   backgrounds_.emplace(id, std::move(b));
+  refresh_capacity();
   return id;
 }
 
@@ -161,6 +172,7 @@ void FlowNetwork::set_background_rate(FlowId id, Bandwidth rate) {
   if (it == backgrounds_.end()) throw SimError("unknown background flow");
   if (it->second.rate_bps == rate.as_bps()) return;
   it->second.rate_bps = rate.as_bps();
+  refresh_capacity();
   reallocate();
 }
 
@@ -185,66 +197,67 @@ DataSize FlowNetwork::transfer_remaining(FlowId id) const {
   return DataSize::bytes(remaining / 8.0);
 }
 
-std::vector<double> FlowNetwork::effective_capacity() const {
-  std::vector<double> eff(topo_.channel_count());
-  for (ChannelId c = 0; c < static_cast<ChannelId>(eff.size()); ++c) {
-    eff[c] = topo_.channel_capacity(c).as_bps();
+void FlowNetwork::refresh_capacity() {
+  for (ChannelId c = 0; c < static_cast<ChannelId>(capacity_.size()); ++c) {
+    capacity_[c] = topo_.channel_capacity(c).as_bps();
   }
   // Background demand per channel; if oversubscribed, scale pro-rata (a
   // non-responsive blast cannot push more than the wire carries).
-  std::vector<double> bg(eff.size(), 0.0);
+  std::vector<double> bg(capacity_.size(), 0.0);
   for (const auto& [id, b] : backgrounds_) {
     for (ChannelId c : *b.path) bg[c] += b.rate_bps;
   }
-  for (std::size_t c = 0; c < eff.size(); ++c) {
-    eff[c] = std::max(0.0, eff[c] - std::min(bg[c], eff[c]));
-  }
-  return eff;
-}
-
-void FlowNetwork::advance_progress() {
-  const SimTime now = sim_.now();
-  for (auto& [id, t] : transfers_) {
-    double elapsed = (now - t.last_update).as_seconds();
-    if (elapsed > 0.0) {
-      t.remaining_bits = std::max(0.0, t.remaining_bits - t.rate_bps * elapsed);
-    }
-    t.last_update = now;
+  for (std::size_t c = 0; c < capacity_.size(); ++c) {
+    capacity_[c] = std::max(0.0, capacity_[c] - std::min(bg[c], capacity_[c]));
   }
 }
 
 void FlowNetwork::reallocate() {
   ++stats_.reallocations;
-  advance_progress();
 
-  std::vector<double> residual = effective_capacity();
   // Guard: a channel fully consumed by background still trickles, otherwise
   // transfers on it would never complete and the event queue would stall.
   const double kTrickleBps = 1.0;
 
   // Progressive filling (water-filling) max-min fairness. All application
   // transfers are greedy (infinite demand), so each round saturates at least
-  // one channel and freezes the flows crossing it.
-  std::vector<FlowId> unfrozen;
-  unfrozen.reserve(transfers_.size());
+  // one channel and freezes the flows crossing it. Only the channels some
+  // transfer crosses can bound a share, so the rounds run over those alone;
+  // each channel's residual sees the same subtractions in the same order as
+  // a whole-topology sweep would, which keeps the rates bit-identical.
+  ++epoch_;
+  active_.clear();
+  unfrozen_.clear();
+  const SimTime now = sim_.now();
   // transfers_ is ordered by FlowId, so this is already the deterministic
-  // (arrival-order) sequence — no compensating sort needed.
+  // (arrival-order) sequence — no compensating sort needed. Each transfer
+  // first banks the bits it moved at its old rate since the last update.
   for (auto& [id, t] : transfers_) {
+    double elapsed = (now - t.last_update).as_seconds();
+    if (elapsed > 0.0) {
+      t.remaining_bits = std::max(0.0, t.remaining_bits - t.rate_bps * elapsed);
+    }
+    t.last_update = now;
     t.rate_bps = 0.0;
-    unfrozen.push_back(id);
+    unfrozen_.push_back(&t);
+    for (ChannelId c : *t.path) {
+      if (active_mark_[c] == epoch_) continue;
+      active_mark_[c] = epoch_;
+      active_.push_back(c);
+      residual_[c] = capacity_[c];
+    }
   }
 
-  std::vector<int> load(residual.size(), 0);
-  while (!unfrozen.empty()) {
+  while (!unfrozen_.empty()) {
     ++stats_.waterfill_rounds;
-    std::fill(load.begin(), load.end(), 0);
-    for (FlowId id : unfrozen) {
-      for (ChannelId c : *transfers_.at(id).path) ++load[c];
+    for (ChannelId c : active_) load_[c] = 0;
+    for (const Transfer* t : unfrozen_) {
+      for (ChannelId c : *t->path) ++load_[c];
     }
     double share = std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < residual.size(); ++c) {
-      if (load[c] == 0) continue;
-      share = std::min(share, std::max(residual[c], 0.0) / load[c]);
+    for (ChannelId c : active_) {
+      if (load_[c] == 0) continue;
+      share = std::min(share, std::max(residual_[c], 0.0) / load_[c]);
     }
     if (!std::isfinite(share)) break;  // no unfrozen flow crosses any channel
     share = std::max(share, kTrickleBps);
@@ -253,42 +266,32 @@ void FlowNetwork::reallocate() {
     // subtracting must be separate passes: subtracting while scanning
     // would make later flows see already-reduced residuals and freeze on
     // channels that are not actually saturated.)
-    std::vector<char> bottleneck(residual.size(), 0);
-    for (std::size_t c = 0; c < residual.size(); ++c) {
-      if (load[c] == 0) continue;
-      if (std::max(residual[c], 0.0) / load[c] <= share * (1.0 + 1e-12) + 1e-9) {
-        bottleneck[c] = 1;
-      }
+    for (ChannelId c : active_) {
+      bottleneck_[c] =
+          load_[c] != 0 && std::max(residual_[c], 0.0) / load_[c] <=
+                               share * (1.0 + 1e-12) + 1e-9;
     }
-    std::vector<FlowId> still;
-    std::vector<FlowId> frozen_now;
-    still.reserve(unfrozen.size());
-    for (FlowId id : unfrozen) {
-      Transfer& t = transfers_.at(id);
+    still_.clear();
+    frozen_now_.clear();
+    for (Transfer* t : unfrozen_) {
       bool crosses = false;
-      for (ChannelId c : *t.path) {
-        if (bottleneck[c]) {
+      for (ChannelId c : *t->path) {
+        if (bottleneck_[c]) {
           crosses = true;
           break;
         }
       }
-      if (crosses) {
-        frozen_now.push_back(id);
-      } else {
-        still.push_back(id);
-      }
+      (crosses ? frozen_now_ : still_).push_back(t);
     }
-    if (frozen_now.empty()) {
+    if (frozen_now_.empty()) {
       // Numerical safety net (should not happen): freeze everything.
-      frozen_now = std::move(still);
-      still.clear();
+      frozen_now_.swap(still_);
     }
-    for (FlowId id : frozen_now) {
-      Transfer& t = transfers_.at(id);
-      t.rate_bps = share;
-      for (ChannelId c : *t.path) residual[c] -= share;
+    for (Transfer* t : frozen_now_) {
+      t->rate_bps = share;
+      for (ChannelId c : *t->path) residual_[c] -= share;
     }
-    unfrozen = std::move(still);
+    unfrozen_.swap(still_);
   }
 
   for (auto& [id, t] : transfers_) schedule_completion(id, t);
@@ -312,32 +315,42 @@ void FlowNetwork::complete_transfer(FlowId id) {
   if (cb) cb();
 }
 
+// The two path queries visit only the queried path's channels. Each channel
+// accumulates exactly the terms, in exactly the order, of a whole-topology
+// sweep (capacity, then backgrounds by id, then transfers by FlowId), so the
+// answer is bit-identical to one.
 Bandwidth FlowNetwork::available_bandwidth(NodeId src, NodeId dst) const {
   if (src == dst) return Bandwidth::infinity();
-  std::vector<double> residual = effective_capacity();
-  for (const auto& [id, t] : transfers_) {
-    for (ChannelId c : *t.path) residual[c] -= t.rate_bps;
-  }
   double avail = std::numeric_limits<double>::infinity();
   for (ChannelId c : topo_.path(src, dst)) {
-    avail = std::min(avail, residual[c]);
+    double residual = capacity_[c];
+    for (const auto& [id, t] : transfers_) {
+      for (ChannelId tc : *t.path) {
+        if (tc == c) residual -= t.rate_bps;
+      }
+    }
+    avail = std::min(avail, residual);
   }
   return Bandwidth::bps(std::max(avail, floor_.as_bps()));
 }
 
 double FlowNetwork::path_utilization(NodeId src, NodeId dst) const {
   if (src == dst) return 0.0;
-  std::vector<double> used(topo_.channel_count(), 0.0);
-  for (const auto& [id, b] : backgrounds_) {
-    for (ChannelId c : *b.path) used[c] += b.rate_bps;
-  }
-  for (const auto& [id, t] : transfers_) {
-    for (ChannelId c : *t.path) used[c] += t.rate_bps;
-  }
   double worst = 0.0;
   for (ChannelId c : topo_.path(src, dst)) {
+    double used = 0.0;
+    for (const auto& [id, b] : backgrounds_) {
+      for (ChannelId bc : *b.path) {
+        if (bc == c) used += b.rate_bps;
+      }
+    }
+    for (const auto& [id, t] : transfers_) {
+      for (ChannelId tc : *t.path) {
+        if (tc == c) used += t.rate_bps;
+      }
+    }
     double cap = topo_.channel_capacity(c).as_bps();
-    if (cap > 0.0) worst = std::max(worst, std::min(used[c] / cap, 1.0));
+    if (cap > 0.0) worst = std::max(worst, std::min(used / cap, 1.0));
   }
   return worst;
 }

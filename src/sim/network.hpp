@@ -54,7 +54,8 @@ class Topology {
 
   /// Finalize routing: run the all-pairs BFS and keep only the parent
   /// matrices (predecessor node + link per source). Must be called after
-  /// the last add_*; path() throws before this. Channel sequences are
+  /// the last add_*; path() throws before this, and a repeat call is a
+  /// no-op (it must not free paths a FlowNetwork holds). Channel sequences are
   /// materialized lazily per (src, dst) pair on first use — a fleet of 64
   /// tenant topologies only ever asks for the pairs its workload actually
   /// exercises, so the O(n^2) eager path table this replaces (hundreds of
@@ -111,7 +112,10 @@ struct FlowNetworkStats {
 
 /// Dynamic flow state over a Topology, integrated with the Simulator: every
 /// transfer completion is an event; every flow arrival/departure/rate change
-/// triggers a max-min reallocation and completion rescheduling.
+/// triggers a max-min reallocation and completion rescheduling. A
+/// reallocation costs O(rounds x active channels + sum of path lengths) and,
+/// once warm, allocates nothing; the topology's size only matters on
+/// background changes (DESIGN.md, "Flow network").
 class FlowNetwork {
  public:
   FlowNetwork(Simulator& sim, const Topology& topo);
@@ -175,11 +179,10 @@ class FlowNetwork {
   };
 
   void reallocate();
-  void advance_progress();
   void schedule_completion(FlowId id, Transfer& t);
   void complete_transfer(FlowId id);
-  /// Effective per-channel capacity after subtracting background traffic.
-  std::vector<double> effective_capacity() const;
+  /// Recompute capacity_ from the raw link capacities and backgrounds_.
+  void refresh_capacity();
 
   Simulator& sim_;
   const Topology& topo_;
@@ -192,6 +195,23 @@ class FlowNetwork {
   // the tree walk is not a hot-path concern.
   std::map<FlowId, Transfer> transfers_;
   std::map<FlowId, Background> backgrounds_;
+  // Per-channel capacity left after background traffic. Backgrounds only
+  // change through add_background/set_background_rate, which refresh it;
+  // everything else reads it.
+  std::vector<double> capacity_;
+  // Water-fill scratch, sized once to channel_count() (indexed by channel)
+  // or kept at its high-water mark (flow lists), so a warm reallocate()
+  // allocates nothing. A channel is in active_ this reallocation iff
+  // active_mark_[c] == epoch_.
+  std::vector<double> residual_;
+  std::vector<int> load_;
+  std::vector<char> bottleneck_;
+  std::vector<std::uint64_t> active_mark_;
+  std::uint64_t epoch_ = 0;
+  std::vector<ChannelId> active_;
+  std::vector<Transfer*> unfrozen_;
+  std::vector<Transfer*> still_;
+  std::vector<Transfer*> frozen_now_;
   FlowId next_id_ = 1;
   Bandwidth floor_ = Bandwidth::bps(100.0);
   SimTime loopback_delay_ = SimTime::millis(1.0);
