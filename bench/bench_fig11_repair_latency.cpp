@@ -5,17 +5,13 @@
 //
 // On top of the figure reproduction, this bench is the acceptance gate for
 // the staged repair pipeline: the same experiment runs twice, once with
-// the legacy strictly-sequential record replay (the paper's behavior, kept
-// as the in-bench baseline) and once with the AdaptationPlan pipeline
-// (batched gauge re-deployments, overlapped execution). It emits
-// BENCH_fig11.json and exits non-zero when the plan pipeline fails to
+// the paper's strictly sequential plan shape (translate everything, then
+// re-deploy gauges one element at a time; the in-bench baseline) and once
+// with the optimized plan (batched gauge re-deployments, overlapped
+// execution). Both shapes enact through the same executor and compensate
+// on failure, so both means average the same repair population. It emits
+// BENCH_fig11.json and exits non-zero when the optimized plan fails to
 // lower the mean end-to-end repair latency.
-//
-// Membership caveat: a runtime-failed repair stays `committed` on the
-// legacy path (paper behavior — the model keeps the drift) but flips to
-// aborted on the plan path (it was compensated away). The paper
-// experiment has no runtime failures, so both means here average the same
-// repair population; scenarios that do fail ops are not comparable 1:1.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -74,7 +70,7 @@ int main(int argc, char** argv) {
             << " (paper: \"latency experienced by clients was less than two "
                "seconds for most of the time\")\n";
 
-  // The in-bench baseline: identical experiment, legacy record replay.
+  // The in-bench baseline: identical experiment, sequential plan shape.
   core::ExperimentOptions legacy_opt = bench::paper_options();
   legacy_opt.adaptation = true;
   legacy_opt.framework.plan_pipeline = false;

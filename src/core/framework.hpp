@@ -58,15 +58,17 @@ struct FrameworkConfig {
   SimTime abort_cooldown = SimTime::seconds(60);
   double load_improvement = 2.0;
 
-  /// Enact repairs through the staged AdaptationPlan pipeline (lifted op
-  /// records, cost-aware optimization, overlapped execution). Off = the
-  /// paper's strictly sequential record replay, kept as the measured
-  /// baseline of bench_fig11_repair_latency.
+  /// Shape of the AdaptationPlan every repair enacts through: on = lifted
+  /// op records, cost-aware optimization, overlapped execution; off = the
+  /// paper's sequential plan shape (translate all, then re-deploy gauges one
+  /// element at a time), kept as the measured baseline of
+  /// bench_fig11_repair_latency.
   bool plan_pipeline = true;
   /// Let a strictly worse violation abort a plan in flight (compensating
   /// enacted steps) and start its own repair — pair with the
   /// churn-mid-repair scenario.
   bool plan_preemption = false;
+  /// Must be >= 1 when plan_preemption is on (RepairEngine throws).
   double plan_preempt_factor = 2.0;
 
   /// Gauge caching/relocation (Section 5.3's proposed speed-up) vs

@@ -6,15 +6,16 @@
 //      did, or worst-first, the smarter scheme its future work proposes);
 //   2. run the bound strategy inside a model Transaction (interpreted
 //      script or native C++ strategy);
-//   3. on commit: charge decision + runtime-query time, then enact. The
-//      default pipeline lifts the committed op records into an
-//      AdaptationPlan (repair/plan.hpp), optimizes it (merged moves,
-//      batched gauge re-deployments), and enacts it asynchronously with
-//      independent steps overlapped (repair/plan_executor.hpp). The
-//      paper's strictly sequential record replay — translate every record,
+//   3. on commit: charge decision + runtime-query time, then lift the
+//      committed op records into an AdaptationPlan (repair/plan.hpp) and
+//      enact it asynchronously (repair/plan_executor.hpp). The default
+//      shape is optimized (merged moves, batched gauge re-deployments) with
+//      independent steps overlapped. `use_plan = false` picks the paper's
+//      strictly sequential plan shape instead — translate every record,
 //      then re-deploy each element's gauges one after another, the step
-//      that dominates its ~30 s repair time — is kept behind
-//      `use_plan = false` as the measured baseline;
+//      that dominates its ~30 s repair time — as the measured baseline.
+//      Both shapes run through the same executor, so both compensate on
+//      failure and both can be preempted;
 //   4. on abort: roll the transaction back and apply a cooldown so a
 //      hopeless constraint does not spin.
 //
@@ -73,9 +74,10 @@ struct RepairEngineConfig {
   bool damping = true;
   /// true: interpreted script strategies; false: native C++ strategies.
   bool use_script = true;
-  /// Enact through the AdaptationPlan pipeline (lift, optimize, overlap).
-  /// false selects the legacy strictly-sequential record replay — kept as
-  /// the in-bench baseline for bench_fig11_repair_latency.
+  /// Plan shape: true lifts the journal into an optimized, overlapping
+  /// plan (build_plan + optimize_plan); false builds the paper's strictly
+  /// sequential plan shape (build_sequential_plan) — the in-bench baseline
+  /// for bench_fig11_repair_latency. Both enact through the PlanExecutor.
   bool use_plan = true;
   /// Allow a strictly worse violation to abort a plan in flight (remaining
   /// steps skipped, enacted steps compensated) and start its own repair.
@@ -87,7 +89,9 @@ struct RepairEngineConfig {
   /// never preempted — their severity is not comparable. The heuristic is
   /// sharpest between violations of the same constraint kind (latency vs
   /// latency) — exactly the mid-repair-fault case the churn-mid-repair
-  /// scenario exercises.
+  /// scenario exercises. Must be >= 1 with `preemption` on, or the
+  /// displaced repair could preempt its challenger back; the constructor
+  /// throws Error otherwise.
   double preempt_factor = 2.0;
   /// Failure-aware enactment: bounded retries with deterministic
   /// exponential backoff for transient runtime-op faults, and per-op
@@ -136,8 +140,8 @@ struct RepairRecord {
   int moves = 0;
   int servers_added = 0;
   int servers_removed = 0;
-  /// Plan pipeline: steps after optimization / steps the optimizer folded
-  /// away (0 on the legacy path).
+  /// Plan pipeline: steps enacted / steps the optimizer folded away (0 for
+  /// the sequential plan shape, which is not optimized).
   int plan_steps = 0;
   int plan_steps_merged = 0;
   /// Failure-aware enactment: transient-op retries and op timeouts this
@@ -263,13 +267,6 @@ class RepairEngine {
   void publish_plan_event(util::Symbol phase, std::size_t idx,
                           std::size_t steps);
   bool touched_by_active(util::Symbol element) const;
-  // Legacy record replay (use_plan = false).
-  void apply_committed(std::size_t idx,
-                       std::vector<model::OpRecord> op_records);
-  void redeploy_chain(std::size_t idx,
-                      std::shared_ptr<std::vector<std::string>> elements,
-                      std::size_t next, SimTime gauge_started);
-  void finish(std::size_t idx, const std::vector<std::string>& affected);
   static void summarize_ops(const std::vector<model::OpRecord>& op_records,
                             RepairRecord& record);
 

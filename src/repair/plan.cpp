@@ -245,4 +245,27 @@ AdaptationPlan build_plan(const std::vector<model::OpRecord>& records,
   return plan;
 }
 
+AdaptationPlan build_sequential_plan(
+    const std::vector<model::OpRecord>& records, const Translator* translator,
+    const monitor::GaugeManager* gauges) {
+  AdaptationPlan plan;
+  plan.journal = records;
+  PlanStep replay;
+  replay.records = records;
+  replay.label = "replay";
+  if (translator) replay.estimated_cost = translator->estimate(records);
+  plan.steps.push_back(std::move(replay));
+  if (!gauges) return plan;
+  for (const std::string& element : affected_gauge_elements(records, gauges)) {
+    PlanStep step;
+    step.kind = PlanStep::Kind::GaugeRedeploy;
+    step.elements.push_back(element);
+    step.deps.push_back(plan.steps.size() - 1);
+    step.estimated_cost = gauges->redeploy_cost(element);
+    step.label = "gauges:" + element;
+    plan.steps.push_back(std::move(step));
+  }
+  return plan;
+}
+
 }  // namespace arcadia::repair

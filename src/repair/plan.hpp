@@ -5,7 +5,9 @@
 // enacts, an estimated Table-1 cost, and explicit dependencies — plus
 // gauge re-deployment steps for the monitoring the repair disturbs.
 //
-// The split buys three things the paper's sequential replay could not:
+// The split buys three things the paper's strictly sequential repair
+// lacked; that repair survives as one plan shape (build_sequential_plan),
+// which gets only the third:
 //   * optimization  — redundant moves merge, gauge re-deployments batch
 //                     (repair/plan_optimizer.hpp);
 //   * overlap       — independent steps enact concurrently, and detection
@@ -93,8 +95,8 @@ struct AdaptationPlan {
   /// Longest dependency chain by estimated cost — the plan's predicted
   /// end-to-end enactment latency under unlimited concurrency.
   SimTime estimated_critical_path() const;
-  /// Sum of every step's estimate — what strictly sequential replay would
-  /// predict.
+  /// Sum of every step's estimate — what the strictly sequential shape
+  /// (build_sequential_plan) predicts.
   SimTime estimated_serial_cost() const;
 };
 
@@ -123,5 +125,16 @@ AdaptationPlan build_plan(const std::vector<model::OpRecord>& records,
                           const StyleConventions& conv,
                           const Translator* translator,
                           const monitor::GaugeManager* gauges);
+
+/// The paper's strictly sequential repair (Section 5.3) as a plan shape:
+/// one runtime step replaying the whole journal (label "replay"), then one
+/// gauge-redeploy step per affected_gauge_elements() entry, in that order,
+/// each depending on the step before it. The chain leaves the executor
+/// nothing to overlap, so enactment is translate-all, then re-deploy one
+/// element's gauges at a time. Not meant for optimize_plan(). With no gauge
+/// manager the plan is the runtime step alone.
+AdaptationPlan build_sequential_plan(
+    const std::vector<model::OpRecord>& records, const Translator* translator,
+    const monitor::GaugeManager* gauges);
 
 }  // namespace arcadia::repair

@@ -79,7 +79,8 @@ class PlanExecutor {
   /// Sum of translator costs charged so far (compensation included).
   SimTime runtime_cost() const { return runtime_cost_; }
   /// Wall-clock between the first gauge step launching and the last one
-  /// completing — the overlapped counterpart of the legacy gauge phase.
+  /// completing — the sequential shape's gauge phase, or its overlapped
+  /// counterpart in an optimized plan.
   SimTime gauge_wall() const;
 
   /// Abort the running plan (see file comment). No-op when idle.

@@ -111,5 +111,54 @@ TEST(DeterminismTest, PaperFig6GoldenPin) {
   }
 }
 
+// Golden pin for the paper's strictly sequential repair shape
+// (`plan_pipeline = false`): the paper-fig6 adaptive run, seed 42, to the
+// full 1800 s. Every committed repair's timeline is pinned in integer µs, so
+// a change to how the sequential shape enacts (translate the whole journal,
+// then re-deploy each disturbed element's gauges one after another) shows
+// here as well as in the aggregate event count.
+TEST(DeterminismTest, PaperFig6SequentialGoldenPin) {
+  sim::Simulator sim;
+  sim::ScenarioConfig config = sim::scenario_defaults("paper-fig6");
+  config.seed = 42;
+  sim::Testbed testbed = sim::build_scenario(sim, "paper-fig6", config);
+  core::FrameworkConfig fc;
+  fc.plan_pipeline = false;
+  core::Framework framework(sim, testbed, fc);
+  framework.start();
+  testbed.start();
+  sim.run_until(SimTime::seconds(1800));
+
+  EXPECT_EQ(sim.executed(), 121673u);
+  EXPECT_EQ(testbed.app->total_issued(), 14431u);
+
+  struct Timeline {
+    std::int64_t started_us, completed_us, op_us, gauge_us;
+  };
+  const std::vector<Timeline> expected = {
+      {140000000, 170230000, 120000, 30000000},
+      {175000000, 205230000, 120000, 30000000},
+      {625000000, 655880000, 640000, 30000000},
+      {660000000, 690870000, 640000, 30000000},
+      {880000000, 910350000, 120000, 30000000},
+      {1435000000, 1465240000, 120000, 30000000},
+  };
+  std::vector<Timeline> got;
+  for (const repair::RepairRecord& rec : framework.engine().records()) {
+    if (!rec.committed) continue;
+    got.push_back({rec.started.as_micros(), rec.completed.as_micros(),
+                   rec.op_cost.as_micros(), rec.gauge_cost.as_micros()});
+  }
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].started_us, expected[i].started_us) << "repair " << i;
+    EXPECT_EQ(got[i].completed_us, expected[i].completed_us) << "repair " << i;
+    EXPECT_EQ(got[i].op_us, expected[i].op_us) << "repair " << i;
+    EXPECT_EQ(got[i].gauge_us, expected[i].gauge_us) << "repair " << i;
+  }
+  EXPECT_EQ(exact(framework.engine().stats().repair_seconds_total),
+            "182.80000000000001");
+}
+
 }  // namespace
 }  // namespace arcadia

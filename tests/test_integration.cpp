@@ -91,8 +91,8 @@ TEST(IntegrationTest, AdaptationBeatsControl) {
 }
 
 TEST(IntegrationTest, RepairsTakeAboutThirtySeconds) {
-  // This pins the PAPER's repair shape, so it runs the legacy strictly
-  // sequential replay; the plan pipeline intentionally beats these numbers
+  // This pins the PAPER's repair shape, so it runs the strictly sequential
+  // plan shape; the optimized plan intentionally beats these numbers
   // (see PlanPipelineShortensRepairs below and bench_fig11_repair_latency).
   ExperimentOptions opt = short_options();
   opt.adaptation = true;

@@ -2,6 +2,7 @@
 // overlapped execution, mid-plan failure compensation, and preemption.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -252,6 +253,48 @@ TEST(PlanOptimizerTest, BatchesGaugeStepsOnTheSameFrontier) {
   EXPECT_EQ(plan.steps[1].elements.size(), 2u);
 }
 
+TEST(PlanLiftTest, SequentialPlanShape) {
+  // The paper's sequential repair as a plan: one runtime step replaying the
+  // whole journal, then a chain of per-element gauge steps.
+  model::System sys = make_system();
+  GaugeRig rig;
+  rig.deploy("lat:User1", "User1");
+  rig.deploy("load:ServerGrp2", "ServerGrp2");
+  rig.deploy("bw:Conn_User1", "Conn_User1.clientSide");
+  rig.go_live();
+
+  model::Transaction txn(sys);
+  perform_add_server(txn, sys, "ServerGrp2", "SrvA", {});
+  perform_move(txn, sys, "User1", "ServerGrp2", {});
+  std::vector<model::OpRecord> records = txn.records();
+  txn.commit();
+
+  PricingTranslator pricing;
+  AdaptationPlan plan = build_sequential_plan(records, &pricing, &rig.gauges);
+  ASSERT_EQ(plan.runtime_step_count(), 1u);
+  const PlanStep& replay = plan.steps[0];
+  EXPECT_EQ(replay.kind, PlanStep::Kind::RuntimeOps);
+  EXPECT_EQ(replay.label, "replay");
+  EXPECT_EQ(replay.records.size(), records.size());
+  EXPECT_EQ(plan.journal.size(), records.size());
+  EXPECT_TRUE(replay.deps.empty());
+  EXPECT_EQ(replay.estimated_cost, SimTime::seconds(2));  // recruit + move
+
+  const std::vector<std::string> affected =
+      affected_gauge_elements(records, &rig.gauges);
+  ASSERT_EQ(affected.size(), 3u);
+  ASSERT_EQ(plan.steps.size(), 1u + affected.size());
+  for (std::size_t i = 1; i < plan.steps.size(); ++i) {
+    const PlanStep& step = plan.steps[i];
+    EXPECT_EQ(step.kind, PlanStep::Kind::GaugeRedeploy);
+    EXPECT_EQ(step.elements, std::vector<std::string>{affected[i - 1]});
+    EXPECT_EQ(step.deps, std::vector<std::size_t>{i - 1});
+  }
+  // A chain: nothing overlaps, so the critical path is the serial sum.
+  EXPECT_GT(plan.estimated_serial_cost(), SimTime::seconds(2));
+  EXPECT_EQ(plan.estimated_critical_path(), plan.estimated_serial_cost());
+}
+
 // ---- executor ----
 
 class CountingTranslator : public Translator {
@@ -441,6 +484,90 @@ TEST(PlanEngineTest, TranslatorFailureMidPlanCompensates) {
     }
   }
   EXPECT_TRUE(saw_release);
+}
+
+TEST(PlanEngineTest, SequentialRuntimeFailureCompensates) {
+  // The sequential plan shape runs through the same executor, so a runtime
+  // failure compensates like any plan: the record flips to aborted, the
+  // model reverts, and no repair window is recorded.
+  class FailFirst : public Translator {
+   public:
+    std::vector<std::vector<model::OpRecord>> applies;
+    SimTime apply(const std::vector<model::OpRecord>& records) override {
+      const bool first = applies.empty();
+      applies.push_back(records);
+      if (first) throw RuntimeOpError("queue vanished");
+      return SimTime::millis(500);
+    }
+  };
+
+  sim::Simulator sim;
+  model::System sys = make_system();
+  acme::Script script = acme::parse_script(extended_script());
+  FailFirst translator;
+  RepairEngineConfig cfg;
+  cfg.use_script = false;
+  cfg.use_plan = false;
+  RepairEngine engine(sim, sys, script, nullptr, &translator, nullptr, cfg);
+  engine.add_strategy(two_step_strategy());
+  ConstraintChecker checker(sys);
+  checker.bind_global("maxServerLoad", acme::EvalValue(6.0));
+  checker.bind_global("minBandwidth", acme::EvalValue(1e4));
+  checker.bind_global("minUtilization", acme::EvalValue(0.2));
+  checker.bind_global("minReplicas", acme::EvalValue(2.0));
+  checker.instantiate(script);
+
+  sys.component("User1").set_property("averageLatency",
+                                      model::PropertyValue(9.0));
+  ASSERT_TRUE(engine.handle_violations(checker.check()));
+  sim.run_until(SimTime::seconds(30));
+
+  ASSERT_EQ(engine.records().size(), 1u);
+  const RepairRecord& rec = engine.records()[0];
+  EXPECT_TRUE(rec.aborted);
+  EXPECT_FALSE(rec.committed);
+  EXPECT_TRUE(rec.finished);
+  EXPECT_NE(rec.abort_reason.find("RuntimeFailure"), std::string::npos);
+  EXPECT_FALSE(engine.busy());
+  EXPECT_EQ(engine.stats().committed, 0u);
+  EXPECT_EQ(engine.stats().aborted, 1u);
+  EXPECT_TRUE(engine.repair_windows().empty());
+
+  EXPECT_FALSE(sys.component("ServerGrp2")
+                   .representation_const()
+                   .has_component("SrvNew"));
+  EXPECT_TRUE(sys.attached("ServerGrp1", "provide", "Conn_User1",
+                           "serverSide"));
+  EXPECT_EQ(sys.component("User1").property("boundTo").as_string(),
+            "ServerGrp1");
+  // The one replay step failed; the runtime then saw its compensation.
+  ASSERT_EQ(translator.applies.size(), 2u);
+  EXPECT_EQ(translator.applies[0].size(), rec.journal.size());
+  bool saw_release = false;
+  for (const model::OpRecord& op : translator.applies[1]) {
+    if (op.kind == model::OpKind::RemoveComponent && op.element == "SrvNew") {
+      saw_release = true;
+    }
+  }
+  EXPECT_TRUE(saw_release);
+}
+
+TEST(PlanEngineTest, PreemptFactorBelowOneIsRejected) {
+  // With a factor under 1 two violations could preempt each other on every
+  // check; the engine refuses the configuration up front.
+  sim::Simulator sim;
+  model::System sys = make_system();
+  acme::Script script = acme::parse_script(extended_script());
+  auto make = [&](bool preemption, double factor) {
+    RepairEngineConfig cfg;
+    cfg.preemption = preemption;
+    cfg.preempt_factor = factor;
+    RepairEngine engine(sim, sys, script, nullptr, nullptr, nullptr, cfg);
+  };
+  EXPECT_THROW(make(true, 0.5), Error);
+  EXPECT_THROW(make(true, std::nan("")), Error);
+  EXPECT_NO_THROW(make(true, 1.0));
+  EXPECT_NO_THROW(make(false, 0.5));  // the factor is unused without it
 }
 
 TEST(PlanEngineTest, PlanEventsOnTheBus) {
