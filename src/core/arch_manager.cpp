@@ -5,78 +5,13 @@
 #include <cmath>
 
 #include "monitor/topics.hpp"
-#include "util/log.hpp"
 
 namespace arcadia::core {
 
 ArchitectureManager::ArchitectureManager(sim::Simulator& sim,
                                          model::System& system,
-                                         events::EventBus& gauge_bus,
-                                         repair::RepairEngine& engine,
-                                         ArchManagerConfig config)
-    : sim_(sim),
-      system_(system),
-      gauge_bus_(gauge_bus),
-      engine_(engine),
-      config_(config),
-      checker_(system) {}
-
-ArchitectureManager::~ArchitectureManager() { stop(); }
-
-void ArchitectureManager::start() {
-  if (config_.passive) return;  // fleet mode: the FleetManager drives us
-  sub_ = gauge_bus_.subscribe(
-      events::Filter::topic(monitor::topics::kGaugeReportSym),
-      [this](const events::Notification& n) {
-        util::Symbol element, role, property;
-        if (!parse_gauge_report(n, element, role, property)) {
-          ++stats_.reports_ignored;
-          return;
-        }
-        switch (apply_gauge_value(element, role, property,
-                                  *n.get_if(monitor::topics::kAttrValueSym))) {
-          case GaugeApply::Applied:
-            ++stats_.reports_applied;
-            break;
-          case GaugeApply::Unchanged:
-            ++stats_.reports_unchanged;
-            break;
-          case GaugeApply::NoTarget:
-            ++stats_.reports_ignored;
-            break;
-        }
-      },
-      config_.manager_node);
-  lifecycle_sub_ = gauge_bus_.subscribe(
-      events::Filter::topic(monitor::topics::kGaugeLifecycleSym),
-      [this](const events::Notification& n) {
-        util::Symbol element, phase;
-        if (!parse_gauge_lifecycle(n, element, phase)) return;
-        if (phase == monitor::topics::kPhaseSuspect) {
-          note_gauge_liveness(element, true);
-        } else if (phase == monitor::topics::kPhaseCleared) {
-          note_gauge_liveness(element, false);
-        }
-      },
-      config_.manager_node);
-  check_task_ = std::make_unique<sim::PeriodicTask>(
-      sim_, sim_.now() + config_.first_check, config_.check_period, [this] {
-        run_check();
-        return true;
-      });
-}
-
-void ArchitectureManager::stop() {
-  if (sub_ != 0) {
-    gauge_bus_.unsubscribe(sub_);
-    sub_ = 0;
-  }
-  if (lifecycle_sub_ != 0) {
-    gauge_bus_.unsubscribe(lifecycle_sub_);
-    lifecycle_sub_ = 0;
-  }
-  check_task_.reset();
-}
+                                         repair::RepairEngine& engine)
+    : sim_(sim), system_(system), engine_(engine), checker_(system) {}
 
 bool ArchitectureManager::parse_gauge_lifecycle(const events::Notification& n,
                                                 util::Symbol& element,
@@ -91,20 +26,18 @@ bool ArchitectureManager::parse_gauge_lifecycle(const events::Notification& n,
   return true;
 }
 
-void ArchitectureManager::note_gauge_liveness(util::Symbol element,
+bool ArchitectureManager::note_gauge_liveness(util::Symbol element,
                                               bool suspect) {
   int& refs = suspect_refs_[element];
   if (suspect) {
-    if (++refs == 1) {
-      ++stats_.elements_suspected;
-      checker_.set_element_suspect(element, true);
-    }
-    return;
-  }
-  if (refs > 0 && --refs == 0) {
+    if (++refs != 1) return false;
+    ++stats_.elements_suspected;
+  } else {
+    if (refs == 0 || --refs != 0) return false;
     ++stats_.elements_cleared;
-    checker_.set_element_suspect(element, false);
   }
+  checker_.set_element_suspect(element, suspect);
+  return true;
 }
 
 bool ArchitectureManager::parse_gauge_report(const events::Notification& n,
@@ -167,6 +100,11 @@ bool within_noise_floor(const model::Element& el, util::Symbol property,
   return false;
 }
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 }  // namespace
 
 ArchitectureManager::GaugeApply ArchitectureManager::apply_gauge_value(
@@ -196,29 +134,20 @@ ArchitectureManager::GaugeApply ArchitectureManager::apply_gauge_value(
 }
 
 std::vector<repair::Violation> ArchitectureManager::detect() {
+  const auto t0 = std::chrono::steady_clock::now();
   ++stats_.checks;
   std::vector<repair::Violation> violations = checker_.check();
-  stats_.violations_seen += violations.size();
+  stats_.check_wall_s += seconds_since(t0);
   return violations;
 }
 
 bool ArchitectureManager::dispatch(
     const std::vector<repair::Violation>& violations) {
   if (violations.empty()) return false;
-  const std::uint64_t preempted_before = engine_.stats().plans_preempted;
-  if (!engine_.handle_violations(violations)) return false;
-  ++stats_.repairs_triggered;
-  stats_.repairs_preempted +=
-      engine_.stats().plans_preempted - preempted_before;
-  return true;
-}
-
-void ArchitectureManager::run_check() {
   const auto t0 = std::chrono::steady_clock::now();
-  dispatch(detect());
-  stats_.check_wall_s +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const bool started = engine_.handle_violations(violations);
+  stats_.check_wall_s += seconds_since(t0);
+  return started;
 }
 
 }  // namespace arcadia::core

@@ -1,15 +1,17 @@
-// The architecture manager (Figure 1, item 4): consumes gauge reports,
-// folds them into the architectural model's properties, periodically
-// verifies the model's constraints, and hands violations to the repair
-// engine.
+// The architecture manager (Figure 1, item 4) as one model shard: folds
+// gauge values into the architectural model's properties, holds verdicts on
+// suspect monitoring evidence, detects constraint violations, and hands them
+// to the repair engine. It subscribes to nothing and schedules nothing: the
+// loop around it — gauge and lifecycle subscriptions, the periodic check —
+// is a core::FleetManager, one-shard for a solo Framework.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "durability/sink.hpp"
-#include "events/bus.hpp"
+#include "events/notification.hpp"
 #include "model/system.hpp"
 #include "repair/constraint.hpp"
 #include "repair/engine.hpp"
@@ -17,49 +19,24 @@
 
 namespace arcadia::core {
 
-struct ArchManagerConfig {
-  /// Constraint-evaluation period. (Offset slightly from gauge reports so
-  /// checks see fresh values.)
-  SimTime check_period = SimTime::seconds(5);
-  SimTime first_check = SimTime::seconds(15);
-  /// The machine the manager runs on (gauge reports are delivered here —
-  /// in the paper's testbed, the machine running Server 4).
-  sim::NodeId manager_node = sim::kNoNode;
-  /// Fleet mode: start() arms nothing — a core::FleetManager owns the gauge
-  /// subscription (batched) and drives detect()/dispatch() on its own
-  /// schedule. The manager keeps owning the checker, model, and engine.
-  bool passive = false;
-};
-
 struct ArchManagerStats {
-  std::uint64_t reports_applied = 0;
-  std::uint64_t reports_unchanged = 0;  ///< dead-band: repeated steady values
-  std::uint64_t reports_ignored = 0;
-  std::uint64_t checks = 0;
-  std::uint64_t violations_seen = 0;
+  std::uint64_t checks = 0;  ///< detect() calls
   /// Gauge-liveness bookkeeping: elements entering / leaving the suspect
   /// state (watchdog "suspect"/"cleared" lifecycle events, refcounted per
   /// element across its gauges).
   std::uint64_t elements_suspected = 0;
   std::uint64_t elements_cleared = 0;
-  std::uint64_t repairs_triggered = 0;
-  /// Repairs that started by preempting a plan in flight (dispatch keeps
-  /// running while the engine enacts, so a strictly worse violation can
-  /// displace the active repair — see RepairEngineConfig::preemption).
-  std::uint64_t repairs_preempted = 0;
-  /// Real (host) wall-clock spent in periodic checks — the control-plane
-  /// cost benches compare against fleet mode. Not simulated time.
+  /// Real (host) wall-clock spent in detect() + dispatch(). Not simulated
+  /// time.
   double check_wall_s = 0.0;
 };
 
 class ArchitectureManager {
  public:
   /// The checker is owned by the manager; the engine is shared with the
-  /// framework. `gauge_bus` supplies property updates.
+  /// framework. `sim` stamps journaled gauge folds.
   ArchitectureManager(sim::Simulator& sim, model::System& system,
-                      events::EventBus& gauge_bus, repair::RepairEngine& engine,
-                      ArchManagerConfig config);
-  ~ArchitectureManager();
+                      repair::RepairEngine& engine);
 
   ArchitectureManager(const ArchitectureManager&) = delete;
   ArchitectureManager& operator=(const ArchitectureManager&) = delete;
@@ -74,10 +51,6 @@ class ArchitectureManager {
     journal_shard_ = shard;
   }
 
-  /// Subscribe to the gauge bus and arm periodic constraint checking.
-  void start();
-  void stop();
-
   /// Apply one gauge report to the model (public for tests). Element may
   /// be a component name or "Connector.role". True unless the report was
   /// malformed or named a missing element (an Unchanged dead-band hit still
@@ -86,23 +59,23 @@ class ArchitectureManager {
 
   /// Parse a gauge report's address into interned symbols — the single
   /// source of truth for the "Component" / "Connector.role" convention,
-  /// shared with the fleet's batched sink. False when attributes are
+  /// used by the FleetManager's report sink. False when attributes are
   /// missing.
   static bool parse_gauge_report(const events::Notification& n,
                                  util::Symbol& element, util::Symbol& role,
                                  util::Symbol& property);
 
   /// Parse a gauge lifecycle notification's element + phase attributes
-  /// (shared with the fleet's per-shard liveness sink). False when absent.
+  /// (the FleetManager's per-shard liveness sink). False when absent.
   static bool parse_gauge_lifecycle(const events::Notification& n,
                                     util::Symbol& element,
                                     util::Symbol& phase);
 
   /// Fold one gauge-liveness transition into the checker's verdict holds.
   /// Refcounted per element: an element with several gauges stays suspect
-  /// until every stale gauge has cleared. Public so a FleetManager can
-  /// drive it for passive shards.
-  void note_gauge_liveness(util::Symbol element, bool suspect);
+  /// until every stale gauge has cleared. True when the element's hold
+  /// actually changed (its verdicts may differ at the next detect()).
+  bool note_gauge_liveness(util::Symbol element, bool suspect);
 
   /// Outcome of folding one gauge value into the model.
   enum class GaugeApply {
@@ -113,7 +86,7 @@ class ArchitectureManager {
     NoTarget,   ///< the element does not exist in this model
   };
 
-  /// Pre-parsed fast path (also the fleet's batched sink): `element` is a
+  /// Pre-parsed fast path (the FleetManager's report sink): `element` is a
   /// component, or a connector when `role` is non-empty. Reports whose
   /// value matches the current property within the monitoring noise floor
   /// (1e-5 absolute / 1e-9 relative) are Unchanged — gauges re-publish
@@ -141,19 +114,12 @@ class ArchitectureManager {
   bool repair_active() const { return engine_.busy(); }
 
  private:
-  void run_check();
-
   sim::Simulator& sim_;
   model::System& system_;
-  events::EventBus& gauge_bus_;
   repair::RepairEngine& engine_;
-  ArchManagerConfig config_;
   repair::ConstraintChecker checker_;
   durability::JournalSink* journal_sink_ = nullptr;
   std::uint32_t journal_shard_ = 0;
-  events::SubscriptionId sub_ = 0;
-  events::SubscriptionId lifecycle_sub_ = 0;
-  std::unique_ptr<sim::PeriodicTask> check_task_;
   ArchManagerStats stats_;
   /// Per-element count of currently-suspect gauges.
   util::SymbolMap<int> suspect_refs_;

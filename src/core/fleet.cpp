@@ -18,7 +18,6 @@ Fleet::Fleet(sim::Simulator& sim, FleetOptions options)
   base.fleet.tenants = tenants;
 
   FrameworkConfig fw = options_.framework;
-  fw.fleet_managed = options_.coordinated;
   // The fleet's journal is shared; tenants must not each own a plane.
   fw.durability = durability::Options{};
 
@@ -85,9 +84,8 @@ Fleet::Fleet(sim::Simulator& sim, FleetOptions options)
                                              static_cast<std::uint32_t>(k));
     }
     if (manager_) {
-      const FleetManager::ShardId id = manager_->add_shard(
-          tenant->name, tenant->framework->manager(),
-          tenant->framework->gauge_bus(), tenant->testbed.manager_node);
+      const FleetManager::ShardId id =
+          tenant->framework->attach_fleet_manager(*manager_, tenant->name);
       manager_->bind_shard_executor(id, &tenant_sim, tenant->lane());
     }
     tenants_.push_back(std::move(tenant));

@@ -18,9 +18,10 @@
 // Every tenant is a full Framework (its own probes, gauges, buses, model,
 // constraint checker, and repair engine) built from a registered scenario;
 // the scenario's `fleet.tenant_index` is looped to clone phase-shifted
-// tenants. With `coordinated` (the default), the per-tenant architecture
-// managers are passive and the FleetManager batches reports and sweeps in
-// parallel; with it off, every tenant runs the classic per-tenant loop.
+// tenants. With `coordinated` (the default), every tenant is attached to the
+// fleet's FleetManager (Framework::attach_fleet_manager), which batches
+// reports and sweeps all shards in parallel; with it off, every tenant keeps
+// the private one-shard loop a solo Framework runs.
 #pragma once
 
 #include <memory>
@@ -51,8 +52,9 @@ struct FleetOptions {
   /// `framework` (single source of truth for the check cadence); the
   /// values here apply only to a standalone FleetManager.
   FleetManagerConfig manager;
-  /// true: passive tenant managers + FleetManager (batched, parallel).
-  /// false: classic per-tenant control loops, no FleetManager — the naive
+  /// true: every tenant attached to one FleetManager (batched, parallel).
+  /// false: each tenant runs its private one-shard loop
+  /// (Framework::detection_loop), no fleet-wide FleetManager — the naive
   /// baseline for A/B runs.
   bool coordinated = true;
 

@@ -66,14 +66,8 @@ void FleetManager::start() {
         events::Filter::topic(monitor::topics::kGaugeReportSym),
         [this, id](const events::Notification& n) { enqueue(id, n); },
         shard.manager_node);
-    // Observe the tenant's repair plans in flight (overlapped lifecycle:
-    // detection keeps sweeping while these enact).
-    shard.plan_sub = shard.bus->subscribe(
-        events::Filter::topic(monitor::topics::kRepairPlanSym),
-        [this, id](const events::Notification& n) { note_plan_event(id, n); },
-        shard.manager_node);
-    // Route the watchdog's suspect/cleared marks into the (passive) shard
-    // manager's verdict holds — in fleet mode nobody else is listening.
+    // Route the watchdog's suspect/cleared marks into the shard manager's
+    // verdict holds.
     shard.lifecycle_sub = shard.bus->subscribe(
         events::Filter::topic(monitor::topics::kGaugeLifecycleSym),
         [this, id](const events::Notification& n) { note_lifecycle(id, n); },
@@ -100,10 +94,6 @@ void FleetManager::stop() {
     if (shard.sub != 0) {
       shard.bus->unsubscribe(shard.sub);
       shard.sub = 0;
-    }
-    if (shard.plan_sub != 0) {
-      shard.bus->unsubscribe(shard.plan_sub);
-      shard.plan_sub = 0;
     }
     if (shard.lifecycle_sub != 0) {
       shard.bus->unsubscribe(shard.lifecycle_sub);
@@ -134,31 +124,17 @@ void FleetManager::apply(Shard& shard, const Shard::PendingSlot& slot) {
   }
 }
 
-void FleetManager::note_plan_event(ShardId id, const events::Notification& n) {
-  const events::Value* phase = n.get_if(monitor::topics::kAttrPhaseSym);
-  if (!phase || !phase->is_string()) return;
-  shards_[id].serial.check();
-  FleetShardStats& stats = shards_[id].stats;
-  const util::Symbol sym = phase->to_symbol();
-  if (sym == monitor::topics::kPhasePlanStarted) {
-    ++stats.plans_started;
-  } else if (sym == monitor::topics::kPhasePlanCompleted) {
-    ++stats.plans_completed;
-  } else if (sym == monitor::topics::kPhasePlanPreempted) {
-    ++stats.plans_preempted;
-  } else if (sym == monitor::topics::kPhasePlanFailed) {
-    ++stats.plans_failed;
-  }
-}
-
 void FleetManager::note_lifecycle(ShardId id, const events::Notification& n) {
   util::Symbol element, phase;
   if (!ArchitectureManager::parse_gauge_lifecycle(n, element, phase)) return;
-  shards_[id].serial.check();
-  if (phase == monitor::topics::kPhaseSuspect) {
-    shards_[id].manager->note_gauge_liveness(element, true);
-  } else if (phase == monitor::topics::kPhaseCleared) {
-    shards_[id].manager->note_gauge_liveness(element, false);
+  Shard& shard = shards_[id];
+  shard.serial.check();
+  const bool suspect = phase == monitor::topics::kPhaseSuspect;
+  if (!suspect && phase != monitor::topics::kPhaseCleared) return;
+  // A hold that changed changes the element's verdicts: the cached ones
+  // are stale, so the next sweep must detect rather than re-dispatch them.
+  if (shard.manager->note_gauge_liveness(element, suspect)) {
+    shard.dirty = true;
   }
 }
 

@@ -1,7 +1,10 @@
-// Fleet-scale adaptation: N independent tenant applications, each with its
-// own architectural model *shard* (an ArchitectureManager in passive mode),
-// and a single FleetManager coordinating the control loop across all of
-// them from the control simulator:
+// The adaptation control loop (Figure 1, item 4's periodic check) over N
+// architectural model *shards* — one ArchitectureManager each, which owns
+// the model, checker, and verdict holds but subscribes to nothing. The
+// FleetManager is the only loop: a solo Framework runs a one-shard instance
+// (unbatched, swept every period, no health tracking); a
+// core::Fleet runs one instance over all its tenants from the control
+// simulator, with:
 //
 //   * batched gauge application — reports landing on a shard's gauge bus
 //     within a coalescing window are applied in one model pass; reports for
@@ -12,9 +15,10 @@
 //     read-only per shard (disjoint models), so threads never contend on
 //     model state;
 //   * clean-shard skipping — a shard that received no reports, ran no
-//     repair, and saw no structural edit since its last sweep is not swept
-//     at all; its cached verdicts (what the incremental checker would have
-//     returned verbatim) are re-dispatched instead.
+//     repair, had no verdict hold change, and saw no structural edit since
+//     its last sweep is not swept at all; its cached verdicts (what the
+//     incremental checker would have returned verbatim) are re-dispatched
+//     instead.
 //
 // Determinism contract: parallel evaluation only *detects* violations.
 // Violation dispatch — and therefore every repair, every model mutation,
@@ -89,12 +93,6 @@ struct FleetShardStats {
   std::uint64_t sweeps_skipped = 0;     ///< clean-shard skips
   std::uint64_t violations = 0;         ///< violations dispatched (incl. cached)
   std::uint64_t repairs_triggered = 0;
-  // Repair-plan lifecycle observed on the shard's bus (topics::kRepairPlan;
-  // the engine publishes when the framework wires its event bus).
-  std::uint64_t plans_started = 0;
-  std::uint64_t plans_completed = 0;
-  std::uint64_t plans_preempted = 0;
-  std::uint64_t plans_failed = 0;  ///< runtime failure mid-plan
   // Health state machine transitions.
   std::uint64_t health_degraded = 0;     ///< entries into Degraded
   std::uint64_t health_quarantined = 0;  ///< entries into Quarantined
@@ -109,15 +107,17 @@ struct FleetStats {
   std::uint64_t shard_sweeps = 0;     ///< sum of per-shard detections
   std::uint64_t shard_skips = 0;      ///< sum of per-shard skips
   std::uint64_t shards_quarantined = 0;  ///< quarantine entries, fleet-wide
-  /// Real (host) wall-clock spent inside run_sweep — flush + parallel
-  /// detect + ordered dispatch. The apples-to-apples counterpart of
-  /// ArchManagerStats::check_wall_s summed over naive per-tenant loops.
+  /// Real (host) wall-clock spent inside run_sweep — flush, health
+  /// bookkeeping, parallel detect, ordered dispatch. Each shard's own
+  /// detect() + dispatch() share is its ArchManagerStats::check_wall_s.
   double sweep_wall_s = 0.0;
 };
 
 /// Coordinates the adaptation control loop over N model shards. Shards are
-/// registered once at assembly (see core::Fleet), then start() subscribes
-/// the batched report sinks and arms the periodic sweep.
+/// registered once at assembly (Framework::start for a solo framework's
+/// private loop, Framework::attach_fleet_manager for a core::Fleet's
+/// tenants), then start() subscribes the report sinks and arms the
+/// periodic sweep.
 ///
 /// Lifetime: every registered manager and gauge bus must outlive this
 /// object (or its stop()) — the destructor unsubscribes from the buses.
@@ -133,10 +133,10 @@ class FleetManager {
   FleetManager(const FleetManager&) = delete;
   FleetManager& operator=(const FleetManager&) = delete;
 
-  /// Register a shard: its (passive) architecture manager and the gauge bus
-  /// its tenant's monitoring reports on. `manager_node` is where the
+  /// Register a shard: its architecture manager and the gauge bus its
+  /// tenant's monitoring reports on. `manager_node` is where the
   /// tenant's control loop runs — reports cross the simulated network to
-  /// it, exactly as they would to a non-fleet ArchitectureManager. Shard
+  /// it, in a solo framework and in a fleet alike. Shard
   /// ids are dense, in registration order — which is also the
   /// deterministic dispatch order.
   ShardId add_shard(std::string name, ArchitectureManager& manager,
@@ -159,9 +159,10 @@ class FleetManager {
   /// logical lane `lane`. Report enqueueing, coalescing timers, and
   /// liveness stamps then use the shard clock — which leads the control
   /// clock mid-window — and the per-shard SerialDomain keys on the lane, so
-  /// windows may migrate between pool workers. Unbound shards (hand-rolled
-  /// rigs whose tenants share the control simulator) keep clock = the
-  /// control simulator and lane = 0 (thread-keyed). Call after add_shard,
+  /// windows may migrate between pool workers. Unbound shards — a solo
+  /// framework's private loop, whose tenant runs on the loop's own
+  /// simulator, and hand-rolled rigs — keep clock = the control simulator
+  /// and lane = 0 (the caller's lane or thread). Call after add_shard,
   /// before start().
   void bind_shard_executor(ShardId id, sim::Simulator* clock,
                            std::uintptr_t lane);
@@ -193,7 +194,6 @@ class FleetManager {
     events::EventBus* bus = nullptr;
     sim::NodeId manager_node = sim::kNoNode;
     events::SubscriptionId sub = 0;
-    events::SubscriptionId plan_sub = 0;
     events::SubscriptionId lifecycle_sub = 0;
 
     /// Executor binding (bind_shard_executor): the clock tenant events run
@@ -226,7 +226,8 @@ class FleetManager {
     std::vector<std::uint32_t> touched;
     sim::EventHandle flush_timer;
 
-    /// Reports were applied since the last sweep.
+    /// Reports were applied, or a verdict hold changed, since the last
+    /// sweep.
     bool dirty = false;
     bool swept_once = false;
     /// The violations of this shard's last detection; re-dispatched verbatim
@@ -245,7 +246,6 @@ class FleetManager {
 
   void enqueue(ShardId id, const events::Notification& n);
   void apply(Shard& shard, const Shard::PendingSlot& slot);
-  void note_plan_event(ShardId id, const events::Notification& n);
   void note_lifecycle(ShardId id, const events::Notification& n);
   void update_health(ShardId id);
   void publish_health(Shard& shard);

@@ -131,17 +131,11 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
   engine_ = std::make_unique<repair::RepairEngine>(
       sim_, *system_, script_, queries_.get(), engine_translator,
       gauge_manager_.get(), engine_cfg);
-  // Plan lifecycle notifications share the gauge bus: fleet managers and
-  // tools observe repairs in flight without new wiring.
+  // Plan lifecycle notifications share the gauge bus: tools observe
+  // repairs in flight without new wiring.
   engine_->set_event_bus(gauge_bus_.get());
 
-  ArchManagerConfig mgr_cfg;
-  mgr_cfg.check_period = config_.check_period;
-  mgr_cfg.first_check = config_.first_check;
-  mgr_cfg.manager_node = testbed_.manager_node;
-  mgr_cfg.passive = config_.fleet_managed;
-  manager_ = std::make_unique<ArchitectureManager>(sim_, *system_, *gauge_bus_,
-                                                   *engine_, mgr_cfg);
+  manager_ = std::make_unique<ArchitectureManager>(sim_, *system_, *engine_);
 
   // Task-layer thresholds visible in constraint expressions.
   repair::ConstraintChecker& checker = manager_->checker();
@@ -176,11 +170,22 @@ void Framework::attach_journal_sink(durability::JournalSink* sink,
   manager_->set_journal_sink(sink, shard);
 }
 
+FleetManager::ShardId Framework::attach_fleet_manager(
+    FleetManager& fleet_manager, std::string name) {
+  if (started_) throw Error("Framework::attach_fleet_manager after start");
+  fleet_attached_ = true;
+  return fleet_manager.add_shard(std::move(name), *manager_, *gauge_bus_,
+                                 testbed_.manager_node);
+}
+
+std::string Framework::solo_name() const {
+  return testbed_.scenario.empty() ? std::string("solo") : testbed_.scenario;
+}
+
 durability::ShardSnapshot Framework::capture_shard_snapshot() const {
   durability::ShardSnapshot shard;
   shard.shard = durability_shard_;
-  shard.name = testbed_.scenario.empty() ? std::string("solo")
-                                         : testbed_.scenario;
+  shard.name = solo_name();
   shard.model = durability::encode_system(*system_);
   shard.model_digest = durability::fnv1a(shard.model.data(),
                                          shard.model.size());
@@ -262,7 +267,21 @@ void Framework::start() {
                                                 config_.probe_period);
   probes_.start_all();
   deploy_gauges();
-  manager_->start();
+  if (!fleet_attached_) {
+    // The solo loop: one shard, each report applied on delivery, every
+    // period a full detect() + dispatch() — the paper's periodic check.
+    FleetManagerConfig loop_cfg;
+    loop_cfg.check_period = config_.check_period;
+    loop_cfg.first_check = config_.first_check;
+    loop_cfg.coalesce_window = SimTime::zero();
+    loop_cfg.sweep_threads = 1;
+    loop_cfg.skip_clean_shards = false;
+    loop_cfg.health_tracking = false;
+    loop_ = std::make_unique<FleetManager>(sim_, loop_cfg);
+    loop_->add_shard(solo_name(), *manager_, *gauge_bus_,
+                     testbed_.manager_node);
+    loop_->start();
+  }
   // Fleet seam: one crash draw per tenant. The crash takes every gauge
   // channel dark for its duration; the watchdog and (in fleet mode) the
   // health state machine do the rest.

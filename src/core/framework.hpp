@@ -8,6 +8,7 @@
 
 #include "acme/script.hpp"
 #include "core/arch_manager.hpp"
+#include "core/fleet_manager.hpp"
 #include "durability/plane.hpp"
 #include "events/bus.hpp"
 #include "fault/profile.hpp"
@@ -90,11 +91,6 @@ struct FrameworkConfig {
   SimTime check_period = SimTime::seconds(5);
   SimTime first_check = SimTime::seconds(15);
 
-  /// Fleet mode: the ArchitectureManager is assembled passive — no gauge
-  /// subscription, no periodic check — and a core::FleetManager batches the
-  /// reports and drives the sweep across all tenants (see core/fleet.hpp).
-  bool fleet_managed = false;
-
   /// Fault injection (usually copied from ScenarioConfig::fault by the
   /// experiment runner). When enabled, the framework constructs a
   /// FaultPlane, wraps the probe/gauge buses and the translator in their
@@ -161,13 +157,20 @@ class Framework {
   Framework(const Framework&) = delete;
   Framework& operator=(const Framework&) = delete;
 
-  /// Deploy probes and gauges, warm Remos, arm constraint checking.
+  /// Deploy probes and gauges, warm Remos, arm constraint checking: a
+  /// private one-shard FleetManager (detection_loop()), unless the
+  /// framework was attached to a fleet's FleetManager.
   void start();
 
   model::System& system() { return *system_; }
   const acme::Script& script() const { return script_; }
   repair::RepairEngine& engine() { return *engine_; }
   ArchitectureManager& manager() { return *manager_; }
+  /// The private detection loop: a one-shard FleetManager (shard 0) built at
+  /// start() from check_period/first_check, applying every report on
+  /// delivery and detecting + dispatching every period. Null before start()
+  /// and for a framework attached to a fleet.
+  FleetManager* detection_loop() { return loop_.get(); }
   monitor::GaugeManager& gauges() { return *gauge_manager_; }
   remos::RemosService& remos() { return *remos_; }
   rt::SimEnvironmentManager& environment() { return *env_; }
@@ -193,6 +196,12 @@ class Framework {
   /// start().
   void attach_journal_sink(durability::JournalSink* sink, std::uint32_t shard);
 
+  /// Hand detection to a fleet: registers this framework's model shard and
+  /// gauge bus with `fleet_manager` as `name` and returns the shard id, so
+  /// start() arms no private loop. Call before start().
+  FleetManager::ShardId attach_fleet_manager(FleetManager& fleet_manager,
+                                             std::string name);
+
   /// Capture this framework's durable state for a snapshot: the full model
   /// encoding + digest, every gauge channel's liveness state, and the fault
   /// plane's RNG stream positions. Health is Healthy here; the fleet's
@@ -208,6 +217,8 @@ class Framework {
  private:
   void deploy_gauges();
   void warm_remos();
+  /// The shard name of a solo run (snapshots, the private loop).
+  std::string solo_name() const;
 
   sim::Simulator& sim_;
   sim::Testbed& testbed_;
@@ -238,7 +249,11 @@ class Framework {
   std::unique_ptr<durability::DurabilityPlane> durability_plane_;
   std::uint32_t durability_shard_ = 0;
   std::unique_ptr<sim::PeriodicTask> snapshot_task_;
+  bool fleet_attached_ = false;
   bool started_ = false;
+  /// Declared last: it holds subscriptions on gauge_bus_ and points at
+  /// manager_, so it is destroyed before either.
+  std::unique_ptr<FleetManager> loop_;
 };
 
 }  // namespace arcadia::core

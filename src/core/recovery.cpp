@@ -15,7 +15,7 @@ namespace arcadia::core {
 namespace {
 
 constexpr char kManifestMagic[4] = {'A', 'R', 'C', 'M'};
-constexpr std::uint32_t kManifestVersion = 1;
+constexpr std::uint32_t kManifestVersion = 2;
 
 using durability::Decoder;
 using durability::DurabilityError;
@@ -196,7 +196,6 @@ void encode_framework(Encoder& enc, const FrameworkConfig& f) {
   enc.sim_time(f.gauge_window);
   enc.sim_time(f.check_period);
   enc.sim_time(f.first_check);
-  enc.boolean(f.fleet_managed);
   encode_fault(enc, f.fault);
   enc.i64(f.retry.max_attempts);
   enc.sim_time(f.retry.backoff_base);
@@ -245,7 +244,6 @@ FrameworkConfig decode_framework(Decoder& dec) {
   f.gauge_window = dec.sim_time();
   f.check_period = dec.sim_time();
   f.first_check = dec.sim_time();
-  f.fleet_managed = dec.boolean();
   f.fault = decode_fault(dec);
   f.retry.max_attempts = static_cast<int>(dec.i64());
   f.retry.backoff_base = dec.sim_time();

@@ -10,7 +10,7 @@ namespace arcadia::durability {
 namespace {
 
 /// Accumulates wall-clock spent inside a plane entry point; see
-/// DurabilityPlane::wall_s(). Mirrors ManagerStats::check_wall_s.
+/// DurabilityPlane::wall_s(). Mirrors core::ArchManagerStats::check_wall_s.
 class ScopedWall {
  public:
   explicit ScopedWall(double& acc)

@@ -25,8 +25,7 @@ inline constexpr const char* kGaugeReport = "gauge.report";
 inline constexpr const char* kGaugeLifecycle = "gauge.lifecycle";
 
 // Repair-plan lifecycle (published by the repair engine when a bus is
-// wired; consumed by fleet managers and tools observing repairs in
-// flight).
+// wired; for tools observing repairs in flight).
 inline constexpr const char* kRepairPlan = "repair.plan";
 
 // Per-tenant health transitions (published by the fleet manager's health

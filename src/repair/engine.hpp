@@ -180,8 +180,8 @@ class RepairEngine {
                RepairEngineConfig config);
 
   /// Optional bus for plan lifecycle notifications (topics::kRepairPlan);
-  /// the framework wires the gauge bus here so fleet managers and tools
-  /// can observe repairs in flight.
+  /// the framework wires the gauge bus here so tools can observe repairs
+  /// in flight.
   void set_event_bus(events::EventBus* bus) { bus_ = bus; }
 
   /// Optional write-ahead journal sink (durability plane). When set, every

@@ -26,8 +26,8 @@ bool has_rule(const std::vector<Finding>& findings, const std::string& rule) {
   return std::find(hit.begin(), hit.end(), rule) != hit.end();
 }
 
-TEST(ArclintTest, ListsAllEightRules) {
-  EXPECT_EQ(arclint::rule_ids().size(), 8u);
+TEST(ArclintTest, ListsAllNineRules) {
+  EXPECT_EQ(arclint::rule_ids().size(), 9u);
   EXPECT_TRUE(std::find(arclint::rule_ids().begin(), arclint::rule_ids().end(),
                         "entropy") != arclint::rule_ids().end());
   EXPECT_TRUE(std::find(arclint::rule_ids().begin(), arclint::rule_ids().end(),
@@ -36,6 +36,8 @@ TEST(ArclintTest, ListsAllEightRules) {
                         "durability-io") != arclint::rule_ids().end());
   EXPECT_TRUE(std::find(arclint::rule_ids().begin(), arclint::rule_ids().end(),
                         "shard-isolation") != arclint::rule_ids().end());
+  EXPECT_TRUE(std::find(arclint::rule_ids().begin(), arclint::rule_ids().end(),
+                        "one-loop") != arclint::rule_ids().end());
 }
 
 // ---- unordered-container -------------------------------------------------
@@ -288,6 +290,38 @@ TEST(ArclintTest, ShardRuleHonorsAllowDirectives) {
 }
 
 // ---- tools-parity --------------------------------------------------------
+
+// ---- one-loop ------------------------------------------------------------
+
+TEST(ArclintTest, GaugeTopicSubscriptionOutsideFleetManagerIsASecondLoop) {
+  const std::string src =
+      "sub_ = bus.subscribe(\n"
+      "    events::Filter::topic(monitor::topics::kGaugeReportSym),\n"
+      "    sink);\n"
+      "auto f = events::Filter::topic(topics::kGaugeLifecycleSym);\n";
+  const auto findings = lint_source("src/core/arch_manager.cpp", src);
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].rule, "one-loop");
+  EXPECT_EQ(findings[0].line, 2u);
+  EXPECT_EQ(findings[1].line, 4u);
+  // The FleetManager is the allow-listed home.
+  EXPECT_FALSE(
+      has_rule(lint_source("src/core/fleet_manager.cpp", src), "one-loop"));
+}
+
+TEST(ArclintTest, OneLoopIgnoresPublishesAndTopicCompares) {
+  // Publishing a report, or comparing a topic against one, is not a loop.
+  const std::string src =
+      "events::Notification n(topics::kGaugeReportSym);\n"
+      "return topic == kGaugeReportSym || topic == kGaugeLifecycleSym;\n"
+      "bus.subscribe(events::Filter::topic(topics::kRepairPlanSym), f);\n";
+  EXPECT_FALSE(has_rule(lint_source("src/fault/faulty_bus.cpp", src),
+                        "one-loop"));
+  // Outside src/ (tests, benches) rigs may subscribe freely.
+  EXPECT_TRUE(lint_source("tests/test_x.cpp",
+                          "Filter::topic(topics::kGaugeReportSym);\n")
+                  .empty());
+}
 
 TEST(ArclintTest, ToolsParityPassesWhenToolIsWiredEverywhere) {
   const std::string cmake =

@@ -26,7 +26,7 @@ RunOutcome collect(sim::Simulator& sim, sim::Testbed& tb, Framework& fw) {
   RunOutcome out;
   out.completed = tb.app->total_completed();
   out.gauges = fw.gauges().gauge_count();
-  out.reports_applied = fw.manager().stats().reports_applied;
+  out.reports_applied = fw.detection_loop()->shard_stats(0).reports_applied;
   out.repairs = fw.engine().records().size();
   out.user1_latency =
       fw.system().component("User1").property("averageLatency").as_double();

@@ -469,10 +469,8 @@ struct HealthRig {
     engine = std::make_unique<repair::RepairEngine>(
         sim, system, script, nullptr, nullptr, nullptr,
         repair::RepairEngineConfig{});
-    core::ArchManagerConfig cfg;
-    cfg.passive = true;
-    manager = std::make_unique<core::ArchitectureManager>(sim, system, bus,
-                                                          *engine, cfg);
+    manager =
+        std::make_unique<core::ArchitectureManager>(sim, system, *engine);
     manager->checker().add_constraint("lat:User1", "User1",
                                       "averageLatency <= 2.0", "");
   }
@@ -593,6 +591,72 @@ TEST(FleetHealthTest, StalledShardSkipsSweepsUntilWindowEnds) {
     EXPECT_EQ(fleet.shard_stats(0).sweeps, 1u);
   });
   rig.sim.run_until(SimTime::seconds(45));
+  EXPECT_EQ(fleet.shard_stats(0).violations, 1u);
+}
+
+events::Notification gauge_lifecycle(const std::string& element,
+                                     util::Symbol phase) {
+  events::Notification n(topics::kGaugeLifecycleSym);
+  n.set(topics::kAttrElementSym, util::Symbol::intern(element))
+      .set(topics::kAttrPhaseSym, phase);
+  return n;
+}
+
+/// A shard whose cached verdicts may be re-dispatched (skip_clean_shards),
+/// without the silence FSM in the way.
+core::FleetManagerConfig hold_test_config() {
+  core::FleetManagerConfig cfg;
+  cfg.coalesce_window = SimTime::zero();
+  cfg.first_check = SimTime::seconds(1e6);  // sweeps driven manually
+  cfg.health_tracking = false;
+  return cfg;
+}
+
+TEST(FleetHealthTest, SuspectMarkDirtiesCleanShard) {
+  HealthRig rig;
+  core::FleetManager fleet(rig.sim, hold_test_config());
+  fleet.add_shard("t1", *rig.manager, rig.bus);
+  fleet.start();
+
+  rig.bus.publish(gauge_report("User1", 9.0));
+  fleet.run_sweep();
+  EXPECT_EQ(fleet.shard_stats(0).violations, 1u);
+
+  // The watchdog marks User1's evidence stale and no report follows. The
+  // hold must reach the checker: re-dispatching the cached violation would
+  // act on exactly the evidence the hold distrusts.
+  rig.bus.publish(gauge_lifecycle("User1", topics::kPhaseSuspect));
+  fleet.run_sweep();
+  EXPECT_EQ(fleet.shard_stats(0).sweeps, 2u);
+  EXPECT_EQ(fleet.shard_stats(0).sweeps_skipped, 0u);
+  EXPECT_EQ(fleet.shard_stats(0).violations, 1u);
+  EXPECT_EQ(rig.manager->checker().check_stats().holds, 1u);
+
+  // A second stale gauge on the same element changes no hold: the shard
+  // stays clean and its (empty) cached verdicts stand.
+  rig.bus.publish(gauge_lifecycle("User1", topics::kPhaseSuspect));
+  fleet.run_sweep();
+  EXPECT_EQ(fleet.shard_stats(0).sweeps_skipped, 1u);
+  EXPECT_EQ(fleet.shard_stats(0).violations, 1u);
+}
+
+TEST(FleetHealthTest, ClearedMarkDirtiesCleanShard) {
+  HealthRig rig;
+  core::FleetManager fleet(rig.sim, hold_test_config());
+  fleet.add_shard("t1", *rig.manager, rig.bus);
+  fleet.start();
+
+  rig.bus.publish(gauge_lifecycle("User1", topics::kPhaseSuspect));
+  rig.bus.publish(gauge_report("User1", 9.0));
+  fleet.run_sweep();  // violating value, but held
+  EXPECT_EQ(fleet.shard_stats(0).violations, 0u);
+
+  // The channel recovers with no new report: the released verdict must be
+  // detected, not the held (empty) cache re-dispatched.
+  rig.bus.publish(gauge_lifecycle("User1", topics::kPhaseCleared));
+  fleet.run_sweep();
+  EXPECT_EQ(fleet.shard_stats(0).sweeps, 2u);
+  EXPECT_EQ(fleet.shard_stats(0).sweeps_skipped, 0u);
   EXPECT_EQ(fleet.shard_stats(0).violations, 1u);
 }
 

@@ -34,7 +34,7 @@ events::Notification gauge_report(const std::string& element,
 }
 
 /// A minimal shard: one-component model, local gauge bus, model-only
-/// repair engine, passive architecture manager.
+/// repair engine, architecture manager.
 struct ShardRig {
   explicit ShardRig(sim::Simulator& sim, const std::string& component)
       : system("ShardSys") {
@@ -44,10 +44,8 @@ struct ShardRig {
     engine = std::make_unique<repair::RepairEngine>(
         sim, system, script, nullptr, nullptr, nullptr,
         repair::RepairEngineConfig{});
-    core::ArchManagerConfig cfg;
-    cfg.passive = true;
-    manager = std::make_unique<core::ArchitectureManager>(sim, system, bus,
-                                                          *engine, cfg);
+    manager =
+        std::make_unique<core::ArchitectureManager>(sim, system, *engine);
     manager->checker().add_constraint("lat:" + component, component,
                                       "averageLatency <= 2.0", "");
   }
@@ -238,9 +236,11 @@ FleetFingerprint run_fleet(std::size_t sweep_threads, SimTime coalesce,
     fp.models.push_back(acme::print_system(tenant.framework->system()));
     fp.reports_applied +=
         fleet->manager()->shard_stats(t).reports_applied;
-    // Fleet mode really is fleet mode: the per-tenant manager never
-    // subscribed, every report went through the batched sink.
-    EXPECT_EQ(tenant.framework->manager().stats().reports_applied, 0u);
+    // The fleet is the tenant's only detection loop: no private loop, and
+    // every check the tenant's manager ran was one of the fleet's sweeps.
+    EXPECT_EQ(tenant.framework->detection_loop(), nullptr);
+    EXPECT_EQ(tenant.framework->manager().stats().checks,
+              fleet->manager()->shard_stats(t).sweeps);
   }
   return fp;
 }
@@ -288,6 +288,35 @@ TEST(FleetDeterminismTest, BatchingDoesNotChangeRepairDecisions) {
     EXPECT_EQ(batched.models[t], unbatched.models[t]) << "tenant " << t;
   }
   EXPECT_GT(batched.repairs_total, 0u);
+}
+
+TEST(FleetTest, UncoordinatedTenantsKeepTheirPrivateLoops) {
+  // coordinated = false: no fleet-wide FleetManager; each tenant runs the
+  // one-shard loop a solo Framework runs, on its own shard clock.
+  sim::Simulator sim;
+  core::FleetOptions opt;
+  opt.scenario = "fleet-4x16";
+  opt.tenants = 2;
+  opt.use_scenario_defaults = false;
+  opt.config = sim::scenario_defaults("fleet-4x16");
+  opt.config.grid.groups = 2;
+  opt.config.grid.clients = 8;
+  opt.config.grid.spares = 1;
+  opt.coordinated = false;
+  auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
+  fleet->start();
+  fleet->run_until(SimTime::seconds(60));
+  EXPECT_EQ(fleet->manager(), nullptr);
+  for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
+    core::FleetTenant& tenant = fleet->tenant(t);
+    util::SerialLane in_lane(tenant.lane());
+    core::FleetManager* loop = tenant.framework->detection_loop();
+    ASSERT_NE(loop, nullptr) << "tenant " << t;
+    EXPECT_EQ(loop->shard_count(), 1u);
+    EXPECT_GT(loop->shard_stats(0).sweeps, 0u);
+    EXPECT_EQ(tenant.framework->manager().stats().checks,
+              loop->shard_stats(0).sweeps);
+  }
 }
 
 TEST(FleetDeterminismTest, SweepRejectsShardClocksBehindControl) {

@@ -5,6 +5,7 @@
 
 #include "core/experiment.hpp"
 #include "monitor/topics.hpp"
+#include "sim/scenario_registry.hpp"
 
 namespace arcadia::core {
 namespace {
@@ -71,7 +72,36 @@ TEST(FrameworkTest, GaugeReportsUpdateModelProperties) {
                   .property("bandwidth")
                   .as_double();
   EXPECT_GT(bw, 1e6);
-  EXPECT_GT(rig.fw->manager().stats().reports_applied, 0u);
+  EXPECT_GT(rig.fw->detection_loop()->shard_stats(0).reports_applied, 0u);
+}
+
+TEST(FrameworkTest, SoloLoopChecksOncePerPeriod) {
+  // A solo framework's detection loop is a one-shard FleetManager that
+  // detects and dispatches every period from first_check on, never
+  // skipping: checks == floor((H - first_check) / check_period) + 1.
+  sim::Simulator sim;
+  sim::Testbed tb = sim::build_scenario(sim, "paper-fig6");
+  FrameworkConfig cfg;
+  Framework fw(sim, tb, cfg);
+  EXPECT_EQ(fw.detection_loop(), nullptr);  // armed by start()
+  fw.start();
+  tb.start();
+  const SimTime horizon = SimTime::seconds(242);
+  sim.run_until(horizon);
+
+  const std::uint64_t expected =
+      static_cast<std::uint64_t>((horizon - cfg.first_check).as_seconds() /
+                                 cfg.check_period.as_seconds()) +
+      1;
+  EXPECT_EQ(expected, 46u);
+  EXPECT_EQ(fw.manager().stats().checks, expected);
+  const FleetManager* loop = fw.detection_loop();
+  ASSERT_NE(loop, nullptr);
+  EXPECT_EQ(loop->shard_count(), 1u);
+  EXPECT_EQ(loop->stats().sweep_rounds, expected);
+  EXPECT_EQ(loop->shard_stats(0).sweeps, expected);
+  EXPECT_EQ(loop->shard_stats(0).sweeps_skipped, 0u);
+  EXPECT_EQ(loop->shard_stats(0).batches, 0u);  // applied on delivery
 }
 
 TEST(FrameworkTest, ManagerAppliesDottedElementReports) {

@@ -195,7 +195,7 @@ events::Notification gauge_report(const std::string& element,
 }
 
 /// Minimal shard (mirrors tests/test_fleet.cpp): one-component model, local
-/// gauge bus, model-only repair engine, passive architecture manager.
+/// gauge bus, model-only repair engine, architecture manager.
 struct ShardRig {
   explicit ShardRig(sim::Simulator& sim, const std::string& component)
       : system("ShardSys") {
@@ -205,10 +205,8 @@ struct ShardRig {
     engine = std::make_unique<repair::RepairEngine>(
         sim, system, script, nullptr, nullptr, nullptr,
         repair::RepairEngineConfig{});
-    core::ArchManagerConfig cfg;
-    cfg.passive = true;
-    manager = std::make_unique<core::ArchitectureManager>(sim, system, bus,
-                                                          *engine, cfg);
+    manager =
+        std::make_unique<core::ArchitectureManager>(sim, system, *engine);
     manager->checker().add_constraint("lat:" + component, component,
                                       "averageLatency <= 2.0", "");
   }

@@ -10,6 +10,7 @@
 // compresses them so the stress windows still force repairs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "core/fleet.hpp"
 #include "core/framework_builder.hpp"
 #include "core/recovery.hpp"
+#include "durability/codec.hpp"
 #include "durability/io.hpp"
 #include "durability/journal.hpp"
 #include "fault/crash_plan.hpp"
@@ -102,6 +104,37 @@ TEST(ManifestTest, MissingAndCorruptManifestsRefuseLoudly) {
   bytes[bytes.size() / 2] ^= 0xFF;  // CRC catches a flipped config byte
   durability::write_file_atomic(dir + "/" + kManifestFile, bytes);
   EXPECT_THROW(read_manifest(dir), durability::DurabilityError);
+}
+
+TEST(ManifestTest, RefusesOtherManifestVersions) {
+  const std::string dir = scratch_dir("manifest-version");
+  Manifest m;
+  m.scenario = "lossy-grid";
+  m.config = sim::scenario_defaults("lossy-grid");
+  write_manifest(dir, m);
+  const std::string path = dir + "/" + kManifestFile;
+  std::vector<std::uint8_t> bytes = durability::read_file(path);
+
+  // Re-stamp the version (the u32 after the 4-byte magic) as 1 and re-seal
+  // the CRC, so only the version check stands between this file and a
+  // decode against the wrong field layout.
+  durability::Encoder version;
+  version.u32(1);
+  std::copy(version.bytes().begin(), version.bytes().end(), bytes.begin() + 4);
+  bytes.resize(bytes.size() - 4);
+  durability::Encoder crc;
+  crc.u32(durability::crc32(bytes.data(), bytes.size()));
+  bytes.insert(bytes.end(), crc.bytes().begin(), crc.bytes().end());
+  durability::write_file_atomic(path, bytes);
+
+  try {
+    read_manifest(dir);
+    FAIL() << "a version-1 manifest was accepted";
+  } catch (const durability::DurabilityError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported manifest version 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- the recovery property ----------------------------------------------

@@ -25,6 +25,24 @@ bool contains_word(std::string_view text, std::string_view word) {
   return false;
 }
 
+/// True when `word` occurs as a whole token followed by a call's `(`
+/// (whitespace tolerated): `topic(` but not `topic ==`.
+bool calls_word(std::string_view text, std::string_view word) {
+  std::size_t pos = 0;
+  while ((pos = text.find(word, pos)) != std::string_view::npos) {
+    const bool left_ok = pos == 0 || !is_ident(text[pos - 1]);
+    std::size_t i = pos + word.size();
+    const bool right_ok = i >= text.size() || !is_ident(text[i]);
+    while (i < text.size() &&
+           std::isspace(static_cast<unsigned char>(text[i]))) {
+      ++i;
+    }
+    if (left_ok && right_ok && i < text.size() && text[i] == '(') return true;
+    pos += 1;
+  }
+  return false;
+}
+
 /// True when `word` occurs as a whole token immediately qualified by
 /// `std::` (whitespace around `::` tolerated).
 bool contains_std_word(std::string_view text, std::string_view word) {
@@ -245,7 +263,7 @@ const std::vector<std::string>& rule_ids() {
   static const std::vector<std::string> ids = {
       "unordered-container", "wall-clock",   "raw-mutex",
       "hotpath-std-function", "entropy",     "tools-parity",
-      "durability-io",       "shard-isolation"};
+      "durability-io",       "shard-isolation", "one-loop"};
   return ids;
 }
 
@@ -313,6 +331,9 @@ std::vector<Finding> lint_source(std::string_view path,
   const bool shard_marked =
       starts_with(path, "src/sim/") &&
       source.find("arclint: shard") != std::string_view::npos;
+  // The single allow-listed detection loop: only the FleetManager folds
+  // gauge reports and liveness marks into a model shard.
+  const bool is_fleet_manager = path == "src/core/fleet_manager.cpp";
 
   struct Rule {
     bool applies;
@@ -326,6 +347,7 @@ std::vector<Finding> lint_source(std::string_view path,
       {in_src && !is_rng, "entropy"},
       {in_src && !is_durability_io, "durability-io"},
       {shard_marked, "shard-isolation"},
+      {in_src && !is_fleet_manager, "one-loop"},
   };
   constexpr std::size_t kNumRules = sizeof(rules) / sizeof(rules[0]);
   bool any = false;
@@ -489,6 +511,20 @@ std::vector<Finding> lint_source(std::string_view path,
             "or the barrier hook so the conservative window bound stays "
             "sound");
     }
+
+    // one-loop: a gauge report/lifecycle topic subscription outside the
+    // FleetManager is a second detection loop (and a second chance to drift
+    // from the first).
+    check(7,
+          calls_word(line, "topic") &&
+              (contains_word(line, "kGaugeReportSym") ||
+               contains_word(line, "kGaugeLifecycleSym") ||
+               contains_word(line, "kGaugeReport") ||
+               contains_word(line, "kGaugeLifecycle")),
+          "gauge report/lifecycle subscription outside "
+          "core/fleet_manager.cpp; the FleetManager is the one detection "
+          "loop — register the model shard with one (a solo Framework runs "
+          "a one-shard FleetManager)");
 
     if (s_end >= stripped.size() || r_end >= source.size()) break;
     s_pos = s_end + 1;

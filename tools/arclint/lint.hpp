@@ -39,6 +39,12 @@
 //                         hook); a kernel that reaches into the control
 //                         plane directly invalidates the conservative
 //                         window bound.
+//   one-loop              Under src/, only core/fleet_manager.cpp may
+//                         subscribe to the gauge report or gauge lifecycle
+//                         topic (a `topic(...)` call naming kGaugeReport /
+//                         kGaugeLifecycle, or their Sym forms, on one
+//                         line). The FleetManager is the one detection
+//                         loop; a solo Framework runs a one-shard instance.
 //
 // Exemptions are explicit and carry a justification in the source:
 //   // arclint: allow(<rule>): <reason>        exempts that line
