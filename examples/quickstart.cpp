@@ -49,7 +49,7 @@ int run_builder_demo() {
 
 int main(int argc, char** argv) {
   std::string scenario = "paper-fig6";
-  std::string policy;
+  std::string policy = "first-reported";
   bool full = false;
   bool adaptation = true;
   for (int i = 1; i < argc; ++i) {
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   core::ExperimentOptions options;
   try {
     options = core::options_for(scenario);
-    if (!policy.empty()) repair::PolicyRegistry::instance().at(policy);
+    repair::PolicyRegistry::instance().at(policy);
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -106,7 +106,6 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
   if (fault_plane_) gauge_manager_->set_fault_plane(fault_plane_.get());
 
   repair::RepairEngineConfig engine_cfg;
-  engine_cfg.policy = config_.policy;
   engine_cfg.policy_name = config_.policy_name;
   engine_cfg.damping = config_.damping;
   engine_cfg.settle_time = config_.settle_time;

@@ -32,8 +32,6 @@ class FaultyTranslator;
 
 namespace arcadia::core {
 
-struct RestoredRun;  // core/recovery.hpp
-
 /// Startup semantic verification (core/verify.hpp) behavior.
 enum class VerifyMode {
   Off,   ///< skip verification entirely
@@ -50,10 +48,8 @@ struct FrameworkConfig {
   /// Repair-script source; empty selects repair::extended_script().
   std::string script_source;
 
-  repair::ViolationPolicy policy = repair::ViolationPolicy::FirstReported;
-  /// Registry name of the violation policy (repair::PolicyRegistry);
-  /// overrides the `policy` enum when non-empty.
-  std::string policy_name;
+  /// Registry name of the violation policy (repair::PolicyRegistry).
+  std::string policy_name = "first-reported";
   bool damping = true;
   SimTime settle_time = SimTime::seconds(30);
   SimTime abort_cooldown = SimTime::seconds(60);
@@ -62,8 +58,8 @@ struct FrameworkConfig {
   /// Shape of the AdaptationPlan every repair enacts through: on = lifted
   /// op records, cost-aware optimization, overlapped execution; off = the
   /// paper's sequential plan shape (translate all, then re-deploy gauges one
-  /// element at a time), kept as the measured baseline of
-  /// bench_fig11_repair_latency.
+  /// element at a time), kept as the measured baseline of bench_paper's
+  /// Figure 11 gate.
   bool plan_pipeline = true;
   /// Let a strictly worse violation abort a plan in flight (compensating
   /// enacted steps) and start its own repair — pair with the
@@ -207,12 +203,6 @@ class Framework {
   /// plane's RNG stream positions. Health is Healthy here; the fleet's
   /// snapshot task overwrites it from FleetManager::shard_health().
   durability::ShardSnapshot capture_shard_snapshot() const;
-
-  /// Rebuild a started run from a durable directory (manifest + snapshots +
-  /// journal): re-executes the deterministic run from t=0, byte-verifying
-  /// every re-journaled frame against the crashed journal's valid prefix.
-  /// Defined in core/recovery.cpp (see DESIGN.md §8).
-  static std::unique_ptr<RestoredRun> restore(const std::string& dir);
 
  private:
   void deploy_gauges();

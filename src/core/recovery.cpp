@@ -15,7 +15,7 @@ namespace arcadia::core {
 namespace {
 
 constexpr char kManifestMagic[4] = {'A', 'R', 'C', 'M'};
-constexpr std::uint32_t kManifestVersion = 2;
+constexpr std::uint32_t kManifestVersion = 3;
 
 using durability::Decoder;
 using durability::DurabilityError;
@@ -173,7 +173,6 @@ void encode_framework(Encoder& enc, const FrameworkConfig& f) {
   enc.i64(f.profile.min_replicas);
   enc.boolean(f.use_script);
   enc.str(f.script_source);
-  enc.u8(static_cast<std::uint8_t>(f.policy));
   enc.str(f.policy_name);
   enc.boolean(f.damping);
   enc.sim_time(f.settle_time);
@@ -221,7 +220,6 @@ FrameworkConfig decode_framework(Decoder& dec) {
   f.profile.min_replicas = dec.i64();
   f.use_script = dec.boolean();
   f.script_source = dec.str();
-  f.policy = static_cast<repair::ViolationPolicy>(dec.u8());
   f.policy_name = dec.str();
   f.damping = dec.boolean();
   f.settle_time = dec.sim_time();
@@ -346,10 +344,6 @@ std::unique_ptr<RestoredRun> restore_run(const std::string& dir) {
   run->framework->start();
   run->testbed.start();
   return run;
-}
-
-std::unique_ptr<RestoredRun> Framework::restore(const std::string& dir) {
-  return restore_run(dir);
 }
 
 RecoveryResult run_with_recovery(const RecoveryOptions& options) {

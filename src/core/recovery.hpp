@@ -34,7 +34,7 @@
 namespace arcadia::core {
 
 /// What a durable run was built from — enough to re-execute it from t=0.
-/// Written once when the run is first created; read by Framework::restore.
+/// Written once when the run is first created; read by restore_run.
 /// Sub-configs with no codec (env_costs, conventions, remos_config, the
 /// pluggable FrameworkParts) stay at their defaults: a restore of a run
 /// that customized them diverges in catchup verification (a loud
@@ -75,7 +75,9 @@ struct RestoredRun {
 };
 
 /// Build (first call) or rebuild (after a crash) the run described by
-/// dir/manifest.arcm. Equivalent to Framework::restore(dir).
+/// dir/manifest.arcm: re-executes the deterministic run from t=0,
+/// byte-verifying every re-journaled frame against the crashed journal's
+/// valid prefix (see DESIGN.md §8).
 std::unique_ptr<RestoredRun> restore_run(const std::string& dir);
 
 /// Segmented crash-restart driver: run the manifested scenario to its

@@ -5,7 +5,7 @@
 // Improving this time by caching gauges or relocating them (rather than
 // destroying and creating new ones) should see our repair speed improve
 // dramatically." The `caching` flag switches between those two worlds and
-// is the axis of the bench_repair_time ablation.
+// is the axis of bench_paper's Section 5.3 repair-time ablation.
 #pragma once
 
 #include <cstdint>

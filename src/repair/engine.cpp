@@ -51,11 +51,7 @@ RepairEngine::RepairEngine(sim::Simulator& sim, model::System& root,
   for (const std::string& name : StrategyRegistry::instance().names()) {
     native_[name] = StrategyRegistry::instance().at(name);
   }
-  chooser_ = PolicyRegistry::instance().at(
-      config_.policy_name.empty()
-          ? (config_.policy == ViolationPolicy::WorstFirst ? "worst-first"
-                                                           : "first-reported")
-          : config_.policy_name);
+  chooser_ = PolicyRegistry::instance().at(config_.policy_name);
 }
 
 void RepairEngine::add_strategy(CxxStrategy strategy) {

@@ -53,17 +53,11 @@
 
 namespace arcadia::repair {
 
-enum class ViolationPolicy {
-  FirstReported,  ///< the paper's experiment
-  WorstFirst,     ///< fix the client experiencing the worst value first
-};
-
 struct RepairEngineConfig {
-  ViolationPolicy policy = ViolationPolicy::FirstReported;
-  /// Registry name of the violation policy (PolicyRegistry); overrides the
-  /// `policy` enum when non-empty. Built-ins: "first-reported",
-  /// "worst-first".
-  std::string policy_name;
+  /// Registry name of the violation policy (PolicyRegistry). Built-ins:
+  /// "first-reported" (the paper's experiment) and "worst-first" (fix the
+  /// client experiencing the worst value first).
+  std::string policy_name = "first-reported";
   /// Strategy-evaluation cost charged before runtime ops.
   SimTime decision_cost = SimTime::millis(100);
   /// Per-element suppression after a repair completes.
@@ -77,7 +71,7 @@ struct RepairEngineConfig {
   /// Plan shape: true lifts the journal into an optimized, overlapping
   /// plan (build_plan + optimize_plan); false builds the paper's strictly
   /// sequential plan shape (build_sequential_plan) — the in-bench baseline
-  /// for bench_fig11_repair_latency. Both enact through the PlanExecutor.
+  /// for bench_paper's Figure 11 gate. Both enact through the PlanExecutor.
   bool use_plan = true;
   /// Allow a strictly worse violation to abort a plan in flight (remaining
   /// steps skipped, enacted steps compensated) and start its own repair.

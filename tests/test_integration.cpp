@@ -93,7 +93,7 @@ TEST(IntegrationTest, AdaptationBeatsControl) {
 TEST(IntegrationTest, RepairsTakeAboutThirtySeconds) {
   // This pins the PAPER's repair shape, so it runs the strictly sequential
   // plan shape; the optimized plan intentionally beats these numbers
-  // (see PlanPipelineShortensRepairs below and bench_fig11_repair_latency).
+  // (see PlanPipelineShortensRepairs below and bench_paper's Figure 11 gate).
   ExperimentOptions opt = short_options();
   opt.adaptation = true;
   opt.framework.plan_pipeline = false;
@@ -237,7 +237,7 @@ TEST(IntegrationTest, MonitoringQosDoesNotBreakLoop) {
 TEST(IntegrationTest, WorstFirstPolicyRuns) {
   ExperimentOptions opt = short_options();
   opt.adaptation = true;
-  opt.framework.policy = repair::ViolationPolicy::WorstFirst;
+  opt.framework.policy_name = "worst-first";
   ExperimentResult r = run_experiment(opt);
   EXPECT_FALSE(r.repairs.empty());
   EXPECT_LT(r.mean_fraction_above(), 0.35);

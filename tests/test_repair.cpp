@@ -311,7 +311,7 @@ TEST(RepairEngineTest, FirstReportedVsWorstFirst) {
   }
   {
     RepairEngineConfig cfg;
-    cfg.policy = ViolationPolicy::WorstFirst;
+    cfg.policy_name = "worst-first";
     EngineRig rig(cfg);
     rig.violate("User1", 3.0);
     rig.violate("User2", 30.0);
