@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/fleet.hpp"
-#include "core/framework_builder.hpp"
 #include "durability/io.hpp"
 #include "durability/plane.hpp"
 #include "sim/scenario_registry.hpp"
@@ -79,7 +78,7 @@ RunResult run_once(int tenants, const std::string& durable_dir) {
     }
   }
   sim::Simulator sim;
-  auto fleet = core::FrameworkBuilder::build_fleet(
+  auto fleet = std::make_unique<core::Fleet>(
       sim, make_options(tenants, durable_dir));
   fleet->start();
   const auto t0 = Clock::now();

@@ -15,7 +15,6 @@
 
 #include "core/experiment.hpp"
 #include "core/fleet.hpp"
-#include "core/framework_builder.hpp"
 #include "core/report.hpp"
 #include "sim/scenario_registry.hpp"
 #include "util/annotations.hpp"
@@ -99,7 +98,7 @@ int run_crashy_fleet(std::uint64_t seed) {
   opt.config.fault.fleet.crash_min = SimTime::seconds(100);
   opt.config.fault.fleet.crash_max = SimTime::seconds(140);
   opt.config.fault.fleet.crash_duration = SimTime::seconds(90);
-  auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
+  auto fleet = std::make_unique<core::Fleet>(sim, opt);
   fleet->start();
   fleet->run_until(SimTime::seconds(400));
   const std::uint64_t events =

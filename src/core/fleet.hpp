@@ -7,9 +7,9 @@
 //   core::FleetOptions opt;
 //   opt.tenants = 8;                       // 0 = scenario default
 //   opt.sim_threads = 4;                   // 0 = hardware concurrency
-//   auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
-//   fleet->start();
-//   fleet->run_until(SimTime::seconds(600));
+//   core::Fleet fleet(sim, opt);
+//   fleet.start();
+//   fleet.run_until(SimTime::seconds(600));
 //
 // `sim` hosts only fleet-wide events (sweeps, snapshots); drive the run
 // with Fleet::run_until, never sim.run_until. Event order is bit-identical

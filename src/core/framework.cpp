@@ -227,8 +227,6 @@ void Framework::deploy_gauges() {
     return;
   }
   sim::GridApp& app = *testbed_.app;
-  const sim::Topology& topo = *testbed_.topo;
-  (void)topo;
   for (sim::ClientIdx c = 0; c < static_cast<sim::ClientIdx>(app.client_count());
        ++c) {
     const std::string client = app.client_name(c);

@@ -99,9 +99,4 @@ std::unique_ptr<Framework> FrameworkBuilder::build_started() {
   return fw;
 }
 
-std::unique_ptr<Fleet> FrameworkBuilder::build_fleet(sim::Simulator& sim,
-                                                     FleetOptions options) {
-  return std::make_unique<Fleet>(sim, std::move(options));
-}
-
 }  // namespace arcadia::core

@@ -17,7 +17,6 @@
 #include <memory>
 #include <string>
 
-#include "core/fleet.hpp"
 #include "core/framework.hpp"
 
 namespace arcadia::core {
@@ -62,14 +61,6 @@ class FrameworkBuilder {
   std::unique_ptr<Framework> build();
   /// Assemble and start: probes deployed, Remos warmed, checking armed.
   std::unique_ptr<Framework> build_started();
-
-  /// Fleet-mode entry point: N tenant frameworks, each on its own shard
-  /// simulator under `sim` as the control clock, coordinated by a
-  /// FleetManager (batched gauge application + parallel
-  /// constraint sweep). Static because a fleet spans many testbeds where
-  /// the builder instance is bound to one. See core/fleet.hpp.
-  static std::unique_ptr<Fleet> build_fleet(sim::Simulator& sim,
-                                            FleetOptions options);
 
  private:
   sim::Simulator& sim_;

@@ -20,7 +20,7 @@
 
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
-#include "util/rng.hpp"
+#include "util/deterministic_rng.hpp"
 
 namespace arcadia::sim {
 

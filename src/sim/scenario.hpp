@@ -185,7 +185,7 @@ struct Testbed {
 /// timers (probes, gauge reports, watchdog), competition/fault drivers, and
 /// control-loop slack. Scenario assembly passes it to Simulator::reserve()
 /// so big fleets (fleet-64x256) never pay slot-pool or heap reallocation
-/// storms mid-run — the steady state stays zero-alloc (bench_buspath pins
+/// storms mid-run — the steady state stays zero-alloc (bench_micro pins
 /// this with its counting operator-new hook).
 std::size_t estimate_event_reserve(const ScenarioConfig& config);
 

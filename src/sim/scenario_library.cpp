@@ -232,7 +232,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
     spec.description =
         "One tenant shard of a 4-tenant fleet: a grid-4x16 clone whose "
         "workload is phase-shifted per fleet.tenant_index; assemble the "
-        "whole fleet with core::Fleet / FrameworkBuilder::build_fleet";
+        "whole fleet with core::Fleet";
     spec.defaults.fleet.tenants = 4;
     spec.defaults.fleet.phase_shift = SimTime::seconds(60);
     // grid shape: the GridScaleConfig defaults ARE grid-4x16.

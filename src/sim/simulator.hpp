@@ -107,7 +107,7 @@ class Simulator {
   /// pending events. Scenario builders call this from the ScenarioConfig
   /// estimate so big fleets (fleet-64x256) never pay reallocation storms
   /// mid-run; pool_growths()/queue_growths() stay 0 afterwards on the
-  /// steady state (pinned by bench_buspath's counting-new hook).
+  /// steady state (pinned by bench_micro's counting-new hook).
   void reserve(std::size_t events);
 
   std::size_t slot_capacity() const { return slots_.capacity(); }

@@ -11,7 +11,7 @@
 #include "sim/app.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
-#include "util/rng.hpp"
+#include "util/deterministic_rng.hpp"
 #include "util/step_function.hpp"
 
 namespace arcadia::sim {

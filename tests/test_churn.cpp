@@ -5,7 +5,7 @@
 
 #include "core/experiment.hpp"
 #include "sim/network.hpp"
-#include "util/rng.hpp"
+#include "util/deterministic_rng.hpp"
 
 namespace arcadia {
 namespace {

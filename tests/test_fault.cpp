@@ -16,7 +16,6 @@
 #include "core/experiment.hpp"
 #include "core/fleet.hpp"
 #include "core/fleet_manager.hpp"
-#include "core/framework_builder.hpp"
 #include "core/suite.hpp"
 #include "events/bus.hpp"
 #include "fault/fault_plane.hpp"
@@ -768,7 +767,7 @@ FleetFaultFingerprint run_faulted_fleet(std::size_t sweep_threads,
   opt.manager.sweep_threads = sweep_threads;
   opt.manager.coalesce_window = SimTime::millis(500);
   opt.sim_threads = sim_threads;
-  auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
+  auto fleet = std::make_unique<core::Fleet>(sim, opt);
   fleet->start();
   fleet->run_until(SimTime::seconds(320));
 

@@ -12,7 +12,6 @@
 #include "acme/adl.hpp"
 #include "acme/script.hpp"
 #include "core/fleet.hpp"
-#include "core/framework_builder.hpp"
 #include "events/bus.hpp"
 #include "monitor/topics.hpp"
 #include "repair/scripts.hpp"
@@ -216,7 +215,7 @@ FleetFingerprint run_fleet(std::size_t sweep_threads, SimTime coalesce,
   opt.manager.sweep_threads = sweep_threads;
   opt.manager.coalesce_window = coalesce;
   opt.sim_threads = sim_threads;
-  auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
+  auto fleet = std::make_unique<core::Fleet>(sim, opt);
   fleet->start();
   fleet->run_until(SimTime::seconds(320));
 
@@ -303,7 +302,7 @@ TEST(FleetTest, UncoordinatedTenantsKeepTheirPrivateLoops) {
   opt.config.grid.clients = 8;
   opt.config.grid.spares = 1;
   opt.coordinated = false;
-  auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
+  auto fleet = std::make_unique<core::Fleet>(sim, opt);
   fleet->start();
   fleet->run_until(SimTime::seconds(60));
   EXPECT_EQ(fleet->manager(), nullptr);
@@ -333,7 +332,7 @@ TEST(FleetDeterminismTest, SweepRejectsShardClocksBehindControl) {
   opt.config.grid.clients = 8;
   opt.config.grid.spares = 1;
   opt.sim_threads = 1;
-  auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
+  auto fleet = std::make_unique<core::Fleet>(sim, opt);
   fleet->start();
   EXPECT_THROW(sim.run_until(opt.framework.first_check + SimTime::seconds(1)),
                Error);

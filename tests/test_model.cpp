@@ -3,7 +3,7 @@
 #include "model/system.hpp"
 #include "model/transaction.hpp"
 #include "model/types.hpp"
-#include "util/rng.hpp"
+#include "util/deterministic_rng.hpp"
 
 namespace arcadia::model {
 namespace {

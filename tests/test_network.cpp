@@ -9,7 +9,7 @@
 
 #include "sim/network.hpp"
 #include "sim/scenario_registry.hpp"
-#include "util/rng.hpp"
+#include "util/deterministic_rng.hpp"
 
 namespace arcadia::sim {
 namespace {

@@ -15,7 +15,6 @@
 #include "acme/adl.hpp"
 #include "acme/script.hpp"
 #include "core/fleet.hpp"
-#include "core/framework_builder.hpp"
 #include "events/bus.hpp"
 #include "monitor/topics.hpp"
 #include "repair/scripts.hpp"
@@ -382,7 +381,7 @@ TEST(RaceStressTest, ShardedFleetUnderGaugeLoadAndFaults) {
   opt.manager.sweep_threads = 4;
   opt.manager.coalesce_window = SimTime::millis(500);
   opt.sim_threads = 4;
-  auto fleet = core::FrameworkBuilder::build_fleet(sim, opt);
+  auto fleet = std::make_unique<core::Fleet>(sim, opt);
   fleet->start();
   fleet->run_until(SimTime::seconds(320));
 

@@ -17,7 +17,6 @@
 
 #include "core/experiment.hpp"
 #include "core/fleet.hpp"
-#include "core/framework_builder.hpp"
 #include "core/recovery.hpp"
 #include "durability/codec.hpp"
 #include "durability/io.hpp"
@@ -238,7 +237,7 @@ std::vector<std::uint8_t> run_durable_fleet(int sweep_threads,
   opt.coordinated = true;
   opt.sim_threads = sim_threads;
   opt.durability.dir = scratch_dir(dir);
-  auto fleet = FrameworkBuilder::build_fleet(sim, opt);
+  auto fleet = std::make_unique<Fleet>(sim, opt);
   fleet->start();
   fleet->run_until(SimTime::seconds(180));
   fleet.reset();  // closes the shared plane cleanly

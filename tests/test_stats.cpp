@@ -2,8 +2,8 @@
 
 #include <cmath>
 
+#include "util/deterministic_rng.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/step_function.hpp"
 #include "util/timeseries.hpp"
