@@ -13,8 +13,10 @@
 //     one constraint, and a sweep after a global rebind re-evaluates all;
 //   - a reserved Simulator schedules, cancels and fires events with no
 //     allocation and no pool or heap growth at steady state;
-//   - a steady-state publish allocates nothing on either bus, and every
-//     publish reaches exactly the subscribers its filters select.
+//   - a steady-state publish allocates nothing on either bus, every
+//     publish reaches exactly the subscribers its filters select, and a
+//     local publish checks the filter of only the one subscription keyed
+//     on its client.
 //
 // Usage: bench_micro [out.json]   (default: BENCH_micro.json beside the
 // binary). Exits 1 if any gate fails.
@@ -460,13 +462,18 @@ void bench_local_publish(Report& report) {
   };
   for (std::uint64_t i = 0; i < kWarmup; ++i) publish(i);
   delivered = 0;
+  const std::uint64_t checks_before = bus.stats().filter_checks;
   Path p = measure("local_publish", kPublishes, [&] {
     for (std::uint64_t i = 0; i < kPublishes; ++i) publish(i);
   });
-  p.counts = {{"deliveries", delivered}};
+  const std::uint64_t filter_checks = bus.stats().filter_checks - checks_before;
+  p.counts = {{"deliveries", delivered}, {"filter_checks", filter_checks}};
   report.add(p);
   report.gate("local_publish.allocations", p.allocations, 0);
   report.gate("local_publish.deliveries", delivered, kPublishes);
+  // The key index hands each publish only the subscription keyed on its
+  // client: one filter check, not one per client.
+  report.gate("local_publish.filter_checks", filter_checks, kPublishes);
 }
 
 void bench_sim_bus(Report& report) {

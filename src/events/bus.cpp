@@ -42,8 +42,8 @@ void LocalEventBus::publish(Notification n) {
   {
     util::MutexLock lock(mutex_);
     ++stats_.published;
-    subs_.for_candidates(
-        n.topic, [&](std::uint32_t, auto& slot, bool topic_prechecked) {
+    stats_.filter_checks += subs_.for_candidates(
+        n, [&](std::uint32_t, auto& slot, bool topic_prechecked) {
           const bool hit = topic_prechecked
                                ? slot.filter.matches_constraints(n)
                                : slot.filter.matches(n);
@@ -116,8 +116,8 @@ void SimEventBus::publish(Notification n) {
   n.published = sim_.now();
   NotificationPtr shared = payloads_.acquire(std::move(n));
   bool matched = false;
-  subs_.for_candidates(
-      shared->topic, [&](std::uint32_t idx, auto& slot, bool topic_prechecked) {
+  stats_.filter_checks += subs_.for_candidates(
+      *shared, [&](std::uint32_t idx, auto& slot, bool topic_prechecked) {
         const bool hit = topic_prechecked
                              ? slot.filter.matches_constraints(*shared)
                              : slot.filter.matches(*shared);

@@ -12,12 +12,18 @@
 //                      penalty, implementing the mitigation the paper
 //                      proposes in Section 5.3.
 //
-// Hot-path design (the monitoring pipeline pushes ~10^5 notifications per
-// simulated run through these):
-//   * topic-indexed routing — exact-topic subscriptions live in a
-//     SymbolMap<topic -> dense slot list>; publish touches only that
-//     bucket plus the (rare) wildcard/any fallback list, instead of
-//     filter-scanning every subscriber;
+// Hot-path design (the monitoring pipeline pushes millions of notifications
+// per fleet run through these — about 5.4M on fleet-scale):
+//   * topic- and key-indexed routing — exact-topic subscriptions live in a
+//     SymbolMap<topic -> bucket>. Within a bucket, a filter with a routing
+//     key (its first symbol-valued Eq constraint, e.g. the gauge filter
+//     "client == User3") is listed under SymbolMap<attribute -> SymbolMap<
+//     value -> slot list>>; the rest sit in an unkeyed list. A publish looks
+//     up its own value for each key attribute in its topic's bucket and
+//     checks only the unkeyed list, the lists under its values, and the
+//     (rare) wildcard/any fallback list — one candidate per publish for
+//     one-gauge-per-client tables, instead of one per client. The index
+//     only rules candidates out: every candidate still runs its filter;
 //   * slot + generation subscriptions — subscriber state lives in pooled
 //     slots; unsubscribe bumps the slot's generation, which both drops
 //     in-flight SimEventBus deliveries (like messages to a deleted Siena
@@ -30,13 +36,17 @@
 //     through a use_count-scanned pool, so a steady publish stream does
 //     not allocate at all.
 // Delivery order is unchanged from the scan design: candidates are merged
-// across the exact bucket and the fallback list in subscription order, so
-// per-subscriber FIFO and cross-subscriber determinism hold bit-for-bit.
+// across the selected bucket lists and the fallback list in subscription
+// order, so per-subscriber FIFO and cross-subscriber determinism hold
+// bit-for-bit.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "events/filter.hpp"
@@ -54,6 +64,9 @@ struct BusStats {
   std::uint64_t published = 0;
   std::uint64_t delivered = 0;
   std::uint64_t dropped_no_match = 0;
+  /// Candidate subscriptions whose filter a publish evaluated: the ones the
+  /// index could not rule out.
+  std::uint64_t filter_checks = 0;
 };
 
 class EventBus {
@@ -74,12 +87,14 @@ class EventBus {
 
 namespace detail {
 
-/// Topic-indexed subscription storage shared by both buses: pooled slots
-/// with generations, an exact-topic index, and a fallback list for
-/// any/prefix filters. Candidate iteration merges the two lists in
-/// subscription order (ids are monotonic), preserving the delivery order
-/// of the linear-scan design this replaced. Not synchronized — callers
-/// lock (LocalEventBus) or are single-threaded (SimEventBus).
+/// Indexed subscription storage shared by both buses: pooled slots with
+/// generations, an exact-topic index whose buckets are further keyed by
+/// each filter's routing key (Filter::routing_key()), and a fallback list
+/// for any/prefix filters. Every index list holds slots in subscription
+/// order (ids are monotonic), and candidate iteration merges the lists a
+/// notification selects by id, preserving the delivery order of the
+/// linear-scan design this replaced. Not synchronized — callers lock
+/// (LocalEventBus) or are single-threaded (SimEventBus).
 template <typename SubData>
 class SubTable {
  public:
@@ -103,11 +118,7 @@ class SubTable {
     s.id = id;
     s.filter = std::move(filter);
     s.data = std::move(data);
-    if (s.filter.topic_kind() == Filter::TopicKind::Exact) {
-      exact_[s.filter.topic_symbol()].push_back(idx);
-    } else {
-      fallback_.push_back(idx);
-    }
+    list_for(s.filter).push_back(idx);
     return idx;
   }
 
@@ -119,21 +130,8 @@ class SubTable {
     for (std::uint32_t idx = 0; idx < slots_.size(); ++idx) {
       Slot& s = slots_[idx];
       if (s.id != id) continue;
-      auto detach = [idx](std::vector<std::uint32_t>& list) {
-        for (auto it = list.begin(); it != list.end(); ++it) {
-          if (*it == idx) {
-            list.erase(it);
-            return;
-          }
-        }
-      };
-      if (s.filter.topic_kind() == Filter::TopicKind::Exact) {
-        if (auto* bucket = exact_.find(s.filter.topic_symbol())) {
-          detach(*bucket);
-        }
-      } else {
-        detach(fallback_);
-      }
+      std::vector<std::uint32_t>& list = list_for(s.filter);
+      list.erase(std::find(list.begin(), list.end(), idx));
       s.id = 0;
       ++s.gen;
       s.data = SubData{};
@@ -148,40 +146,86 @@ class SubTable {
   }
   Slot& slot(std::uint32_t idx) { return slots_[idx]; }
 
-  /// Visit candidate subscriptions for `topic` in subscription order.
-  /// `fn(slot_index, slot, topic_prechecked)`: exact-bucket candidates have
-  /// already matched on topic, fallback candidates have not.
+  /// Visit the subscriptions that can match `n` in subscription order, and
+  /// return how many were visited. `fn(slot_index, slot, topic_prechecked)`
+  /// must not modify the table. Candidates from the topic bucket have
+  /// matched on topic, and a keyed one's key can equal `n`'s value; the
+  /// caller still evaluates every candidate's constraints. Fallback
+  /// candidates have not matched on topic.
   template <typename Fn>
-  void for_candidates(util::Symbol topic, Fn&& fn) {
-    const std::vector<std::uint32_t>* bucket = exact_.find(topic);
-    std::size_t bi = 0, fi = 0;
-    const std::size_t bn = bucket ? bucket->size() : 0;
-    const std::size_t fn_count = fallback_.size();
-    while (bi < bn || fi < fn_count) {
-      bool take_bucket;
-      if (bi >= bn) {
-        take_bucket = false;
-      } else if (fi >= fn_count) {
-        take_bucket = true;
-      } else {
-        take_bucket =
-            slots_[(*bucket)[bi]].id < slots_[fallback_[fi]].id;
-      }
-      if (take_bucket) {
-        const std::uint32_t idx = (*bucket)[bi++];
-        fn(idx, slots_[idx], true);
-      } else {
-        const std::uint32_t idx = fallback_[fi++];
-        fn(idx, slots_[idx], false);
+  std::size_t for_candidates(const Notification& n, Fn&& fn) {
+    runs_.clear();
+    if (const Bucket* bucket = exact_.find(n.topic)) {
+      add_run(bucket->unkeyed, true);
+      for (const auto& [attr, by_value] : bucket->keyed) {
+        const std::optional<util::Symbol> value = key_value(n, attr);
+        if (!value) continue;
+        if (const auto* list = by_value.find(*value)) add_run(*list, true);
       }
     }
+    add_run(fallback_, false);
+    std::size_t visited = 0;
+    while (!runs_.empty()) {
+      std::size_t next = 0;
+      for (std::size_t r = 1; r < runs_.size(); ++r) {
+        if (slots_[*runs_[r].head].id < slots_[*runs_[next].head].id) {
+          next = r;
+        }
+      }
+      Run& run = runs_[next];
+      const std::uint32_t idx = *run.head++;
+      const bool topic_prechecked = run.topic_prechecked;
+      if (run.head == run.end) runs_.erase(runs_.begin() + next);
+      fn(idx, slots_[idx], topic_prechecked);
+      ++visited;
+    }
+    return visited;
   }
 
  private:
+  /// One exact topic's subscriptions: those without a routing key, and
+  /// the keyed ones by key attribute, then key value.
+  struct Bucket {
+    std::vector<std::uint32_t> unkeyed;
+    util::SymbolMap<util::SymbolMap<std::vector<std::uint32_t>>> keyed;
+  };
+  /// The unvisited rest of one index list during a candidate merge.
+  struct Run {
+    const std::uint32_t* head;
+    const std::uint32_t* end;
+    bool topic_prechecked;
+  };
+
+  /// The index list `f` lives in (created on first use).
+  std::vector<std::uint32_t>& list_for(const Filter& f) {
+    if (f.topic_kind() != Filter::TopicKind::Exact) return fallback_;
+    Bucket& bucket = exact_[f.topic_symbol()];
+    const AttrConstraint* key = f.routing_key();
+    if (!key) return bucket.unkeyed;
+    return bucket.keyed[key->name][key->value.as_symbol()];
+  }
+
+  /// `n`'s value for a key attribute as a symbol: a symbol value as is, an
+  /// owned string by its text (a text never interned equals no key). Any
+  /// other value, or none, cannot equal a key.
+  static std::optional<util::Symbol> key_value(const Notification& n,
+                                               util::Symbol attr) {
+    const Value* v = n.get_if(attr);
+    if (!v || !v->is_string()) return std::nullopt;
+    if (v->is_symbol()) return v->as_symbol();
+    return util::Symbol::lookup(v->as_string());
+  }
+
+  void add_run(const std::vector<std::uint32_t>& list, bool topic_prechecked) {
+    if (list.empty()) return;
+    runs_.push_back({list.data(), list.data() + list.size(), topic_prechecked});
+  }
+
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
-  util::SymbolMap<std::vector<std::uint32_t>> exact_;
+  util::SymbolMap<Bucket> exact_;
   std::vector<std::uint32_t> fallback_;  ///< any/prefix-topic filters
+  std::vector<Run> runs_;  ///< merge scratch; keeps its capacity
 };
 
 /// Recycles shared notification payloads: a pool entry whose use_count has

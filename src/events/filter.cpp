@@ -30,6 +30,13 @@ void Filter::set_topic(std::string pattern) {
   }
 }
 
+const AttrConstraint* Filter::routing_key() const {
+  for (const AttrConstraint& c : constraints_) {
+    if (c.op == Op::Eq && c.value.is_symbol()) return &c;
+  }
+  return nullptr;
+}
+
 bool Filter::matches(const Notification& n) const {
   switch (kind_) {
     case TopicKind::Any:

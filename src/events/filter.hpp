@@ -6,7 +6,8 @@
 // exact-topic subscriptions through a topic index and only string-compare
 // the wildcard minority. Constraint names are interned; Eq/Ne string
 // constraint values are stored as symbols so the common "client == User3"
-// match is an integer compare against a symbol-valued attribute.
+// match is an integer compare against a symbol-valued attribute, and so the
+// buses can index such a filter under that symbol (routing_key()).
 #pragma once
 
 #include <string>
@@ -79,6 +80,12 @@ class Filter {
   /// The attribute-constraint half of matches(); used by the indexed buses,
   /// which have already routed on the topic.
   bool matches_constraints(const Notification& n) const;
+
+  /// The constraint the buses route this filter by: its first Eq
+  /// constraint with a symbol operand (where() interns Eq string
+  /// operands), or nullptr. A notification can match only if its value
+  /// for the key's attribute equals the key's symbol by text.
+  const AttrConstraint* routing_key() const;
 
   TopicKind topic_kind() const { return kind_; }
   /// Interned topic for Exact filters (empty symbol otherwise).

@@ -140,6 +140,14 @@ Symbol Symbol::intern(std::string_view text) {
   return Symbol(table().intern(text));
 }
 
+std::optional<Symbol> Symbol::lookup(std::string_view text) {
+  if (text.empty()) return Symbol();
+  const std::size_t hash = std::hash<std::string_view>{}(text);
+  const std::uint32_t hit = table().find(text, hash);
+  if (hit == 0) return std::nullopt;
+  return Symbol(hit - 1);
+}
+
 const std::string& Symbol::str() const { return table().text(id_); }
 
 std::size_t Symbol::interned_count() { return table().size(); }

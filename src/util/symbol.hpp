@@ -9,7 +9,9 @@
 // type erasure); util::SmallFn, templates, or plain data only.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -25,6 +27,9 @@ class Symbol {
   /// Intern `text`, returning its dense id (idempotent; "" maps to the
   /// empty symbol).
   static Symbol intern(std::string_view text);
+  /// The symbol for `text` if it has been interned, without interning it;
+  /// lock-free. ("" is always present: the empty symbol.)
+  static std::optional<Symbol> lookup(std::string_view text);
 
   std::uint32_t id() const { return id_; }
   bool empty() const { return id_ == 0; }
@@ -137,14 +142,31 @@ class SymbolMap {
   }
 
   T& emplace_new(Symbol key, T value) {
-    // Keep entries sorted by text; mutation is rare, so the O(n) insert and
-    // index rebuild are paid where they do not matter.
-    auto it = entries_.begin();
-    while (it != entries_.end() && it->key.view() < key.view()) ++it;
-    it = entries_.insert(it, Entry{key, std::move(value)});
-    const std::size_t at = static_cast<std::size_t>(it - entries_.begin());
-    rebuild_index();
+    // Keep entries sorted by text. The entries after the insertion point
+    // move up one position, so the index is patched in place, and rebuilt
+    // only when it must grow: building a map of n keys costs O(n^2)
+    // integer steps, not O(n^2) string compares and rehashes (the buses'
+    // key index inserts hundreds of client names per topic).
+    const auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), key.view(),
+        [](const Entry& e, std::string_view k) { return e.key.view() < k; });
+    const auto at = static_cast<std::uint32_t>(it - entries_.begin());
+    entries_.insert(it, Entry{key, std::move(value)});
+    if (index_.size() < entries_.size() * 2) {
+      rebuild_index();
+    } else {
+      for (std::uint32_t& pos : index_) pos += pos > at;
+      place(at + 1);
+    }
     return entries_[at].value;
+  }
+
+  /// Puts entry position `pos` (1-based) into the index.
+  void place(std::uint32_t pos) {
+    const std::uint32_t mask = static_cast<std::uint32_t>(index_.size()) - 1;
+    std::uint32_t i = mix(entries_[pos - 1].key) & mask;
+    while (index_[i] != 0) i = (i + 1) & mask;
+    index_[i] = pos;
   }
 
   void rebuild_index() {
@@ -152,12 +174,7 @@ class SymbolMap {
     // Load factor <= 0.5 keeps linear probes short.
     while (buckets < entries_.size() * 2) buckets *= 2;
     index_.assign(buckets, 0);
-    const std::uint32_t mask = static_cast<std::uint32_t>(buckets) - 1;
-    for (std::uint32_t pos = 1; pos <= entries_.size(); ++pos) {
-      std::uint32_t i = mix(entries_[pos - 1].key) & mask;
-      while (index_[i] != 0) i = (i + 1) & mask;
-      index_[i] = pos;
-    }
+    for (std::uint32_t pos = 1; pos <= entries_.size(); ++pos) place(pos);
   }
 
   std::vector<Entry> entries_;        ///< sorted by key text

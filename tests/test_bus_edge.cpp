@@ -1,10 +1,15 @@
 // Bus edge semantics pinned: dropped_no_match accounting, unsubscribe
 // during dispatch, re-entrant publish from a handler, wildcard-vs-indexed
-// routing equivalence, slot reuse, and the notification's small-buffer
-// attribute storage. These are the contracts the topic-indexed routing and
+// routing equivalence, slot reuse, key-indexed routing against a
+// brute-force oracle, and the notification's small-buffer attribute
+// storage. These are the contracts the topic- and key-indexed routing and
 // shared-payload delivery must not bend.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -244,6 +249,246 @@ TEST(BusRoutingTest, UnsubscribeRemovesFromTopicBucket) {
   EXPECT_EQ(a, 1);
   EXPECT_EQ(b, 2);
   EXPECT_EQ(bus.stats().delivered, 3u);
+}
+
+TEST(BusRoutingTest, KeyedPublishChecksOnlyCandidatesForItsKey) {
+  LocalEventBus bus;
+  int hits = 0;
+  for (int i = 0; i < 8; ++i) {
+    bus.subscribe(Filter::topic("probe.latency")
+                      .where("client", Op::Eq, "User" + std::to_string(i)),
+                  [&](const Notification&) { ++hits; });
+  }
+  bus.subscribe(Filter::topic("probe.latency").where("value", Op::Exists),
+                [&](const Notification&) { ++hits; });
+  const util::Symbol client = util::Symbol::intern("client");
+  // Symbol value: the unkeyed filter plus the one keyed on User3.
+  bus.publish(Notification("probe.latency")
+                  .set(client, util::Symbol::intern("User3"))
+                  .set("value", 1.0));
+  EXPECT_EQ(bus.stats().filter_checks, 2u);
+  // Owned string: found by its text, same two candidates.
+  bus.publish(Notification("probe.latency")
+                  .set(client, std::string("User5"))
+                  .set("value", 1.0));
+  EXPECT_EQ(bus.stats().filter_checks, 4u);
+  // A number or a text no filter keys on selects only the unkeyed filter.
+  bus.publish(Notification("probe.latency").set(client, 3).set("value", 1.0));
+  bus.publish(Notification("probe.latency")
+                  .set(client, std::string("never-a-key-text"))
+                  .set("value", 1.0));
+  EXPECT_EQ(bus.stats().filter_checks, 6u);
+  EXPECT_EQ(hits, 6);
+}
+
+// ---- Differential routing: the indexed table against a brute-force scan.
+// A seeded script of subscribe, unsubscribe and publish steps drives a bus
+// and an oracle that runs Filter::matches over every live subscription in
+// id order. Each publish must reach exactly the oracle's subscriptions, in
+// the oracle's order. Coverage counters prove the script reached each case
+// the index treats specially.
+
+struct RoutingCoverage {
+  int owned_string_key_hits = 0;  ///< owned-string attribute vs symbol key
+  int non_string_key_skips = 0;   ///< key attribute numeric or missing
+  int two_eq_hits = 0;            ///< filters with two Eq constraints
+  int mixed_key_publishes = 0;    ///< one topic keyed on two attributes
+  int ne_hits = 0;
+  int prefix_topic_hits = 0;
+  int any_topic_hits = 0;
+  int slot_reuses = 0;            ///< subscribes that took a freed slot
+  int spawned_hits = 0;           ///< subscribed during a dispatch
+};
+
+template <typename Bus>
+class RoutingScript {
+ public:
+  RoutingScript(Bus& bus, std::uint32_t seed) : bus_(bus), rng_(seed) {}
+
+  /// Runs `steps` random steps; `pump` drains the bus after each publish.
+  template <typename Pump>
+  void run(int steps, Pump&& pump) {
+    for (int step = 0; step < steps; ++step) {
+      const std::uint32_t roll = pick(100);
+      if ((roll < 30 && live_.size() < 40) || live_.empty()) {
+        subscribe(random_filter(), pick(8) == 0);
+      } else if (roll < 45) {
+        auto it = live_.begin();
+        std::advance(it, pick(static_cast<std::uint32_t>(live_.size())));
+        bus_.unsubscribe(it->second.id);
+        live_.erase(it);
+        ++freed_;
+      } else {
+        publish(pump);
+      }
+    }
+    EXPECT_EQ(bus_.stats().delivered, expected_deliveries_);
+  }
+
+  const RoutingCoverage& coverage() const { return cov_; }
+
+ private:
+  struct Sub {
+    SubscriptionId id = 0;
+    Filter filter;
+    bool spawned = false;
+  };
+
+  std::uint32_t pick(std::uint32_t n) { return rng_() % n; }
+  static std::string numbered(const char* stem, std::uint32_t i) {
+    std::string text = stem;
+    text += std::to_string(i);
+    return text;
+  }
+
+  Filter random_filter() {
+    static const char* const kTopics[] = {"route.a", "route.b", "route.c"};
+    const std::uint32_t t = pick(10);
+    Filter f = t < 7   ? Filter::topic(kTopics[t % 3])
+               : t < 9 ? Filter::topic("route.*")
+                       : Filter::any();
+    const std::uint32_t count = pick(3);
+    for (std::uint32_t c = 0; c < count; ++c) {
+      const util::Symbol attr = attr_name(pick(3));
+      const std::string text = numbered("U", pick(4));
+      switch (pick(6)) {
+        case 0: f.where(attr, Op::Eq, text); break;  // interned by where()
+        case 1: f.where(attr, Op::Eq, util::Symbol::intern(text)); break;
+        case 2: f.where(attr, Op::Eq, static_cast<int>(pick(3))); break;
+        case 3: f.where(attr, Op::Ne, text); break;
+        case 4: f.where(attr, Op::Prefix, "U"); break;
+        default: f.where(attr, Op::Exists); break;
+      }
+    }
+    return f;
+  }
+
+  static util::Symbol attr_name(std::uint32_t i) {
+    static const util::Symbol kAttrs[] = {util::Symbol::intern("client"),
+                                          util::Symbol::intern("group"),
+                                          util::Symbol::intern("kind")};
+    return kAttrs[i];
+  }
+
+  Notification random_notification() {
+    static const char* const kTopics[] = {"route.a", "route.b", "route.c"};
+    Notification n(kTopics[pick(3)]);
+    for (std::uint32_t a = 0; a < 3; ++a) {
+      const std::string text = numbered("U", pick(4));
+      switch (pick(5)) {
+        case 0: break;  // missing
+        case 1: n.set(attr_name(a), util::Symbol::intern(text)); break;
+        case 2: n.set(attr_name(a), text); break;  // owned string
+        case 3: n.set(attr_name(a), static_cast<int>(pick(3))); break;
+        default: n.set(attr_name(a), numbered("fresh-", step_)); break;
+      }
+    }
+    return n;
+  }
+
+  void subscribe(Filter filter, bool spawner, bool spawned = false) {
+    const int tag = next_tag_++;
+    auto handler = [this, tag, spawner,
+                    fired = false](const Notification&) mutable {
+      got_.push_back(tag);
+      // A subscribe during dispatch: the new subscription must miss the
+      // notification in flight and see later ones.
+      if (spawner && !fired) {
+        fired = true;
+        subscribe(random_filter(), false, true);
+      }
+    };
+    const SubscriptionId id = bus_.subscribe(filter, std::move(handler));
+    if (freed_ > 0) {
+      --freed_;
+      ++cov_.slot_reuses;
+    }
+    live_.emplace(tag, Sub{id, std::move(filter), spawned});
+  }
+
+  template <typename Pump>
+  void publish(Pump& pump) {
+    ++step_;
+    const Notification n = random_notification();
+    std::vector<int> expected;
+    std::set<util::Symbol> key_attrs;
+    for (const auto& [tag, sub] : live_) {
+      const AttrConstraint* key = sub.filter.routing_key();
+      if (key && sub.filter.topic_kind() == Filter::TopicKind::Exact &&
+          sub.filter.topic_symbol() == n.topic) {
+        key_attrs.insert(key->name);
+        const Value* v = n.get_if(key->name);
+        if (!v || !v->is_string()) ++cov_.non_string_key_skips;
+      }
+      if (!sub.filter.matches(n)) continue;
+      expected.push_back(tag);
+      note_hit(sub, n);
+    }
+    if (key_attrs.size() > 1) ++cov_.mixed_key_publishes;
+    got_.clear();
+    bus_.publish(n);
+    pump();
+    EXPECT_EQ(got_, expected) << "publish " << step_;
+    expected_deliveries_ += expected.size();
+  }
+
+  void note_hit(const Sub& sub, const Notification& n) {
+    const Filter& f = sub.filter;
+    int eqs = 0;
+    for (const AttrConstraint& c : f.constraints()) {
+      eqs += c.op == Op::Eq;
+      cov_.ne_hits += c.op == Op::Ne;
+    }
+    cov_.two_eq_hits += eqs >= 2;
+    if (const AttrConstraint* key = f.routing_key()) {
+      const Value* v = n.get_if(key->name);
+      cov_.owned_string_key_hits += v && !v->is_symbol();
+    }
+    cov_.prefix_topic_hits += f.topic_kind() == Filter::TopicKind::Prefix;
+    cov_.any_topic_hits += f.topic_kind() == Filter::TopicKind::Any;
+    cov_.spawned_hits += sub.spawned;
+  }
+
+  Bus& bus_;
+  std::mt19937 rng_;
+  std::map<int, Sub> live_;  ///< tag order == subscription order
+  std::vector<int> got_;
+  std::uint64_t expected_deliveries_ = 0;
+  int next_tag_ = 0;
+  int freed_ = 0;
+  std::uint32_t step_ = 0;
+  RoutingCoverage cov_;
+};
+
+void ExpectFullCoverage(const RoutingCoverage& cov) {
+  EXPECT_GT(cov.owned_string_key_hits, 0);
+  EXPECT_GT(cov.non_string_key_skips, 0);
+  EXPECT_GT(cov.two_eq_hits, 0);
+  EXPECT_GT(cov.mixed_key_publishes, 0);
+  EXPECT_GT(cov.ne_hits, 0);
+  EXPECT_GT(cov.prefix_topic_hits, 0);
+  EXPECT_GT(cov.any_topic_hits, 0);
+  EXPECT_GT(cov.slot_reuses, 0);
+  EXPECT_GT(cov.spawned_hits, 0);
+}
+
+TEST(BusRoutingTest, KeyIndexMatchesBruteForceOracleLocal) {
+  for (std::uint32_t seed : {1u, 2u, 3u}) {
+    LocalEventBus bus;
+    RoutingScript<LocalEventBus> script(bus, seed);
+    script.run(3000, [] {});
+    ExpectFullCoverage(script.coverage());
+  }
+}
+
+TEST(BusRoutingTest, KeyIndexMatchesBruteForceOracleSim) {
+  for (std::uint32_t seed : {1u, 2u, 3u}) {
+    sim::Simulator sim;
+    SimEventBus bus(sim, fixed_delay(SimTime::millis(1)));
+    RoutingScript<SimEventBus> script(bus, seed);
+    script.run(3000, [&] { sim.run_until(sim.now() + SimTime::seconds(1)); });
+    ExpectFullCoverage(script.coverage());
+  }
 }
 
 TEST(NotificationTest, GetIfReturnsPointerWithoutCopy) {

@@ -75,6 +75,68 @@ TEST(RaceStressTest, BusPublishSubscribeUnsubscribeStorm) {
   EXPECT_EQ(stats.delivered, handled.load());
 }
 
+// ---- LocalEventBus key index: keyed subscribe/unsubscribe vs publish -----
+
+TEST(RaceStressTest, BusKeyIndexChurnUnderPublishStorm) {
+  events::LocalEventBus bus;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 200;
+  constexpr int kClients = 8;
+  const util::Symbol topic = util::Symbol::intern("stress.keyed");
+  const util::Symbol key_attrs[2] = {util::Symbol::intern("client"),
+                                     util::Symbol::intern("group")};
+  std::vector<util::Symbol> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(util::Symbol::intern("KeyUser" + std::to_string(c)));
+  }
+  std::atomic<std::uint64_t> handled{0};
+  auto count = [&handled](const events::Notification&) {
+    handled.fetch_add(1, std::memory_order_relaxed);
+  };
+
+  // One long-lived keyed subscriber per client: every publish (which names
+  // one client) matches exactly one of them.
+  std::vector<events::SubscriptionId> anchors;
+  for (util::Symbol client : clients) {
+    anchors.push_back(bus.subscribe(
+        events::Filter::topic(topic).where(key_attrs[0], events::Op::Eq,
+                                           events::Value(client)),
+        count));
+  }
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        // Churn keyed subscriptions on both key attributes, so key lists
+        // and per-attribute maps are created and emptied while other
+        // threads route through them.
+        const events::SubscriptionId id = bus.subscribe(
+            events::Filter::topic(topic).where(
+                key_attrs[(t + i) % 2], events::Op::Eq,
+                events::Value(clients[(t * 3 + i) % kClients])),
+            count);
+        events::Notification n(topic);
+        n.set(key_attrs[0], clients[i % kClients]);
+        n.set(key_attrs[1], clients[(i + t) % kClients]);
+        bus.publish(std::move(n));
+        bus.unsubscribe(id);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (events::SubscriptionId id : anchors) bus.unsubscribe(id);
+
+  // Quiescent read, as above.
+  const events::BusStats& stats = bus.stats();
+  EXPECT_EQ(stats.published, static_cast<std::uint64_t>(kThreads) * kRounds);
+  EXPECT_GE(handled.load(), stats.published);
+  EXPECT_EQ(stats.delivered, handled.load());
+  // The index hands each publish its anchor and at most the live churn
+  // subscriptions (one per thread), never all eight anchors.
+  EXPECT_LE(stats.filter_checks, stats.published * (1 + kThreads));
+}
+
 // ---- Symbol interning: concurrent intern of overlapping name sets --------
 
 TEST(RaceStressTest, ConcurrentInterningIsConsistent) {

@@ -89,15 +89,23 @@ TEST(SymbolMapTest, IterationIsNameSorted) {
 }
 
 TEST(SymbolMapTest, SurvivesGrowth) {
+  // Numeric suffixes insert out of text order ("grow_10" lands before
+  // "grow_2"), so most inserts shift later entries and patch the index in
+  // place; every key inserted so far must stay findable after each one.
   SymbolMap<int> map;
   for (int i = 0; i < 500; ++i) {
     map.insert_or_assign(Symbol::intern("grow_" + std::to_string(i)), i);
+    for (int j = 0; j <= i; ++j) {
+      const int* v = map.find(Symbol::intern("grow_" + std::to_string(j)));
+      ASSERT_NE(v, nullptr) << "after inserting " << i;
+      ASSERT_EQ(*v, j);
+    }
   }
   EXPECT_EQ(map.size(), 500u);
-  for (int i = 0; i < 500; ++i) {
-    const int* v = map.find(Symbol::intern("grow_" + std::to_string(i)));
-    ASSERT_NE(v, nullptr);
-    EXPECT_EQ(*v, i);
+  std::string prev;
+  for (const auto& e : map) {
+    EXPECT_LT(prev, e.key.str());
+    prev = e.key.str();
   }
 }
 
