@@ -27,7 +27,7 @@ Fleet::Fleet(sim::Simulator& sim, FleetOptions options)
 
   // Per-tenant sub-simulators in conservative windows. Tenants couple only
   // at control-simulator events (sweeps, snapshots), which the window bound
-  // tracks exactly — infinite lookahead.
+  // tracks exactly.
   sim::SimCoordinatorOptions copt;
   copt.threads = static_cast<unsigned>(options_.sim_threads);
   coordinator_ = std::make_unique<sim::SimCoordinator>(sim_, copt);

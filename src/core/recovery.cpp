@@ -21,242 +21,133 @@ using durability::Decoder;
 using durability::DurabilityError;
 using durability::Encoder;
 
-void encode_fault(Encoder& enc, const fault::FaultProfile& f) {
-  enc.boolean(f.enabled);
-  enc.u64(f.seed);
-  enc.f64(f.monitoring.report_loss);
-  enc.f64(f.monitoring.report_dup);
-  enc.f64(f.monitoring.report_delay);
-  enc.sim_time(f.monitoring.delay_min);
-  enc.sim_time(f.monitoring.delay_max);
-  enc.f64(f.monitoring.channel_disconnect);
-  enc.sim_time(f.monitoring.disconnect_min);
-  enc.sim_time(f.monitoring.disconnect_max);
-  enc.f64(f.repair.op_transient);
-  enc.f64(f.repair.op_permanent);
-  enc.sim_time(f.repair.permanent_from);
-  enc.sim_time(f.repair.permanent_until);
-  enc.f64(f.repair.op_stall);
-  enc.sim_time(f.repair.stall_min);
-  enc.sim_time(f.repair.stall_max);
-  enc.f64(f.fleet.tenant_crash);
-  enc.sim_time(f.fleet.crash_min);
-  enc.sim_time(f.fleet.crash_max);
-  enc.sim_time(f.fleet.crash_duration);
+using durability::MaybeConst;
+
+template <class Io, MaybeConst<fault::FaultProfile> T>
+void fields(Io& io, T& f) {
+  io.boolean(f.enabled);
+  io.u64(f.seed);
+  io.f64(f.monitoring.report_loss);
+  io.f64(f.monitoring.report_dup);
+  io.f64(f.monitoring.report_delay);
+  io.sim_time(f.monitoring.delay_min);
+  io.sim_time(f.monitoring.delay_max);
+  io.f64(f.monitoring.channel_disconnect);
+  io.sim_time(f.monitoring.disconnect_min);
+  io.sim_time(f.monitoring.disconnect_max);
+  io.f64(f.repair.op_transient);
+  io.f64(f.repair.op_permanent);
+  io.sim_time(f.repair.permanent_from);
+  io.sim_time(f.repair.permanent_until);
+  io.f64(f.repair.op_stall);
+  io.sim_time(f.repair.stall_min);
+  io.sim_time(f.repair.stall_max);
+  io.f64(f.fleet.tenant_crash);
+  io.sim_time(f.fleet.crash_min);
+  io.sim_time(f.fleet.crash_max);
+  io.sim_time(f.fleet.crash_duration);
 }
 
-fault::FaultProfile decode_fault(Decoder& dec) {
-  fault::FaultProfile f;
-  f.enabled = dec.boolean();
-  f.seed = dec.u64();
-  f.monitoring.report_loss = dec.f64();
-  f.monitoring.report_dup = dec.f64();
-  f.monitoring.report_delay = dec.f64();
-  f.monitoring.delay_min = dec.sim_time();
-  f.monitoring.delay_max = dec.sim_time();
-  f.monitoring.channel_disconnect = dec.f64();
-  f.monitoring.disconnect_min = dec.sim_time();
-  f.monitoring.disconnect_max = dec.sim_time();
-  f.repair.op_transient = dec.f64();
-  f.repair.op_permanent = dec.f64();
-  f.repair.permanent_from = dec.sim_time();
-  f.repair.permanent_until = dec.sim_time();
-  f.repair.op_stall = dec.f64();
-  f.repair.stall_min = dec.sim_time();
-  f.repair.stall_max = dec.sim_time();
-  f.fleet.tenant_crash = dec.f64();
-  f.fleet.crash_min = dec.sim_time();
-  f.fleet.crash_max = dec.sim_time();
-  f.fleet.crash_duration = dec.sim_time();
-  return f;
+template <class Io, MaybeConst<sim::ScenarioConfig> T>
+void fields(Io& io, T& c) {
+  io.u64(c.seed);
+  io.sim_time(c.horizon);
+  io.sim_time(c.quiescent_end);
+  io.sim_time(c.stress_start);
+  io.sim_time(c.stress_end);
+  io.f64(c.normal_rate_hz);
+  io.f64(c.stress_rate_hz);
+  io.data_size(c.request_size);
+  io.data_size(c.normal_response_mean);
+  io.data_size(c.stress_response_size);
+  io.f64(c.normal_response_sigma);
+  io.sim_time(c.service_base);
+  io.sim_time(c.service_per_kb);
+  io.f64(c.service_sigma);
+  io.bandwidth(c.link_capacity);
+  io.f64(c.comp_sg1_phase1_mbps);
+  io.f64(c.comp_sg1_stress_mbps);
+  io.f64(c.comp_sg1_final_mbps);
+  io.f64(c.comp_sg2_phase1_mbps);
+  io.f64(c.comp_sg2_stress_mbps);
+  io.f64(c.comp_sg2_final_mbps);
+  io.boolean(c.comp_bidirectional);
+  io.sim_time(c.thresholds.max_latency);
+  io.f64(c.thresholds.max_server_load);
+  io.bandwidth(c.thresholds.min_bandwidth);
+  io.f64(c.thresholds.min_utilization);
+  fields(io, c.fault);
+  io.i64(c.grid.groups);
+  io.i64(c.grid.servers_per_group);
+  io.i64(c.grid.clients);
+  io.i64(c.grid.clients_per_pod);
+  io.i64(c.grid.spares);
+  io.sim_time(c.flash.start);
+  io.sim_time(c.flash.end);
+  io.f64(c.flash.rate_multiplier);
+  io.sim_time(c.churn.first_outage);
+  io.sim_time(c.churn.period);
+  io.sim_time(c.churn.outage);
+  io.i64(c.churn.outages);
+  io.i64(c.fleet.tenants);
+  io.i64(c.fleet.tenant_index);
+  io.sim_time(c.fleet.phase_shift);
+  io.sim_time(c.fleet.active_duration);
 }
 
-void encode_scenario(Encoder& enc, const sim::ScenarioConfig& c) {
-  enc.u64(c.seed);
-  enc.sim_time(c.horizon);
-  enc.sim_time(c.quiescent_end);
-  enc.sim_time(c.stress_start);
-  enc.sim_time(c.stress_end);
-  enc.f64(c.normal_rate_hz);
-  enc.f64(c.stress_rate_hz);
-  enc.f64(c.request_size.as_bytes());
-  enc.f64(c.normal_response_mean.as_bytes());
-  enc.f64(c.stress_response_size.as_bytes());
-  enc.f64(c.normal_response_sigma);
-  enc.sim_time(c.service_base);
-  enc.sim_time(c.service_per_kb);
-  enc.f64(c.service_sigma);
-  enc.f64(c.link_capacity.as_bps());
-  enc.f64(c.comp_sg1_phase1_mbps);
-  enc.f64(c.comp_sg1_stress_mbps);
-  enc.f64(c.comp_sg1_final_mbps);
-  enc.f64(c.comp_sg2_phase1_mbps);
-  enc.f64(c.comp_sg2_stress_mbps);
-  enc.f64(c.comp_sg2_final_mbps);
-  enc.boolean(c.comp_bidirectional);
-  enc.sim_time(c.thresholds.max_latency);
-  enc.f64(c.thresholds.max_server_load);
-  enc.f64(c.thresholds.min_bandwidth.as_bps());
-  enc.f64(c.thresholds.min_utilization);
-  encode_fault(enc, c.fault);
-  enc.i64(c.grid.groups);
-  enc.i64(c.grid.servers_per_group);
-  enc.i64(c.grid.clients);
-  enc.i64(c.grid.clients_per_pod);
-  enc.i64(c.grid.spares);
-  enc.sim_time(c.flash.start);
-  enc.sim_time(c.flash.end);
-  enc.f64(c.flash.rate_multiplier);
-  enc.sim_time(c.churn.first_outage);
-  enc.sim_time(c.churn.period);
-  enc.sim_time(c.churn.outage);
-  enc.i64(c.churn.outages);
-  enc.i64(c.fleet.tenants);
-  enc.i64(c.fleet.tenant_index);
-  enc.sim_time(c.fleet.phase_shift);
-  enc.sim_time(c.fleet.active_duration);
+template <class Io, MaybeConst<FrameworkConfig> T>
+void fields(Io& io, T& f) {
+  io.sim_time(f.profile.max_latency);
+  io.f64(f.profile.max_server_load);
+  io.bandwidth(f.profile.min_bandwidth);
+  io.f64(f.profile.min_utilization);
+  io.i64(f.profile.min_replicas);
+  io.boolean(f.use_script);
+  io.str(f.script_source);
+  io.str(f.policy_name);
+  io.boolean(f.damping);
+  io.sim_time(f.settle_time);
+  io.sim_time(f.abort_cooldown);
+  io.f64(f.load_improvement);
+  io.boolean(f.plan_pipeline);
+  io.boolean(f.plan_preemption);
+  io.f64(f.plan_preempt_factor);
+  io.boolean(f.gauge_caching);
+  io.sim_time(f.gauge_costs.report_period);
+  io.sim_time(f.gauge_costs.create_cost);
+  io.sim_time(f.gauge_costs.destroy_cost);
+  io.sim_time(f.gauge_costs.relocate_cost);
+  io.sim_time(f.gauge_costs.watchdog_period);
+  io.sim_time(f.gauge_costs.stale_after);
+  io.boolean(f.remos_prequery);
+  io.boolean(f.monitoring_qos);
+  io.sim_time(f.bus_base_delay);
+  io.sim_time(f.probe_period);
+  io.sim_time(f.gauge_window);
+  io.sim_time(f.check_period);
+  io.sim_time(f.first_check);
+  fields(io, f.fault);
+  io.i64(f.retry.max_attempts);
+  io.sim_time(f.retry.backoff_base);
+  io.f64(f.retry.backoff_multiplier);
+  io.sim_time(f.retry.backoff_max);
+  io.f64(f.retry.jitter);
+  io.u64(f.retry.jitter_seed);
+  io.sim_time(f.retry.op_timeout);
+  io.enumeration(f.verify, VerifyMode::Off, VerifyMode::Error, "VerifyMode");
+  io.str(f.durability.dir);
+  io.sim_time(f.durability.snapshot_period);
+  io.u32(f.durability.retention);
+  io.u32(f.durability.gauge_batch_cap);
+  io.sim_time(f.durability.sync_interval);
 }
 
-sim::ScenarioConfig decode_scenario(Decoder& dec) {
-  sim::ScenarioConfig c;
-  c.seed = dec.u64();
-  c.horizon = dec.sim_time();
-  c.quiescent_end = dec.sim_time();
-  c.stress_start = dec.sim_time();
-  c.stress_end = dec.sim_time();
-  c.normal_rate_hz = dec.f64();
-  c.stress_rate_hz = dec.f64();
-  c.request_size = DataSize::bytes(dec.f64());
-  c.normal_response_mean = DataSize::bytes(dec.f64());
-  c.stress_response_size = DataSize::bytes(dec.f64());
-  c.normal_response_sigma = dec.f64();
-  c.service_base = dec.sim_time();
-  c.service_per_kb = dec.sim_time();
-  c.service_sigma = dec.f64();
-  c.link_capacity = Bandwidth::bps(dec.f64());
-  c.comp_sg1_phase1_mbps = dec.f64();
-  c.comp_sg1_stress_mbps = dec.f64();
-  c.comp_sg1_final_mbps = dec.f64();
-  c.comp_sg2_phase1_mbps = dec.f64();
-  c.comp_sg2_stress_mbps = dec.f64();
-  c.comp_sg2_final_mbps = dec.f64();
-  c.comp_bidirectional = dec.boolean();
-  c.thresholds.max_latency = dec.sim_time();
-  c.thresholds.max_server_load = dec.f64();
-  c.thresholds.min_bandwidth = Bandwidth::bps(dec.f64());
-  c.thresholds.min_utilization = dec.f64();
-  c.fault = decode_fault(dec);
-  c.grid.groups = static_cast<int>(dec.i64());
-  c.grid.servers_per_group = static_cast<int>(dec.i64());
-  c.grid.clients = static_cast<int>(dec.i64());
-  c.grid.clients_per_pod = static_cast<int>(dec.i64());
-  c.grid.spares = static_cast<int>(dec.i64());
-  c.flash.start = dec.sim_time();
-  c.flash.end = dec.sim_time();
-  c.flash.rate_multiplier = dec.f64();
-  c.churn.first_outage = dec.sim_time();
-  c.churn.period = dec.sim_time();
-  c.churn.outage = dec.sim_time();
-  c.churn.outages = static_cast<int>(dec.i64());
-  c.fleet.tenants = static_cast<int>(dec.i64());
-  c.fleet.tenant_index = static_cast<int>(dec.i64());
-  c.fleet.phase_shift = dec.sim_time();
-  c.fleet.active_duration = dec.sim_time();
-  return c;
-}
-
-void encode_framework(Encoder& enc, const FrameworkConfig& f) {
-  enc.sim_time(f.profile.max_latency);
-  enc.f64(f.profile.max_server_load);
-  enc.f64(f.profile.min_bandwidth.as_bps());
-  enc.f64(f.profile.min_utilization);
-  enc.i64(f.profile.min_replicas);
-  enc.boolean(f.use_script);
-  enc.str(f.script_source);
-  enc.str(f.policy_name);
-  enc.boolean(f.damping);
-  enc.sim_time(f.settle_time);
-  enc.sim_time(f.abort_cooldown);
-  enc.f64(f.load_improvement);
-  enc.boolean(f.plan_pipeline);
-  enc.boolean(f.plan_preemption);
-  enc.f64(f.plan_preempt_factor);
-  enc.boolean(f.gauge_caching);
-  enc.sim_time(f.gauge_costs.report_period);
-  enc.sim_time(f.gauge_costs.create_cost);
-  enc.sim_time(f.gauge_costs.destroy_cost);
-  enc.sim_time(f.gauge_costs.relocate_cost);
-  enc.sim_time(f.gauge_costs.watchdog_period);
-  enc.sim_time(f.gauge_costs.stale_after);
-  enc.boolean(f.remos_prequery);
-  enc.boolean(f.monitoring_qos);
-  enc.sim_time(f.bus_base_delay);
-  enc.sim_time(f.probe_period);
-  enc.sim_time(f.gauge_window);
-  enc.sim_time(f.check_period);
-  enc.sim_time(f.first_check);
-  encode_fault(enc, f.fault);
-  enc.i64(f.retry.max_attempts);
-  enc.sim_time(f.retry.backoff_base);
-  enc.f64(f.retry.backoff_multiplier);
-  enc.sim_time(f.retry.backoff_max);
-  enc.f64(f.retry.jitter);
-  enc.u64(f.retry.jitter_seed);
-  enc.sim_time(f.retry.op_timeout);
-  enc.u8(static_cast<std::uint8_t>(f.verify));
-  enc.str(f.durability.dir);
-  enc.sim_time(f.durability.snapshot_period);
-  enc.u32(static_cast<std::uint32_t>(f.durability.retention));
-  enc.u32(static_cast<std::uint32_t>(f.durability.gauge_batch_cap));
-  enc.sim_time(f.durability.sync_interval);
-}
-
-FrameworkConfig decode_framework(Decoder& dec) {
-  FrameworkConfig f;
-  f.profile.max_latency = dec.sim_time();
-  f.profile.max_server_load = dec.f64();
-  f.profile.min_bandwidth = Bandwidth::bps(dec.f64());
-  f.profile.min_utilization = dec.f64();
-  f.profile.min_replicas = dec.i64();
-  f.use_script = dec.boolean();
-  f.script_source = dec.str();
-  f.policy_name = dec.str();
-  f.damping = dec.boolean();
-  f.settle_time = dec.sim_time();
-  f.abort_cooldown = dec.sim_time();
-  f.load_improvement = dec.f64();
-  f.plan_pipeline = dec.boolean();
-  f.plan_preemption = dec.boolean();
-  f.plan_preempt_factor = dec.f64();
-  f.gauge_caching = dec.boolean();
-  f.gauge_costs.report_period = dec.sim_time();
-  f.gauge_costs.create_cost = dec.sim_time();
-  f.gauge_costs.destroy_cost = dec.sim_time();
-  f.gauge_costs.relocate_cost = dec.sim_time();
-  f.gauge_costs.watchdog_period = dec.sim_time();
-  f.gauge_costs.stale_after = dec.sim_time();
-  f.remos_prequery = dec.boolean();
-  f.monitoring_qos = dec.boolean();
-  f.bus_base_delay = dec.sim_time();
-  f.probe_period = dec.sim_time();
-  f.gauge_window = dec.sim_time();
-  f.check_period = dec.sim_time();
-  f.first_check = dec.sim_time();
-  f.fault = decode_fault(dec);
-  f.retry.max_attempts = static_cast<int>(dec.i64());
-  f.retry.backoff_base = dec.sim_time();
-  f.retry.backoff_multiplier = dec.f64();
-  f.retry.backoff_max = dec.sim_time();
-  f.retry.jitter = dec.f64();
-  f.retry.jitter_seed = dec.u64();
-  f.retry.op_timeout = dec.sim_time();
-  f.verify = static_cast<VerifyMode>(dec.u8());
-  f.durability.dir = dec.str();
-  f.durability.snapshot_period = dec.sim_time();
-  f.durability.retention = dec.u32();
-  f.durability.gauge_batch_cap = dec.u32();
-  f.durability.sync_interval = dec.sim_time();
-  return f;
+/// The manifest body, between the magic + version header and the CRC.
+template <class Io, MaybeConst<Manifest> T>
+void fields(Io& io, T& m) {
+  io.str(m.scenario);
+  fields(io, m.config);
+  fields(io, m.framework);
 }
 
 }  // namespace
@@ -265,9 +156,7 @@ void write_manifest(const std::string& dir, const Manifest& manifest) {
   Encoder enc;
   for (char ch : kManifestMagic) enc.u8(static_cast<std::uint8_t>(ch));
   enc.u32(kManifestVersion);
-  enc.str(manifest.scenario);
-  encode_scenario(enc, manifest.config);
-  encode_framework(enc, manifest.framework);
+  fields(enc, manifest);
   std::vector<std::uint8_t> bytes = enc.take();
   const std::uint32_t crc = durability::crc32(bytes.data(), bytes.size());
   Encoder tail;
@@ -305,9 +194,7 @@ Manifest read_manifest(const std::string& dir) {
                           std::to_string(version) + ": " + path);
   }
   Manifest manifest;
-  manifest.scenario = dec.str();
-  manifest.config = decode_scenario(dec);
-  manifest.framework = decode_framework(dec);
+  fields(dec, manifest);
   if (!dec.done()) {
     throw DurabilityError("trailing bytes after manifest: " + path);
   }

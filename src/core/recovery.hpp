@@ -34,11 +34,12 @@
 namespace arcadia::core {
 
 /// What a durable run was built from — enough to re-execute it from t=0.
-/// Written once when the run is first created; read by restore_run.
-/// Sub-configs with no codec (env_costs, conventions, remos_config, the
-/// pluggable FrameworkParts) stay at their defaults: a restore of a run
-/// that customized them diverges in catchup verification (a loud
-/// RecoveryError), never silently.
+/// Written once when the run is first created; read by restore_run. One
+/// `fields` description per config struct (recovery.cpp) drives both the
+/// writer and the reader. Sub-configs it does not describe (env_costs,
+/// conventions, remos_config, the pluggable FrameworkParts) stay at their
+/// defaults: a restore of a run that customized them diverges in catchup
+/// verification (a loud RecoveryError), never silently.
 struct Manifest {
   std::string scenario;  ///< ScenarioRegistry name
   sim::ScenarioConfig config;
@@ -49,6 +50,8 @@ inline constexpr const char* kManifestFile = "manifest.arcm";
 
 /// Atomic write of dir/manifest.arcm ("ARCM" magic, versioned, CRC-tailed).
 void write_manifest(const std::string& dir, const Manifest& manifest);
+/// Throws DurabilityError on a missing file, bad magic, version or CRC, an
+/// out-of-range enum, an underrun, or trailing bytes.
 Manifest read_manifest(const std::string& dir);
 
 /// A rebuilt run: the whole stack, self-owned, already start()ed. The

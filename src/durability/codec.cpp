@@ -75,24 +75,6 @@ void Encoder::value(const events::Value& v) {
   }
 }
 
-void Encoder::op(const model::OpRecord& op) {
-  u8(static_cast<std::uint8_t>(op.kind));
-  u32(static_cast<std::uint32_t>(op.scope.size()));
-  for (const auto& s : op.scope) str(s);
-  str(op.element);
-  str(op.sub);
-  str(op.type_name);
-  str(op.property);
-  value(op.value);
-  str(op.attachment.component);
-  str(op.attachment.port);
-  str(op.attachment.connector);
-  str(op.attachment.role);
-  u8(static_cast<std::uint8_t>(op.element_kind));
-  value(op.prev_value);
-  boolean(op.had_prev);
-}
-
 void Decoder::need(std::size_t n) const {
   if (remaining() < n) {
     throw DurabilityError("decode underrun: need " + std::to_string(n) +
@@ -153,33 +135,21 @@ events::Value Decoder::value() {
   }
 }
 
-model::OpRecord Decoder::op() {
-  model::OpRecord op;
-  const std::uint8_t kind = u8();
-  if (kind > static_cast<std::uint8_t>(model::OpKind::SetProperty)) {
-    throw DurabilityError("decode: unknown OpKind tag " + std::to_string(kind));
+void Decoder::blob(std::vector<std::uint8_t>& bytes) {
+  const std::uint32_t n = u32();
+  need(n);
+  bytes.assign(p_, p_ + n);
+  p_ += n;
+}
+
+std::uint8_t Decoder::tag(std::uint8_t first, std::uint8_t last,
+                          const char* what) {
+  const std::uint8_t t = u8();
+  if (t < first || t > last) {
+    throw DurabilityError(std::string("decode: unknown ") + what + " tag " +
+                          std::to_string(t));
   }
-  op.kind = static_cast<model::OpKind>(kind);
-  const std::uint32_t scopes = u32();
-  op.scope.reserve(scopes);
-  for (std::uint32_t i = 0; i < scopes; ++i) op.scope.push_back(str());
-  op.element = str();
-  op.sub = str();
-  op.type_name = str();
-  op.property = str();
-  op.value = value();
-  op.attachment.component = str();
-  op.attachment.port = str();
-  op.attachment.connector = str();
-  op.attachment.role = str();
-  const std::uint8_t ek = u8();
-  if (ek > static_cast<std::uint8_t>(model::ElementKind::System)) {
-    throw DurabilityError("decode: unknown ElementKind tag");
-  }
-  op.element_kind = static_cast<model::ElementKind>(ek);
-  op.prev_value = value();
-  op.had_prev = boolean();
-  return op;
+  return t;
 }
 
 }  // namespace arcadia::durability

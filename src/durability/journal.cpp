@@ -18,105 +18,53 @@ const char* to_string(RecordType type) {
   return "unknown";
 }
 
-namespace {
+// The descriptions stay out of an anonymous namespace: kFields finds them
+// by argument-dependent lookup, which does not look inside one.
+template <class Io, MaybeConst<GaugeDelta> T>
+void fields(Io& io, T& g) {
+  io.sim_time(g.at);
+  io.str(g.element);
+  io.str(g.sub);
+  io.str(g.property);
+  io.value(g.value);
+}
 
-void encode_body(Encoder& enc, const JournalRecord& r) {
+/// The frame payload: the record header, then the fields of its own type.
+template <class Io, MaybeConst<JournalRecord> T>
+void fields(Io& io, T& r) {
+  io.enumeration(r.type, RecordType::OpBatch, RecordType::SnapshotMark,
+                 "RecordType");
+  io.u64(r.lsn);
+  io.sim_time(r.at);
+  io.u32(r.shard);
   switch (r.type) {
     case RecordType::OpBatch:
-      enc.u64(r.repair_index);
-      enc.boolean(r.compensation);
-      enc.u32(static_cast<std::uint32_t>(r.ops.size()));
-      for (const auto& op : r.ops) enc.op(op);
+      io.u64(r.repair_index);
+      io.boolean(r.compensation);
+      io.seq(r.ops, kFields);
       break;
     case RecordType::PlanEvent:
-      enc.str(r.phase);
-      enc.u64(r.repair_index);
-      enc.u64(r.plan_steps);
+      io.str(r.phase);
+      io.u64(r.repair_index);
+      io.u64(r.plan_steps);
       break;
     case RecordType::GaugeBatch:
-      enc.u32(static_cast<std::uint32_t>(r.gauges.size()));
-      for (const auto& g : r.gauges) {
-        enc.sim_time(g.at);
-        enc.str(g.element);
-        enc.str(g.sub);
-        enc.str(g.property);
-        enc.value(g.value);
-      }
+      io.seq(r.gauges, kFields);
       break;
     case RecordType::RngPositions:
-      enc.u32(static_cast<std::uint32_t>(r.rng_streams.size()));
-      for (const auto& st : r.rng_streams) {
-        for (const std::uint64_t word : st.s) enc.u64(word);
-        enc.boolean(st.have_spare);
-        enc.f64(st.spare);
-      }
+      io.seq(r.rng_streams, kFields);
       break;
     case RecordType::SnapshotMark:
-      enc.u64(r.snapshot_lsn);
-      enc.str(r.snapshot_file);
-      enc.u64(r.model_digest);
+      io.u64(r.snapshot_lsn);
+      io.str(r.snapshot_file);
+      io.u64(r.model_digest);
       break;
   }
 }
-
-void decode_body(Decoder& dec, JournalRecord& r) {
-  switch (r.type) {
-    case RecordType::OpBatch: {
-      r.repair_index = dec.u64();
-      r.compensation = dec.boolean();
-      const std::uint32_t n = dec.u32();
-      r.ops.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) r.ops.push_back(dec.op());
-      break;
-    }
-    case RecordType::PlanEvent:
-      r.phase = dec.str();
-      r.repair_index = dec.u64();
-      r.plan_steps = dec.u64();
-      break;
-    case RecordType::GaugeBatch: {
-      const std::uint32_t n = dec.u32();
-      r.gauges.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        GaugeDelta g;
-        g.at = dec.sim_time();
-        g.element = dec.str();
-        g.sub = dec.str();
-        g.property = dec.str();
-        g.value = dec.value();
-        r.gauges.push_back(std::move(g));
-      }
-      break;
-    }
-    case RecordType::RngPositions: {
-      const std::uint32_t n = dec.u32();
-      r.rng_streams.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        Rng::State st;
-        for (auto& word : st.s) word = dec.u64();
-        st.have_spare = dec.boolean();
-        st.spare = dec.f64();
-        r.rng_streams.push_back(st);
-      }
-      break;
-    }
-    case RecordType::SnapshotMark:
-      r.snapshot_lsn = dec.u64();
-      r.snapshot_file = dec.str();
-      r.model_digest = dec.u64();
-      break;
-  }
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> encode_frame(const JournalRecord& record) {
   Encoder payload;
-  payload.u8(static_cast<std::uint8_t>(record.type));
-  payload.u64(record.lsn);
-  payload.sim_time(record.at);
-  payload.u32(record.shard);
-  encode_body(payload, record);
+  fields(payload, record);
 
   Encoder frame;
   frame.u32(static_cast<std::uint32_t>(payload.size()));
@@ -174,16 +122,8 @@ JournalReadResult read_journal_bytes(const std::vector<std::uint8_t>& bytes) {
     JournalRecord record;
     try {
       Decoder dec(payload, len);
-      const std::uint8_t type = dec.u8();
-      if (type < 1 ||
-          type > static_cast<std::uint8_t>(RecordType::SnapshotMark)) {
-        throw DurabilityError("unknown record type " + std::to_string(type));
-      }
-      record.type = static_cast<RecordType>(type);
-      record.lsn = dec.u64();
-      record.at = dec.sim_time();
-      record.shard = dec.u32();
-      decode_body(dec, record);
+      fields(dec, record);
+      if (!dec.done()) throw DurabilityError("trailing bytes after record");
     } catch (const DurabilityError& e) {
       // A CRC-valid but undecodable payload means a format bug or version
       // skew, not a torn write — still refuse to apply it.

@@ -12,35 +12,39 @@ std::string snapshot_file_name(std::uint64_t lsn) {
   return "snap-" + digits + ".arcs";
 }
 
+template <class Io, MaybeConst<GaugeState> T>
+void fields(Io& io, T& g) {
+  io.str(g.id);
+  io.boolean(g.live);
+  io.boolean(g.suspect);
+  io.sim_time(g.last_report);
+}
+
+template <class Io, MaybeConst<ShardSnapshot> T>
+void fields(Io& io, T& shard) {
+  io.u32(shard.shard);
+  io.str(shard.name);
+  io.blob(shard.model);
+  io.u64(shard.model_digest);
+  io.seq(shard.gauges, kFields);
+  io.u8(shard.health);
+  io.seq(shard.rng_streams, kFields);
+  io.u64(shard.repairs_committed);
+}
+
+/// The snapshot body, between the magic + version header and the CRC.
+template <class Io, MaybeConst<Snapshot> T>
+void fields(Io& io, T& snap) {
+  io.u64(snap.lsn);
+  io.sim_time(snap.at);
+  io.seq(snap.shards, kFields);
+}
+
 std::vector<std::uint8_t> encode_snapshot(const Snapshot& snap) {
   Encoder enc;
   for (const char c : kSnapshotMagic) enc.u8(static_cast<std::uint8_t>(c));
   enc.u32(kSnapshotVersion);
-  enc.u64(snap.lsn);
-  enc.sim_time(snap.at);
-  enc.u32(static_cast<std::uint32_t>(snap.shards.size()));
-  for (const auto& shard : snap.shards) {
-    enc.u32(shard.shard);
-    enc.str(shard.name);
-    enc.u32(static_cast<std::uint32_t>(shard.model.size()));
-    enc.raw(shard.model);
-    enc.u64(shard.model_digest);
-    enc.u32(static_cast<std::uint32_t>(shard.gauges.size()));
-    for (const auto& g : shard.gauges) {
-      enc.str(g.id);
-      enc.boolean(g.live);
-      enc.boolean(g.suspect);
-      enc.sim_time(g.last_report);
-    }
-    enc.u8(shard.health);
-    enc.u32(static_cast<std::uint32_t>(shard.rng_streams.size()));
-    for (const auto& st : shard.rng_streams) {
-      for (const std::uint64_t word : st.s) enc.u64(word);
-      enc.boolean(st.have_spare);
-      enc.f64(st.spare);
-    }
-    enc.u64(shard.repairs_committed);
-  }
+  fields(enc, snap);
   // Trailing CRC over everything above, so a torn snapshot (possible only
   // via the .tmp path — the rename is atomic) is detected on load.
   const std::uint32_t crc = crc32(enc.bytes().data(), enc.size());
@@ -66,41 +70,7 @@ Snapshot decode_snapshot(const std::vector<std::uint8_t>& bytes) {
     throw DurabilityError("snapshot format version " + std::to_string(version));
   }
   Snapshot snap;
-  snap.lsn = dec.u64();
-  snap.at = dec.sim_time();
-  const std::uint32_t shards = dec.u32();
-  snap.shards.reserve(shards);
-  for (std::uint32_t i = 0; i < shards; ++i) {
-    ShardSnapshot shard;
-    shard.shard = dec.u32();
-    shard.name = dec.str();
-    const std::uint32_t model_len = dec.u32();
-    shard.model.resize(model_len);
-    for (std::uint32_t b = 0; b < model_len; ++b) shard.model[b] = dec.u8();
-    shard.model_digest = dec.u64();
-    const std::uint32_t gauges = dec.u32();
-    shard.gauges.reserve(gauges);
-    for (std::uint32_t g = 0; g < gauges; ++g) {
-      GaugeState state;
-      state.id = dec.str();
-      state.live = dec.boolean();
-      state.suspect = dec.boolean();
-      state.last_report = dec.sim_time();
-      shard.gauges.push_back(std::move(state));
-    }
-    shard.health = dec.u8();
-    const std::uint32_t streams = dec.u32();
-    shard.rng_streams.reserve(streams);
-    for (std::uint32_t s = 0; s < streams; ++s) {
-      Rng::State st;
-      for (auto& word : st.s) word = dec.u64();
-      st.have_spare = dec.boolean();
-      st.spare = dec.f64();
-      shard.rng_streams.push_back(st);
-    }
-    shard.repairs_committed = dec.u64();
-    snap.shards.push_back(std::move(shard));
-  }
+  fields(dec, snap);
   if (!dec.done()) throw DurabilityError("trailing bytes in snapshot");
   return snap;
 }

@@ -142,7 +142,7 @@ class FlowNetwork {
 
   /// Residual bandwidth a new flow from src to dst would observe: the
   /// minimum over path channels of (capacity - background - transfer usage),
-  /// floored at `floor` so log-scale plots behave (the paper's Figure 10
+  /// floored at 100 bps so log-scale plots behave (the paper's Figure 10
   /// bottoms out around 100 bps). This is the Remos estimate.
   Bandwidth available_bandwidth(NodeId src, NodeId dst) const;
 
@@ -151,14 +151,6 @@ class FlowNetwork {
 
   const Topology& topology() const { return topo_; }
   const FlowNetworkStats& stats() const { return stats_; }
-
-  /// Floor for available_bandwidth reporting (default 100 bps).
-  void set_available_floor(Bandwidth floor) { floor_ = floor; }
-  /// Delay for src==dst transfers (default 1 ms). The getter doubles as the
-  /// minimum delivery delay through this network — no transfer completes in
-  /// less — which is what SimCoordinator's lookahead derivation consumes.
-  void set_loopback_delay(SimTime d) { loopback_delay_ = d; }
-  SimTime loopback_delay() const { return loopback_delay_; }
 
  private:
   struct Transfer {
@@ -213,8 +205,8 @@ class FlowNetwork {
   std::vector<Transfer*> still_;
   std::vector<Transfer*> frozen_now_;
   FlowId next_id_ = 1;
-  Bandwidth floor_ = Bandwidth::bps(100.0);
-  SimTime loopback_delay_ = SimTime::millis(1.0);
+  Bandwidth floor_ = Bandwidth::bps(100.0);  ///< available_bandwidth floor
+  SimTime loopback_delay_ = SimTime::millis(1.0);  ///< src == dst transfers
   FlowNetworkStats stats_;
 };
 

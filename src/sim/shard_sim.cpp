@@ -4,10 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <exception>
 #include <future>
-#include <string>
 
 namespace arcadia::sim {
 
@@ -20,8 +18,6 @@ SimCoordinator::~SimCoordinator() = default;
 ShardSimulator& SimCoordinator::add_shard() {
   const auto id = static_cast<std::uint32_t>(shards_.size());
   shards_.push_back(std::make_unique<ShardSimulator>(id));
-  outbox_.emplace_back();
-  mail_seq_.push_back(0);
   return *shards_.back();
 }
 
@@ -31,17 +27,6 @@ unsigned SimCoordinator::effective_threads() const {
   // More workers than shards never helps: a shard is serial in a window.
   return static_cast<unsigned>(
       std::min<std::size_t>(t, std::max<std::size_t>(1, shards_.size())));
-}
-
-void SimCoordinator::post(std::uint32_t from, std::uint32_t to, SimTime at,
-                          util::SmallFn<void()> fn) {
-  if (from >= shards_.size() || to >= shards_.size()) {
-    throw SimError("SimCoordinator::post: bad shard id " +
-                   std::to_string(from) + " -> " + std::to_string(to));
-  }
-  assert(util::SerialLane::current() == shards_[from]->lane() &&
-         "post() must be called from the source shard's lane");
-  outbox_[from].push_back(Mail{at, from, to, mail_seq_[from]++, std::move(fn)});
 }
 
 void SimCoordinator::advance_all(SimTime bound) {
@@ -86,55 +71,18 @@ void SimCoordinator::advance_all(SimTime bound) {
   if (err) std::rethrow_exception(err);
 }
 
-void SimCoordinator::deliver_mail(SimTime bound) {
-  std::size_t total = 0;
-  for (const auto& box : outbox_) total += box.size();
-  if (total == 0) return;
-  std::vector<Mail> merged;
-  merged.reserve(total);
-  for (auto& box : outbox_) {
-    for (auto& m : box) merged.push_back(std::move(m));
-    box.clear();
-  }
-  // (at, from, seq) is a total order independent of which worker ran which
-  // shard; scheduling in this order fixes the target-side FIFO tie-break.
-  std::sort(merged.begin(), merged.end(), [](const Mail& a, const Mail& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.from != b.from) return a.from < b.from;
-    return a.seq < b.seq;
-  });
-  for (auto& m : merged) {
-    if (m.at < bound) {
-      throw SimError("cross-shard mail at t=" +
-                     std::to_string(m.at.as_seconds()) +
-                     "s violates lookahead (barrier bound t=" +
-                     std::to_string(bound.as_seconds()) + "s)");
-    }
-    shards_[m.to]->sim().schedule_at(m.at, std::move(m.fn));
-  }
-  stats_.mail_delivered += total;
-}
-
 std::uint64_t SimCoordinator::run_until(SimTime horizon) {
   std::uint64_t ran = 0;
   while (control_.now() < horizon) {
     // Conservative bound: nothing can affect another shard strictly before
-    // it. Control events (sweeps, snapshots) are the only coupling in the
-    // fleet; post() mail additionally respects the configured lookahead.
-    SimTime bound = horizon;
-    const SimTime ctl = control_.peek_next_time();
-    if (ctl < bound) bound = ctl;
-    if (!options_.lookahead.is_infinite()) {
-      const SimTime reach = control_.now() + options_.lookahead;
-      if (reach < bound) bound = reach;
-    }
+    // it. Control events (sweeps, snapshots) are the only coupling.
+    const SimTime bound = std::min(control_.peek_next_time(), horizon);
     const std::uint64_t before = stats_.shard_events;
     advance_all(bound);
     std::uint64_t after = 0;
     for (const auto& s : shards_) after += s->events();
     stats_.shard_events = after;
     ran += after - before;
-    deliver_mail(bound);
     if (barrier_hook_) barrier_hook_(bound);
     const std::uint64_t ctl_ran = control_.run_until(bound);
     stats_.control_events += ctl_ran;

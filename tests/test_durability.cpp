@@ -1,7 +1,8 @@
 // The durability plane's building blocks: the binary codec, journal frame
 // round-trips, the torn-write recovery corpus (truncate/corrupt a golden
 // journal at every offset class and recover the valid prefix — never
-// crash), the model codec + digest + diff, snapshot round-trip/retention,
+// crash), byte pins of every journal record type and of a snapshot, the
+// model codec + digest + diff, snapshot round-trip/retention,
 // journal replay, the plane's gauge coalescing and group commit, RNG state
 // checkpointing, the fault plane's disconnect-window close-out (straddling
 // windows must not survive finalize), and the suite CSV's failed column.
@@ -275,6 +276,173 @@ TEST(JournalTest, TornWriteCorpusRecoversValidPrefix) {
   const JournalReadResult p = read_journal_bytes(corrupt);
   EXPECT_TRUE(p.torn);
   EXPECT_EQ(p.records.size(), 2u);
+}
+
+// A CRC-valid frame whose payload runs past its body is refused like any
+// other undecodable frame: the reader keeps the valid prefix and stops.
+TEST(JournalTest, TrailingBytesInAFrameAreUndecodable) {
+  std::vector<std::uint8_t> bytes = journal_header();
+  const std::vector<std::uint8_t> good = encode_frame(make_op_batch(1));
+  bytes.insert(bytes.end(), good.begin(), good.end());
+  const std::size_t prefix = bytes.size();
+
+  // Frame 2 with one byte appended to its payload; length and CRC re-sealed.
+  const std::vector<std::uint8_t> frame = encode_frame(make_op_batch(2));
+  std::vector<std::uint8_t> payload(frame.begin() + 8, frame.end());
+  payload.push_back(0);
+  Encoder resealed;
+  resealed.u32(static_cast<std::uint32_t>(payload.size()));
+  resealed.u32(crc32(payload.data(), payload.size()));
+  resealed.raw(payload);
+  bytes.insert(bytes.end(), resealed.bytes().begin(), resealed.bytes().end());
+
+  const JournalReadResult r = read_journal_bytes(bytes);
+  EXPECT_TRUE(r.torn);
+  ASSERT_EQ(r.records.size(), 1u);
+  EXPECT_EQ(r.records[0].lsn, 1u);
+  EXPECT_EQ(r.valid_bytes, prefix);
+  EXPECT_NE(r.warning.find("undecodable frame"), std::string::npos)
+      << r.warning;
+}
+
+// ---- format pins ---------------------------------------------------------
+//
+// Exact byte size and FNV-1a digest of one frame per record type and of a
+// two-shard snapshot. The durable formats are positional, so any change to a
+// field's order, width or presence moves these; a format change must bump
+// the container version, not slip past the round-trip tests.
+
+model::OpRecord make_op(model::OpKind kind, int i) {
+  model::OpRecord op;
+  op.kind = kind;
+  op.scope = {"Grp", "rep" + std::to_string(i)};
+  op.element = "elem" + std::to_string(i);
+  op.sub = "sub" + std::to_string(i);
+  op.type_name = "Type" + std::to_string(i);
+  op.property = "prop" + std::to_string(i);
+  op.value = model::PropertyValue(static_cast<std::int64_t>(i) * 3);
+  op.attachment = {"C" + std::to_string(i), "p", "K", "r"};
+  op.element_kind = static_cast<model::ElementKind>(i % 5);
+  op.prev_value = model::PropertyValue(0.5 * i);
+  op.had_prev = (i % 2) == 1;
+  return op;
+}
+
+std::vector<JournalRecord> format_records() {
+  std::vector<JournalRecord> records;
+
+  JournalRecord ops;
+  ops.type = RecordType::OpBatch;
+  ops.lsn = 101;
+  ops.at = SimTime::micros(1234567);
+  ops.shard = 2;
+  ops.repair_index = 17;
+  ops.compensation = true;
+  for (int k = 0; k <= static_cast<int>(model::OpKind::SetProperty); ++k) {
+    ops.ops.push_back(make_op(static_cast<model::OpKind>(k), k));
+  }
+  records.push_back(ops);
+
+  JournalRecord plan;
+  plan.type = RecordType::PlanEvent;
+  plan.lsn = 102;
+  plan.at = SimTime::seconds(13);
+  plan.shard = 1;
+  plan.phase = "repair.completed";
+  plan.repair_index = 18;
+  plan.plan_steps = 4;
+  records.push_back(plan);
+
+  JournalRecord gauges;
+  gauges.type = RecordType::GaugeBatch;
+  gauges.lsn = 103;
+  gauges.at = SimTime::seconds(14);
+  gauges.shard = 3;
+  gauges.gauges = {
+      {SimTime::seconds(10), "Conn", "clientSide", "up", events::Value(true)},
+      {SimTime::seconds(11), "Grp", "", "replication",
+       events::Value(std::int64_t{-3})},
+      {SimTime::seconds(12), "Grp", "", "load", events::Value(0.9)},
+      {SimTime::seconds(13), "User", "", "state",
+       events::Value(util::Symbol::intern("overloaded"))},
+      {SimTime::seconds(14), "User", "", "note",
+       events::Value(std::string("free text"))}};
+  records.push_back(gauges);
+
+  JournalRecord rng;
+  rng.type = RecordType::RngPositions;
+  rng.lsn = 104;
+  rng.at = SimTime::seconds(15);
+  rng.rng_streams = {Rng::State{{1, 2, 3, 4}, false, 0.0},
+                     Rng::State{{~0ull, 5, 0x1234, 7}, true, -1.25}};
+  records.push_back(rng);
+
+  JournalRecord mark;
+  mark.type = RecordType::SnapshotMark;
+  mark.lsn = 105;
+  mark.at = SimTime::seconds(16);
+  mark.snapshot_lsn = 104;
+  mark.snapshot_file = "snap-0000000000000104.arcs";
+  mark.model_digest = 0xFEEDFACEull;
+  records.push_back(mark);
+  return records;
+}
+
+TEST(DurabilityFormatTest, JournalFramesArePinned) {
+  struct Pin {
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {1104, 0x187db3373ea36a52ull},  // OpBatch
+      {65, 0xf0695b6cfc702e75ull},  // PlanEvent
+      {236, 0xfcc8ec9073c128f1ull},  // GaugeBatch
+      {115, 0x5e3bfd280cf8d8d3ull},  // RngPositions
+      {75, 0x909225c8f9ab89f3ull},  // SnapshotMark
+  };
+  const std::vector<JournalRecord> records = format_records();
+  ASSERT_EQ(records.size(), std::size(pins));
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::vector<std::uint8_t> frame = encode_frame(records[i]);
+    EXPECT_EQ(frame.size(), pins[i].size) << to_string(records[i].type);
+    EXPECT_EQ(fnv1a(frame), pins[i].digest)
+        << to_string(records[i].type) << std::hex << " digest 0x"
+        << fnv1a(frame);
+
+    // Decoding restores every field: re-encoding what was read reproduces
+    // the frame byte for byte.
+    std::vector<std::uint8_t> journal = journal_header();
+    journal.insert(journal.end(), frame.begin(), frame.end());
+    const JournalReadResult read = read_journal_bytes(journal);
+    ASSERT_EQ(read.records.size(), 1u) << read.warning;
+    EXPECT_EQ(encode_frame(read.records[0]), frame)
+        << to_string(records[i].type);
+  }
+}
+
+TEST(DurabilityFormatTest, SnapshotIsPinned) {
+  Snapshot snap;
+  snap.lsn = 4242;
+  snap.at = SimTime::micros(987654321);
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    ShardSnapshot shard;
+    shard.shard = s + 5;
+    shard.name = "tenant-" + std::to_string(s);
+    shard.model = {0x00, 0x7F, 0x80, 0xFF, static_cast<std::uint8_t>(s)};
+    shard.model_digest = 0x0123456789ABCDEFull + s;
+    shard.gauges = {{"g-load", true, false, SimTime::seconds(59)},
+                    {"g-bw", false, true, SimTime::millis(58250 + s)}};
+    shard.health = static_cast<std::uint8_t>(s + 1);
+    shard.rng_streams = {Rng::State{{9, 8, 7, 6 + s}, true, 0.125},
+                         Rng::State{{1, 1, 2, 3}, false, 0.0}};
+    shard.repairs_committed = 7 + s;
+    snap.shards.push_back(std::move(shard));
+  }
+  const std::vector<std::uint8_t> bytes = encode_snapshot(snap);
+  EXPECT_EQ(bytes.size(), 372u);
+  EXPECT_EQ(fnv1a(bytes), 0xda6e81ed0ca9ab4cull)
+      << std::hex << "0x" << fnv1a(bytes);
+  EXPECT_EQ(encode_snapshot(decode_snapshot(bytes)), bytes);
 }
 
 // ---- model codec ---------------------------------------------------------

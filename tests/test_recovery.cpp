@@ -1,9 +1,10 @@
-// Crash recovery end to end: the manifest codec, restore_run's refusal
-// modes, the recovery property over three stressed profiles (a run killed
-// at seeded sim-times — including between a snapshot's tmp write and its
-// rename — restores, re-converges, and ends bit-identical to an uncrashed
-// run), and the fleet's sweep-thread independence (the shared journal's
-// bytes must not depend on detect-phase parallelism).
+// Crash recovery end to end: the manifest codec and its byte pin,
+// restore_run's refusal modes, the recovery property over three stressed
+// profiles (a run killed at seeded sim-times — including between a
+// snapshot's tmp write and its rename — restores, re-converges, and ends
+// bit-identical to an uncrashed run), and the fleet's sweep-thread
+// independence (the shared journal's bytes must not depend on detect-phase
+// parallelism).
 //
 // These are simulation-heavy tests (each recovery segment re-executes from
 // t = 0); horizons are compressed the same way examples/fault_smoke.cpp
@@ -134,6 +135,155 @@ TEST(ManifestTest, RefusesOtherManifestVersions) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(ManifestTest, RefusesOutOfRangeVerifyMode) {
+  const std::string dir = scratch_dir("manifest-verify-mode");
+  Manifest m;
+  m.scenario = "lossy-grid";
+  m.config = sim::scenario_defaults("lossy-grid");
+  m.framework.durability.dir = "d";
+  write_manifest(dir, m);
+  const std::string path = dir + "/" + kManifestFile;
+  std::vector<std::uint8_t> bytes = durability::read_file(path);
+
+  // The VerifyMode byte sits just before the durability options: dir (u32
+  // length + 1 byte), snapshot_period (8), retention (4), gauge_batch_cap
+  // (4), sync_interval (8), then the 4-byte CRC.
+  const std::size_t verify_at = bytes.size() - 4 - 8 - 4 - 4 - 8 - 5 - 1;
+  ASSERT_EQ(bytes[verify_at], static_cast<std::uint8_t>(VerifyMode::Warn));
+  bytes[verify_at] = 9;
+  bytes.resize(bytes.size() - 4);
+  durability::Encoder crc;
+  crc.u32(durability::crc32(bytes.data(), bytes.size()));
+  bytes.insert(bytes.end(), crc.bytes().begin(), crc.bytes().end());
+  durability::write_file_atomic(path, bytes);
+
+  EXPECT_THROW(read_manifest(dir), durability::DurabilityError);
+}
+
+/// A manifest in which every encoded field differs from its default, so the
+/// pin below moves if any field is dropped, reordered or re-typed.
+Manifest every_field_set() {
+  Manifest m;
+  m.scenario = "lossy-grid";
+  sim::ScenarioConfig& c = m.config;
+  c.seed = 4711;
+  c.horizon = SimTime::seconds(901);
+  c.quiescent_end = SimTime::seconds(121);
+  c.stress_start = SimTime::seconds(601);
+  c.stress_end = SimTime::seconds(1201);
+  c.normal_rate_hz = 1.5;
+  c.stress_rate_hz = 2.5;
+  c.request_size = DataSize::bytes(513);
+  c.normal_response_mean = DataSize::kilobytes(11);
+  c.stress_response_size = DataSize::kilobytes(21);
+  c.normal_response_sigma = 0.55;
+  c.service_base = SimTime::millis(51);
+  c.service_per_kb = SimTime::millis(21);
+  c.service_sigma = 0.25;
+  c.link_capacity = Bandwidth::mbps(11.0);
+  c.comp_sg1_phase1_mbps = 9.5;
+  c.comp_sg1_stress_mbps = 5.5;
+  c.comp_sg1_final_mbps = 3.5;
+  c.comp_sg2_phase1_mbps = 3.25;
+  c.comp_sg2_stress_mbps = 2.25;
+  c.comp_sg2_final_mbps = 0.75;
+  c.comp_bidirectional = true;
+  c.thresholds.max_latency = SimTime::millis(2100);
+  c.thresholds.max_server_load = 6.5;
+  c.thresholds.min_bandwidth = Bandwidth::kbps(11.0);
+  c.thresholds.min_utilization = 0.21;
+  fault::FaultProfile& f = c.fault;
+  f.enabled = true;
+  f.seed = 0xBEEF;
+  f.monitoring.report_loss = 0.01;
+  f.monitoring.report_dup = 0.02;
+  f.monitoring.report_delay = 0.03;
+  f.monitoring.delay_min = SimTime::millis(1100);
+  f.monitoring.delay_max = SimTime::millis(5100);
+  f.monitoring.channel_disconnect = 0.04;
+  f.monitoring.disconnect_min = SimTime::seconds(11);
+  f.monitoring.disconnect_max = SimTime::seconds(31);
+  f.repair.op_transient = 0.05;
+  f.repair.op_permanent = 0.06;
+  f.repair.permanent_from = SimTime::seconds(100);
+  f.repair.permanent_until = SimTime::seconds(200);
+  f.repair.op_stall = 0.07;
+  f.repair.stall_min = SimTime::seconds(21);
+  f.repair.stall_max = SimTime::seconds(41);
+  f.fleet.tenant_crash = 0.08;
+  f.fleet.crash_min = SimTime::seconds(61);
+  f.fleet.crash_max = SimTime::seconds(181);
+  f.fleet.crash_duration = SimTime::seconds(62);
+  c.grid = {5, 3, 17, 5, 3};
+  c.flash = {SimTime::seconds(301), SimTime::seconds(601), 6.5};
+  c.churn = {SimTime::seconds(241), SimTime::seconds(301),
+             SimTime::seconds(121), 4};
+  c.fleet = {5, 2, SimTime::seconds(61), SimTime::seconds(400)};
+
+  FrameworkConfig& w = m.framework;
+  w.profile.max_latency = SimTime::millis(2200);
+  w.profile.max_server_load = 7.0;
+  w.profile.min_bandwidth = Bandwidth::kbps(12.0);
+  w.profile.min_utilization = 0.22;
+  w.profile.min_replicas = 3;
+  w.use_script = false;
+  w.script_source = "tactic t() : boolean = { return true; }";
+  w.policy_name = "worst-first";
+  w.damping = false;
+  w.settle_time = SimTime::seconds(31);
+  w.abort_cooldown = SimTime::seconds(61);
+  w.load_improvement = 2.5;
+  w.plan_pipeline = false;
+  w.plan_preemption = true;
+  w.plan_preempt_factor = 2.5;
+  w.gauge_caching = true;
+  w.gauge_costs.report_period = SimTime::seconds(6);
+  w.gauge_costs.create_cost = SimTime::seconds(13);
+  w.gauge_costs.destroy_cost = SimTime::seconds(4);
+  w.gauge_costs.relocate_cost = SimTime::seconds(2);
+  w.gauge_costs.watchdog_period = SimTime::seconds(7);
+  w.gauge_costs.stale_after = SimTime::seconds(16);
+  w.remos_prequery = false;
+  w.monitoring_qos = true;
+  w.bus_base_delay = SimTime::millis(55);
+  w.probe_period = SimTime::millis(1100);
+  w.gauge_window = SimTime::seconds(33);
+  w.check_period = SimTime::millis(5500);
+  w.first_check = SimTime::seconds(16);
+  w.fault = f;
+  w.fault.seed = 0xCAFE;
+  w.retry.max_attempts = 5;
+  w.retry.backoff_base = SimTime::seconds(3);
+  w.retry.backoff_multiplier = 2.5;
+  w.retry.backoff_max = SimTime::seconds(65);
+  w.retry.jitter = 0.3;
+  w.retry.jitter_seed = 0x5EED;
+  w.retry.op_timeout = SimTime::seconds(45);
+  w.verify = VerifyMode::Error;
+  w.durability.dir = "format-pin";
+  w.durability.snapshot_period = SimTime::seconds(121);
+  w.durability.retention = 4;
+  w.durability.gauge_batch_cap = 257;
+  w.durability.sync_interval = SimTime::seconds(31);
+  return m;
+}
+
+TEST(DurabilityFormatTest, ManifestIsPinned) {
+  const std::string dir = scratch_dir("manifest-format");
+  write_manifest(dir, every_field_set());
+  const std::vector<std::uint8_t> bytes =
+      durability::read_file(dir + "/" + kManifestFile);
+  EXPECT_EQ(bytes.size(), 997u);
+  EXPECT_EQ(durability::fnv1a(bytes), 0x2f7d8d77e7b13b81ull)
+      << std::hex << "0x" << durability::fnv1a(bytes);
+
+  // Decoding restores every field: re-encoding what was read reproduces
+  // the file byte for byte.
+  const std::string again = scratch_dir("manifest-format-again");
+  write_manifest(again, read_manifest(dir));
+  EXPECT_EQ(durability::read_file(again + "/" + kManifestFile), bytes);
 }
 
 // ---- the recovery property ----------------------------------------------

@@ -494,7 +494,8 @@ std::vector<Finding> lint_source(std::string_view path,
     // shard-isolation: files under src/sim/ marked `// arclint: shard` (the
     // sharded simulation kernel) may not reach into the fleet control plane
     // or the global buses — cross-shard effects must route through the
-    // coordinator seam (mail, barrier hook) or the window bound breaks.
+    // coordinator seam (control-simulator events, the barrier hook) or the
+    // window bound breaks.
     {
       bool hit = contains_word(line, "FleetManager") ||
                  contains_word(line, "EventBus") ||
@@ -507,9 +508,9 @@ std::vector<Finding> lint_source(std::string_view path,
       }
       check(6, hit,
             "shard-kernel file touches the fleet control plane / global "
-            "buses; route cross-shard effects through SimCoordinator mail "
-            "or the barrier hook so the conservative window bound stays "
-            "sound");
+            "buses; route cross-shard effects through control-simulator "
+            "events or the SimCoordinator barrier hook so the conservative "
+            "window bound stays sound");
     }
 
     // one-loop: a gauge report/lifecycle topic subscription outside the

@@ -35,10 +35,10 @@
 //                         and no quoted include of core/fleet_manager.hpp,
 //                         core/fleet.hpp, events/bus.hpp, or
 //                         durability/plane.hpp. Cross-shard effects route
-//                         through the SimCoordinator seam (mail, barrier
-//                         hook); a kernel that reaches into the control
-//                         plane directly invalidates the conservative
-//                         window bound.
+//                         through the SimCoordinator seam (control-
+//                         simulator events, the barrier hook); a kernel
+//                         that reaches into the control plane directly
+//                         invalidates the conservative window bound.
 //   one-loop              Under src/, only core/fleet_manager.cpp may
 //                         subscribe to the gauge report or gauge lifecycle
 //                         topic (a `topic(...)` call naming kGaugeReport /
