@@ -239,8 +239,6 @@ core::ExperimentSuite paper_suite() {
             }));
   suite.add("damping off",
             paper([](Options& o) { o.framework.damping = false; }));
-  suite.add("native C++ strategies",
-            paper([](Options& o) { o.framework.use_script = false; }));
   suite.add("figure-5 strict script", paper([](Options& o) {
               o.framework.script_source = acme::figure5_script();
             }));
@@ -721,7 +719,7 @@ void ablations(Claims& claims,
             << "+servers" << "move-backs\n";
   for (const char* label :
        {"adaptive", "worst-client-first", "damping off",
-        "native C++ strategies", "figure-5 strict script", "latency bound 4 s",
+        "figure-5 strict script", "latency bound 4 s",
         "heavy stress, damped", "heavy stress, damping off"}) {
     const Result& r = run(label);
     std::cout << std::left << std::setw(30) << label << std::setw(11)
@@ -741,13 +739,6 @@ void ablations(Claims& claims,
                      base.mean_fraction_above()),
                le(1, "x of first-reported"),
                "fixing the worst client first is the smarter scheme");
-  claims.check("ablation.native_commit_delta",
-               static_cast<double>(
-                   run("native C++ strategies").repair_stats.committed) -
-                   static_cast<double>(base.repair_stats.committed),
-               eq(0, "repairs"),
-               "(reproduction) native C++ strategies enact the same "
-               "repairs as the script");
   claims.check("ablation.damping_off_attempts",
                ratio(repair_attempts(run("damping off")),
                      repair_attempts(base)),

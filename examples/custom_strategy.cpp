@@ -1,33 +1,69 @@
-// Authoring a custom repair strategy through the repair registries — no
-// engine subclassing, no rewiring. A "conservative" native strategy that
-// never recruits spare servers (it only sheds load by moving clients) is
-// registered under the constraint's handler name, and a custom violation
-// policy under its own name; the framework picks both up by string key.
-// The demo runs the default strategy and the conservative one and compares.
+// Authoring a custom repair strategy: repairs are scripts in the paper's
+// repair language (Figure 5), so a different adaptation policy is a
+// different script passed through FrameworkConfig::script_source — no
+// engine subclassing, no rewiring, and the manifest journals the source.
+//
+// The custom script below is "conservative": its fixLatency never recruits
+// spare servers (it only moves clients: fixBandwidth, then fixLoadByMove),
+// and it leaves out the trimServers invariant, so cost trimming never
+// fires. The demo runs the default script and the conservative one and
+// compares. Exits 1 unless the conservative run recruits zero servers and
+// the default run commits at least one repair.
 //
 // This is the externalized-adaptation payoff the paper argues for:
-// changing the adaptation policy is registering a strategy, not editing
-// the application or the framework.
+// changing the adaptation policy is editing a script, not the application
+// or the framework.
 #include <iostream>
 
 #include "core/experiment.hpp"
 #include "core/report.hpp"
-#include "repair/registry.hpp"
-#include "repair/strategy.hpp"
 
 namespace {
 
 using namespace arcadia;
 
 /// Never add servers; rebalance across the groups we already pay for.
-repair::CxxStrategy conservative_fix_latency() {
-  repair::CxxStrategy s;
-  s.name = "fixLatency";  // shadow the handler the constraints invoke
-  s.policy = repair::StrategyPolicy::FirstSuccess;
-  s.tactics.push_back({"fixBandwidth", repair::tactic_fix_bandwidth});
-  s.tactics.push_back({"shedLoad", repair::tactic_fix_load_by_move});
-  return s;
+const char* kConservativeScript = R"script(
+invariant r : averageLatency <= maxLatency !-> fixLatency(r);
+
+strategy fixLatency(badClient : ClientT) = {
+  if (fixBandwidth(badClient, roleOf(badClient))) {
+    commit repair;
+  } else if (fixLoadByMove(badClient)) {
+    commit repair;
+  } else {
+    abort NoApplicableTactic;
+  }
 }
+
+tactic fixBandwidth(client : ClientT, role : ClientRoleT) : boolean = {
+  if (role.bandwidth >= minBandwidth) {
+    return false;
+  }
+  let goodSGrp : ServerGroupT = findGoodSGrp(client, minBandwidth);
+  if (goodSGrp != nil) {
+    client.move(goodSGrp);
+    return true;
+  }
+  return false;
+}
+
+tactic fixLoadByMove(client : ClientT) : boolean = {
+  let current : ServerGroupT = groupOf(client);
+  if (current == nil) {
+    return false;
+  }
+  if (current.load <= maxServerLoad) {
+    return false;
+  }
+  let target : ServerGroupT = findLessLoadedSGrp(client, current);
+  if (target == nil) {
+    return false;
+  }
+  client.move(target);
+  return true;
+}
+)script";
 
 void summarize(const char* name, const core::ExperimentResult& r) {
   std::cout << name << ": fraction above 2 s = " << r.mean_fraction_above()
@@ -39,49 +75,31 @@ void summarize(const char* name, const core::ExperimentResult& r) {
 }  // namespace
 
 int main() {
-  std::cout << "=== Custom repair strategy via StrategyRegistry ===\n\n";
-
-  // A custom violation policy, selectable by name anywhere a
-  // FrameworkConfig travels: repair the *least* recently reported
-  // violation last, i.e. keep the paper's first-reported order but skip
-  // utilization constraints (cost trimming) entirely.
-  repair::PolicyRegistry::instance().add_or_replace(
-      "latency-only",
-      [](const std::vector<const repair::Violation*>& candidates)
-          -> std::size_t {
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-          if (candidates[i]->constraint->handler != "trimServers") return i;
-        }
-        return candidates.size();  // only trims pending: decline
-      });
+  std::cout << "=== Custom repair strategy as a script ===\n\n";
 
   core::ExperimentOptions defaults = core::options_for("paper-fig6");
   defaults.adaptation = true;
-  defaults.framework.use_script = false;  // native registry strategies
   core::ExperimentResult standard = core::run_experiment(defaults);
 
-  // Shadow the stock fixLatency with the conservative variant; every
-  // engine assembled afterwards resolves the new one by name.
-  repair::CxxStrategy original =
-      repair::StrategyRegistry::instance().at("fixLatency");
-  repair::StrategyRegistry::instance().add_or_replace(
-      conservative_fix_latency());
-
   core::ExperimentOptions conservative = defaults;
-  conservative.framework.policy_name = "latency-only";
+  conservative.framework.script_source = kConservativeScript;
   core::ExperimentResult cheap = core::run_experiment(conservative);
-
-  repair::StrategyRegistry::instance().add_or_replace(original);  // restore
 
   summarize("default (grow + move)   ", standard);
   summarize("conservative (move only)", cheap);
 
-  std::cout << "\nThe conservative policy spends zero extra servers";
-  if (cheap.repair_stats.servers_added == 0) {
-    std::cout << " (verified)";
-  }
-  std::cout << ",\nbut leaves more of the stress phase above the latency "
+  const bool ok = cheap.repair_stats.servers_added == 0 &&
+                  standard.repair_stats.committed > 0;
+  std::cout << "\nThe conservative script spends zero extra servers"
+            << (cheap.repair_stats.servers_added == 0 ? " (verified)" : "")
+            << ",\nbut leaves more of the stress phase above the latency "
                "bound:\n\n";
   core::print_load_figure(std::cout, cheap, SimTime::seconds(120));
+  if (!ok) {
+    std::cerr << "custom_strategy: expected zero recruited servers from the "
+                 "move-only script and at least one committed repair from "
+                 "the default\n";
+    return 1;
+  }
   return 0;
 }

@@ -5,7 +5,7 @@
 //   quickstart                      # shortened paper experiment
 //   quickstart --scenario flash-crowd
 //   quickstart --list               # the scenario catalog
-//   quickstart --policy worst-first # violation policy by registry name
+//   quickstart --policy worst-first # or first-reported (the default)
 //   quickstart --builder            # the 10-line FrameworkBuilder loop
 //   quickstart --full --control --verbose
 #include <iostream>
@@ -14,7 +14,7 @@
 #include "core/experiment.hpp"
 #include "core/framework_builder.hpp"
 #include "core/report.hpp"
-#include "repair/registry.hpp"
+#include "repair/engine.hpp"
 #include "sim/scenario_registry.hpp"
 #include "util/log.hpp"
 
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   core::ExperimentOptions options;
   try {
     options = core::options_for(scenario);
-    repair::PolicyRegistry::instance().at(policy);
+    repair::violation_chooser(policy);
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -110,7 +110,6 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
   engine_cfg.damping = config_.damping;
   engine_cfg.settle_time = config_.settle_time;
   engine_cfg.abort_cooldown = config_.abort_cooldown;
-  engine_cfg.use_script = config_.use_script;
   engine_cfg.use_plan = config_.plan_pipeline;
   engine_cfg.preemption = config_.plan_preemption;
   engine_cfg.preempt_factor = config_.plan_preempt_factor;
@@ -307,8 +306,7 @@ void Framework::start() {
   }
 
   ARC_INFO << "framework: started (" << gauge_manager_->gauge_count()
-           << " gauges deploying, script="
-           << (config_.use_script ? "interpreted" : "native") << ")";
+           << " gauges deploying)";
 
   // Semantic verification over the assembled deployment: script effect/flow
   // rules plus the cross-artifact checks (constraints vs gauge feeds,

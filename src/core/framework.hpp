@@ -42,13 +42,12 @@ enum class VerifyMode {
 struct FrameworkConfig {
   task::PerformanceProfile profile;
 
-  /// Interpreted script strategies (default) vs native C++ strategies
-  /// (resolved through repair::StrategyRegistry).
-  bool use_script = true;
-  /// Repair-script source; empty selects repair::extended_script().
+  /// Repair-script source; empty selects repair::extended_script(). Every
+  /// repair strategy runs as this script.
   std::string script_source;
 
-  /// Registry name of the violation policy (repair::PolicyRegistry).
+  /// Violation policy (repair::violation_chooser): "first-reported" or
+  /// "worst-first".
   std::string policy_name = "first-reported";
   bool damping = true;
   SimTime settle_time = SimTime::seconds(30);

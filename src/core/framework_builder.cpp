@@ -1,6 +1,6 @@
 #include "core/framework_builder.hpp"
 
-#include "repair/registry.hpp"
+#include "repair/engine.hpp"
 
 namespace arcadia::core {
 
@@ -19,19 +19,13 @@ FrameworkBuilder& FrameworkBuilder::with_profile(
 }
 
 FrameworkBuilder& FrameworkBuilder::with_script(std::string source) {
-  config_.use_script = true;
   config_.script_source = std::move(source);
-  return *this;
-}
-
-FrameworkBuilder& FrameworkBuilder::with_native_strategies() {
-  config_.use_script = false;
   return *this;
 }
 
 FrameworkBuilder& FrameworkBuilder::with_policy(std::string policy_name) {
   // Fail at configuration time, not mid-run.
-  repair::PolicyRegistry::instance().at(policy_name);
+  repair::violation_chooser(policy_name);
   config_.policy_name = std::move(policy_name);
   return *this;
 }

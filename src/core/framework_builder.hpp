@@ -30,13 +30,9 @@ class FrameworkBuilder {
   FrameworkBuilder& with_config(FrameworkConfig config);
   /// Task-layer objectives (latency bound, load/bandwidth thresholds).
   FrameworkBuilder& with_profile(task::PerformanceProfile profile);
-  /// Interpreted repair-script source (selects the script path).
+  /// Repair-script source: the strategies and tactics every repair runs.
   FrameworkBuilder& with_script(std::string source);
-  /// Run native C++ strategies from repair::StrategyRegistry instead of
-  /// the interpreted script.
-  FrameworkBuilder& with_native_strategies();
-  /// Violation policy by registry name ("first-reported", "worst-first",
-  /// or a user-registered one).
+  /// Violation policy by name: "first-reported" or "worst-first".
   FrameworkBuilder& with_policy(std::string policy_name);
   /// Startup semantic verification behavior (arcverify's in-process hook):
   /// Off, Warn (default — log issues), or Error (fail start() on any

@@ -15,7 +15,7 @@ namespace arcadia::core {
 namespace {
 
 constexpr char kManifestMagic[4] = {'A', 'R', 'C', 'M'};
-constexpr std::uint32_t kManifestVersion = 3;
+constexpr std::uint32_t kManifestVersion = 4;
 
 using durability::Decoder;
 using durability::DurabilityError;
@@ -102,7 +102,6 @@ void fields(Io& io, T& f) {
   io.bandwidth(f.profile.min_bandwidth);
   io.f64(f.profile.min_utilization);
   io.i64(f.profile.min_replicas);
-  io.boolean(f.use_script);
   io.str(f.script_source);
   io.str(f.policy_name);
   io.boolean(f.damping);

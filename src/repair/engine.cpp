@@ -5,10 +5,28 @@
 #include "model/types.hpp"
 #include "monitor/topics.hpp"
 #include "repair/plan_optimizer.hpp"
-#include "repair/registry.hpp"
 #include "util/log.hpp"
 
 namespace arcadia::repair {
+
+ViolationChooser violation_chooser(const std::string& name) {
+  if (name == "first-reported") {
+    return [](const std::vector<const Violation*>&) -> std::size_t {
+      return 0;
+    };
+  }
+  if (name == "worst-first") {
+    return [](const std::vector<const Violation*>& candidates) -> std::size_t {
+      std::size_t best = 0;
+      for (std::size_t i = 1; i < candidates.size(); ++i) {
+        if (candidates[i]->observed > candidates[best]->observed) best = i;
+      }
+      return best;
+    };
+  }
+  throw Error("unknown violation policy '" + name +
+              "' (catalog: first-reported worst-first)");
+}
 
 RepairEngine::RepairEngine(sim::Simulator& sim, model::System& root,
                            const acme::Script& script, RuntimeQueries* queries,
@@ -23,6 +41,7 @@ RepairEngine::RepairEngine(sim::Simulator& sim, model::System& root,
       gauges_(gauges),
       config_(config),
       interpreter_(root, script),
+      chooser_(violation_chooser(config_.policy_name)),
       executor_(sim, translator, gauges) {
   // The thrash bound in preempt_active needs a displaced violation to be
   // strictly less severe than its challenger, so it can never preempt back.
@@ -45,24 +64,6 @@ RepairEngine::RepairEngine(sim::Simulator& sim, model::System& root,
   interpreter_.bind_global(
       "minReplicas",
       acme::EvalValue(static_cast<double>(config_.min_replicas)));
-
-  // Seed the native catalog from the registry; add_strategy() entries
-  // shadow it per engine.
-  for (const std::string& name : StrategyRegistry::instance().names()) {
-    native_[name] = StrategyRegistry::instance().at(name);
-  }
-  chooser_ = PolicyRegistry::instance().at(config_.policy_name);
-}
-
-void RepairEngine::add_strategy(CxxStrategy strategy) {
-  native_[strategy.name] = std::move(strategy);
-}
-
-std::vector<std::string> RepairEngine::strategy_names() const {
-  std::vector<std::string> out;
-  out.reserve(native_.size());
-  for (const auto& [name, strategy] : native_) out.push_back(name);
-  return out;
 }
 
 bool RepairEngine::suppressed(util::Symbol element) const {
@@ -99,9 +100,7 @@ bool RepairEngine::handle_violations(const std::vector<Violation>& violations) {
     candidates.push_back(&v);
   }
   if (candidates.empty()) return false;
-  const std::size_t pick = chooser_(candidates);
-  if (pick >= candidates.size()) return false;  // the policy declined
-  const Violation& chosen = *candidates[pick];
+  const Violation& chosen = *candidates[chooser_(candidates)];
   if (busy_) {
     // Preemption: only for a strictly worse violation than the one the
     // active plan is repairing. Severities are only comparable when both
@@ -116,29 +115,6 @@ bool RepairEngine::handle_violations(const std::vector<Violation>& violations) {
   }
   execute(chosen);
   return true;
-}
-
-acme::StrategyOutcome RepairEngine::run_native(const std::string& handler,
-                                               const std::string& element,
-                                               model::Transaction& txn) {
-  auto it = native_.find(handler);
-  if (it == native_.end()) {
-    acme::StrategyOutcome out;
-    out.aborted = true;
-    out.abort_reason = "UnknownStrategy:" + handler;
-    return out;
-  }
-  TacticContext ctx{root_,
-                    txn,
-                    queries_,
-                    config_.conventions,
-                    config_.max_server_load,
-                    config_.min_bandwidth,
-                    config_.min_utilization,
-                    config_.min_replicas,
-                    config_.load_improvement,
-                    element};
-  return it->second.run(ctx);
 }
 
 void RepairEngine::execute(const Violation& violation) {
@@ -161,12 +137,13 @@ void RepairEngine::execute(const Violation& violation) {
   model::Transaction txn(root_);
   acme::StrategyOutcome outcome;
   try {
-    if (config_.use_script && script_.find_strategy(record.strategy)) {
+    if (script_.find_strategy(record.strategy)) {
       acme::EvalValue arg(acme::ElementRef::of_component(
           root_, root_.component(record.element)));
       outcome = interpreter_.run_strategy(record.strategy, {arg}, txn);
     } else {
-      outcome = run_native(record.strategy, record.element, txn);
+      outcome.aborted = true;
+      outcome.abort_reason = "UnknownStrategy:" + record.strategy;
     }
   } catch (const Error& e) {
     outcome.aborted = true;

@@ -4,8 +4,8 @@
 // of Section 5.3):
 //   1. pick a violation (policy: first-reported, as the paper's experiment
 //      did, or worst-first, the smarter scheme its future work proposes);
-//   2. run the bound strategy inside a model Transaction (interpreted
-//      script or native C++ strategy);
+//   2. run the bound script strategy inside a model Transaction (a handler
+//      the script does not define aborts as UnknownStrategy);
 //   3. on commit: charge decision + runtime-query time, then lift the
 //      committed op records into an AdaptationPlan (repair/plan.hpp) and
 //      enact it asynchronously (repair/plan_executor.hpp). The default
@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -47,16 +46,26 @@
 #include "repair/plan.hpp"
 #include "repair/plan_executor.hpp"
 #include "repair/runtime_queries.hpp"
-#include "repair/strategy.hpp"
+#include "repair/style_ops.hpp"
 #include "sim/simulator.hpp"
 #include "util/symbol.hpp"
 
 namespace arcadia::repair {
 
+/// Picks which eligible violation to repair next. `candidates` is never
+/// empty and already filtered (handlers bound, damping applied); returns an
+/// index into it.
+using ViolationChooser =
+    std::size_t (*)(const std::vector<const Violation*>& candidates);
+
+/// The violation policy named `name`: "first-reported" (the paper's
+/// experiment: repair whatever fired first) or "worst-first" (repair the
+/// worst observed value, its future work). Throws Error naming both for any
+/// other name.
+ViolationChooser violation_chooser(const std::string& name);
+
 struct RepairEngineConfig {
-  /// Registry name of the violation policy (PolicyRegistry). Built-ins:
-  /// "first-reported" (the paper's experiment) and "worst-first" (fix the
-  /// client experiencing the worst value first).
+  /// Violation policy, resolved through violation_chooser().
   std::string policy_name = "first-reported";
   /// Strategy-evaluation cost charged before runtime ops.
   SimTime decision_cost = SimTime::millis(100);
@@ -66,8 +75,6 @@ struct RepairEngineConfig {
   SimTime abort_cooldown = SimTime::seconds(60);
   /// Disable to reproduce undamped oscillation (ablation).
   bool damping = true;
-  /// true: interpreted script strategies; false: native C++ strategies.
-  bool use_script = true;
   /// Plan shape: true lifts the journal into an optimized, overlapping
   /// plan (build_plan + optimize_plan); false builds the paper's strictly
   /// sequential plan shape (build_sequential_plan) — the in-bench baseline
@@ -94,8 +101,8 @@ struct RepairEngineConfig {
   /// every op fault terminal (the pre-fault-plane behaviour).
   RetryPolicy retry;
 
-  // Task-layer thresholds, mirrored into script globals and native
-  // tactic contexts.
+  // Task-layer thresholds, mirrored into script globals and the style
+  // operators.
   double max_server_load = 6.0;
   Bandwidth min_bandwidth = Bandwidth::kbps(10);
   double min_utilization = 0.2;
@@ -216,12 +223,6 @@ class RepairEngine {
 
   acme::Interpreter& interpreter() { return interpreter_; }
 
-  /// Instance-local strategy override: shadows the StrategyRegistry entry
-  /// of the same name for this engine only.
-  void add_strategy(CxxStrategy strategy);
-  /// Native strategy names this engine can run (registry + local).
-  std::vector<std::string> strategy_names() const;
-
  private:
   /// A committed plan in flight (or scheduled to start after the decision
   /// + query charge).
@@ -234,9 +235,6 @@ class RepairEngine {
   };
 
   void execute(const Violation& violation);
-  acme::StrategyOutcome run_native(const std::string& handler,
-                                   const std::string& element,
-                                   model::Transaction& txn);
   // Plan pipeline.
   void start_plan(std::size_t idx);
   void finish_plan(std::size_t idx);
@@ -274,8 +272,7 @@ class RepairEngine {
   acme::Interpreter interpreter_;
   /// Static operator footprints for the plan optimizer's effect-deps pass.
   acme::EffectTable effect_table_ = acme::make_client_server_effects();
-  std::map<std::string, CxxStrategy> native_;
-  std::function<std::size_t(const std::vector<const Violation*>&)> chooser_;
+  ViolationChooser chooser_;
   events::EventBus* bus_ = nullptr;
   durability::JournalSink* journal_sink_ = nullptr;
   std::uint32_t journal_shard_ = 0;

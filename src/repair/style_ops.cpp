@@ -32,17 +32,6 @@ std::string group_of_client(const model::System& system,
   return "";
 }
 
-std::vector<const model::Component*> groups_of_client(
-    const model::System& system, const std::string& client,
-    const StyleConventions& conv) {
-  std::vector<const model::Component*> out;
-  for (const model::Component* c : system.neighbors(client)) {
-    if (c->type_name() == model::cs::kServerGroupT) out.push_back(c);
-  }
-  (void)conv;
-  return out;
-}
-
 void perform_move(model::Transaction& txn, const model::System& system,
                   const std::string& client, const std::string& group,
                   const StyleConventions& conv) {

@@ -41,8 +41,8 @@ void register_client_server_ops(acme::Interpreter& interp,
                                 StyleConventions conventions = {},
                                 OperatorThresholds thresholds = {});
 
-// ---- model navigation helpers shared by operators, native tactics, and
-//      the architecture manager ----
+// ---- model navigation helpers shared by the operators and the
+//      architecture manager ----
 
 /// The (single) connector the client's request port is attached to;
 /// nullptr when unattached.
@@ -54,11 +54,6 @@ const model::Connector* client_connector(const model::System& system,
 std::string group_of_client(const model::System& system,
                             const std::string& client,
                             const StyleConventions& conv);
-
-/// All server-group components connected to `client`.
-std::vector<const model::Component*> groups_of_client(
-    const model::System& system, const std::string& client,
-    const StyleConventions& conv);
 
 /// Perform the model half of move(client -> group) inside `txn`.
 void perform_move(model::Transaction& txn, const model::System& system,

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/framework_builder.hpp"
-#include "repair/registry.hpp"
 #include "runtime/translator.hpp"
 #include "sim/scenario_registry.hpp"
 
@@ -142,16 +141,6 @@ TEST(FrameworkBuilderTest, UnknownPolicyThrowsAtConfigurationTime) {
   sim::Testbed tb = sim::build_scenario(sim, "paper-fig6");
   FrameworkBuilder builder(sim, tb);
   EXPECT_THROW(builder.with_policy("no-such-policy"), Error);
-}
-
-TEST(FrameworkBuilderTest, NativeStrategiesComeFromRegistry) {
-  sim::Simulator sim;
-  sim::Testbed tb = sim::build_scenario(sim, "paper-fig6");
-  auto fw = FrameworkBuilder(sim, tb).with_native_strategies().build();
-  EXPECT_FALSE(fw->config().use_script);
-  std::vector<std::string> names = fw->engine().strategy_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "fixLatency"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "trimServers"), names.end());
 }
 
 }  // namespace

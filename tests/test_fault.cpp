@@ -28,7 +28,6 @@
 #include "repair/engine.hpp"
 #include "repair/retry.hpp"
 #include "repair/scripts.hpp"
-#include "repair/style_ops.hpp"
 #include "sim/scenario_registry.hpp"
 #include "util/annotations.hpp"
 
@@ -335,18 +334,23 @@ model::System make_grid_system() {
   return sys;
 }
 
-/// One-runtime-step strategy: move the violating client to ServerGrp2.
-repair::CxxStrategy one_move_strategy() {
-  repair::CxxStrategy s;
-  s.name = "fixLatency";
-  s.policy = repair::StrategyPolicy::TryAll;
-  s.tactics.push_back({"moveOnce", [](repair::TacticContext& ctx) {
-                         repair::perform_move(ctx.txn, ctx.system, ctx.element,
-                                              "ServerGrp2", ctx.conventions);
-                         return true;
-                       }});
-  return s;
+/// One-runtime-step strategy: move the violating client to the other
+/// group (ServerGrp2; model-only findGoodSGrp picks a group the client is
+/// not on).
+const char* kOneMoveScript = R"script(
+strategy fixLatency(badClient : ClientT) = {
+  if (moveOnce(badClient)) {
+    commit repair;
+  } else {
+    abort NoApplicableTactic;
+  }
 }
+
+tactic moveOnce(client : ClientT) : boolean = {
+  client.move(findGoodSGrp(client, minBandwidth));
+  return true;
+}
+)script";
 
 /// Throws typed OpErrors for the first `failures` applies, then succeeds.
 class FlakyTranslator : public repair::Translator {
@@ -370,7 +374,7 @@ class FlakyTranslator : public repair::Translator {
 struct RetryRig {
   sim::Simulator sim;
   model::System sys = make_grid_system();
-  acme::Script script = acme::parse_script(repair::extended_script());
+  acme::Script script = acme::parse_script(kOneMoveScript);
   FlakyTranslator translator;
   std::unique_ptr<repair::RepairEngine> engine;
   repair::ConstraintChecker checker{sys};
@@ -379,11 +383,9 @@ struct RetryRig {
            repair::RetryPolicy policy = {})
       : translator(failures, kind) {
     repair::RepairEngineConfig cfg;
-    cfg.use_script = false;
     cfg.retry = policy;
     engine = std::make_unique<repair::RepairEngine>(
         sim, sys, script, nullptr, &translator, nullptr, cfg);
-    engine->add_strategy(one_move_strategy());
     checker.add_constraint("lat:User1", "User1", "averageLatency <= 2.0",
                            "fixLatency");
     sys.component("User1").set_property("averageLatency",

@@ -194,20 +194,6 @@ TEST(IntegrationTest, SeedChangesTrajectoryNotShape) {
   EXPECT_LT(b.mean_fraction_above(), 0.35);
 }
 
-TEST(IntegrationTest, NativeStrategiesMatchScriptDecisions) {
-  ExperimentOptions opt = short_options();
-  opt.adaptation = true;
-  ExperimentResult script = run_experiment(opt);
-  opt.framework.use_script = false;
-  ExperimentResult native = run_experiment(opt);
-  ASSERT_FALSE(script.repairs.empty());
-  ASSERT_FALSE(native.repairs.empty());
-  // Identical workloads and thresholds: the first repair decision agrees.
-  EXPECT_EQ(script.repairs[0].element, native.repairs[0].element);
-  EXPECT_EQ(script.repairs[0].strategy, native.repairs[0].strategy);
-  EXPECT_EQ(script.repairs[0].committed, native.repairs[0].committed);
-}
-
 TEST(IntegrationTest, ModelStaysStructurallyValid) {
   ExperimentOptions opt = short_options();
   opt.adaptation = true;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -375,42 +376,77 @@ TEST(PlanExecutorTest, BatchedGaugeRedeployCostsTheSlowestElement) {
 
 // ---- the engine pipeline end to end ----
 
+/// Fixed runtime answers: the spare server is always SrvNew, the best
+/// group always ServerGrp2, and queries cost nothing.
+class FixedQueries : public RuntimeQueries {
+ public:
+  std::optional<std::string> find_good_sgrp(const std::string&,
+                                            Bandwidth) override {
+    return "ServerGrp2";
+  }
+  std::optional<std::string> find_spare_server(const std::string&,
+                                               Bandwidth) override {
+    return "SrvNew";
+  }
+  std::optional<std::string> find_less_loaded_sgrp(const std::string&,
+                                                   const std::string&,
+                                                   Bandwidth, double) override {
+    return std::nullopt;
+  }
+  std::optional<std::string> find_removable_server(
+      const std::string&) override {
+    return std::nullopt;
+  }
+  SimTime drain_query_cost() override { return SimTime::zero(); }
+};
+
+/// A fixLatency producing two dependent runtime steps: recruit a server
+/// (SrvNew) into the best group (ServerGrp2), then move the violating
+/// client onto it.
+const char* kTwoStepScript = R"script(
+invariant r : averageLatency <= maxLatency !-> fixLatency(r);
+
+strategy fixLatency(badClient : ClientT) = {
+  if (growAndMove(badClient)) {
+    commit repair;
+  } else {
+    abort NoApplicableTactic;
+  }
+}
+
+tactic growAndMove(client : ClientT) : boolean = {
+  let target : ServerGroupT = findGoodSGrp(client, minBandwidth);
+  target.addServer();
+  client.move(target);
+  return true;
+}
+)script";
+
+void bind_thresholds(ConstraintChecker& checker) {
+  checker.bind_global("maxServerLoad", acme::EvalValue(6.0));
+  checker.bind_global("minBandwidth", acme::EvalValue(1e4));
+  checker.bind_global("minUtilization", acme::EvalValue(0.2));
+  checker.bind_global("minReplicas", acme::EvalValue(2.0));
+}
+
 struct EngineRig {
   sim::Simulator sim;
   model::System sys = make_system();
-  acme::Script script = acme::parse_script(extended_script());
+  acme::Script script;
+  FixedQueries queries;
   CountingTranslator translator;
   std::unique_ptr<RepairEngine> engine;
   ConstraintChecker checker{sys};
 
   explicit EngineRig(RepairEngineConfig cfg = {},
-                     monitor::GaugeManager* gauges = nullptr) {
-    cfg.use_script = false;  // native strategies; no runtime queries needed
-    engine = std::make_unique<RepairEngine>(sim, sys, script, nullptr,
-                                            &translator, gauges, cfg);
-    checker.bind_global("maxServerLoad", acme::EvalValue(6.0));
-    checker.bind_global("minBandwidth", acme::EvalValue(1e4));
-    checker.bind_global("minUtilization", acme::EvalValue(0.2));
-    checker.bind_global("minReplicas", acme::EvalValue(2.0));
+                     const char* source = extended_script())
+      : script(acme::parse_script(source)) {
+    engine = std::make_unique<RepairEngine>(sim, sys, script, &queries,
+                                            &translator, nullptr, cfg);
+    bind_thresholds(checker);
     checker.instantiate(script);
   }
 };
-
-/// A strategy producing two dependent runtime steps: recruit a server into
-/// ServerGrp2, then move the violating client onto it.
-CxxStrategy two_step_strategy() {
-  CxxStrategy s;
-  s.name = "fixLatency";  // shadow the registry entry
-  s.policy = StrategyPolicy::TryAll;
-  s.tactics.push_back({"growAndMove", [](TacticContext& ctx) {
-                         perform_add_server(ctx.txn, ctx.system, "ServerGrp2",
-                                            "SrvNew", ctx.conventions);
-                         perform_move(ctx.txn, ctx.system, ctx.element,
-                                      "ServerGrp2", ctx.conventions);
-                         return true;
-                       }});
-  return s;
-}
 
 TEST(PlanEngineTest, TranslatorFailureMidPlanCompensates) {
   // The recruit step applies; the dependent move step throws. The engine
@@ -432,17 +468,12 @@ TEST(PlanEngineTest, TranslatorFailureMidPlanCompensates) {
 
   sim::Simulator sim;
   model::System sys = make_system();
-  acme::Script script = acme::parse_script(extended_script());
+  acme::Script script = acme::parse_script(kTwoStepScript);
+  FixedQueries queries;
   FailSecond translator;
-  RepairEngineConfig cfg;
-  cfg.use_script = false;
-  RepairEngine engine(sim, sys, script, nullptr, &translator, nullptr, cfg);
-  engine.add_strategy(two_step_strategy());
+  RepairEngine engine(sim, sys, script, &queries, &translator, nullptr, {});
   ConstraintChecker checker(sys);
-  checker.bind_global("maxServerLoad", acme::EvalValue(6.0));
-  checker.bind_global("minBandwidth", acme::EvalValue(1e4));
-  checker.bind_global("minUtilization", acme::EvalValue(0.2));
-  checker.bind_global("minReplicas", acme::EvalValue(2.0));
+  bind_thresholds(checker);
   checker.instantiate(script);
 
   sys.component("User1").set_property("averageLatency",
@@ -503,18 +534,14 @@ TEST(PlanEngineTest, SequentialRuntimeFailureCompensates) {
 
   sim::Simulator sim;
   model::System sys = make_system();
-  acme::Script script = acme::parse_script(extended_script());
+  acme::Script script = acme::parse_script(kTwoStepScript);
+  FixedQueries queries;
   FailFirst translator;
   RepairEngineConfig cfg;
-  cfg.use_script = false;
   cfg.use_plan = false;
-  RepairEngine engine(sim, sys, script, nullptr, &translator, nullptr, cfg);
-  engine.add_strategy(two_step_strategy());
+  RepairEngine engine(sim, sys, script, &queries, &translator, nullptr, cfg);
   ConstraintChecker checker(sys);
-  checker.bind_global("maxServerLoad", acme::EvalValue(6.0));
-  checker.bind_global("minBandwidth", acme::EvalValue(1e4));
-  checker.bind_global("minUtilization", acme::EvalValue(0.2));
-  checker.bind_global("minReplicas", acme::EvalValue(2.0));
+  bind_thresholds(checker);
   checker.instantiate(script);
 
   sys.component("User1").set_property("averageLatency",
@@ -595,8 +622,7 @@ TEST(PlanEngineTest, PlanEventsOnTheBus) {
 TEST(PlanEngineTest, StrictlyWorseViolationPreempts) {
   RepairEngineConfig cfg;
   cfg.preemption = true;  // preempt_factor 2.0
-  EngineRig rig(cfg);
-  rig.engine->add_strategy(two_step_strategy());
+  EngineRig rig(cfg, kTwoStepScript);
   rig.translator.cost = SimTime::seconds(2);
 
   rig.sys.component("User1").set_property("averageLatency",
@@ -641,8 +667,7 @@ TEST(PlanEngineTest, StrictlyWorseViolationPreempts) {
 TEST(PlanEngineTest, ComparableViolationDoesNotPreempt) {
   RepairEngineConfig cfg;
   cfg.preemption = true;
-  EngineRig rig(cfg);
-  rig.engine->add_strategy(two_step_strategy());
+  EngineRig rig(cfg, kTwoStepScript);
   rig.translator.cost = SimTime::seconds(2);
 
   rig.sys.component("User1").set_property("averageLatency",

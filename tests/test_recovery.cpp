@@ -107,33 +107,39 @@ TEST(ManifestTest, MissingAndCorruptManifestsRefuseLoudly) {
 }
 
 TEST(ManifestTest, RefusesOtherManifestVersions) {
-  const std::string dir = scratch_dir("manifest-version");
-  Manifest m;
-  m.scenario = "lossy-grid";
-  m.config = sim::scenario_defaults("lossy-grid");
-  write_manifest(dir, m);
-  const std::string path = dir + "/" + kManifestFile;
-  std::vector<std::uint8_t> bytes = durability::read_file(path);
+  // Version 1 is far older; version 3 is the layout before the strategy
+  // path byte was dropped.
+  for (const std::uint32_t old_version : {1u, 3u}) {
+    const std::string dir = scratch_dir("manifest-version");
+    Manifest m;
+    m.scenario = "lossy-grid";
+    m.config = sim::scenario_defaults("lossy-grid");
+    write_manifest(dir, m);
+    const std::string path = dir + "/" + kManifestFile;
+    std::vector<std::uint8_t> bytes = durability::read_file(path);
 
-  // Re-stamp the version (the u32 after the 4-byte magic) as 1 and re-seal
-  // the CRC, so only the version check stands between this file and a
-  // decode against the wrong field layout.
-  durability::Encoder version;
-  version.u32(1);
-  std::copy(version.bytes().begin(), version.bytes().end(), bytes.begin() + 4);
-  bytes.resize(bytes.size() - 4);
-  durability::Encoder crc;
-  crc.u32(durability::crc32(bytes.data(), bytes.size()));
-  bytes.insert(bytes.end(), crc.bytes().begin(), crc.bytes().end());
-  durability::write_file_atomic(path, bytes);
+    // Re-stamp the version (the u32 after the 4-byte magic) and re-seal the
+    // CRC, so only the version check stands between this file and a decode
+    // against the wrong field layout.
+    durability::Encoder version;
+    version.u32(old_version);
+    std::copy(version.bytes().begin(), version.bytes().end(),
+              bytes.begin() + 4);
+    bytes.resize(bytes.size() - 4);
+    durability::Encoder crc;
+    crc.u32(durability::crc32(bytes.data(), bytes.size()));
+    bytes.insert(bytes.end(), crc.bytes().begin(), crc.bytes().end());
+    durability::write_file_atomic(path, bytes);
 
-  try {
-    read_manifest(dir);
-    FAIL() << "a version-1 manifest was accepted";
-  } catch (const durability::DurabilityError& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported manifest version 1"),
-              std::string::npos)
-        << e.what();
+    const std::string expected =
+        "unsupported manifest version " + std::to_string(old_version);
+    try {
+      read_manifest(dir);
+      FAIL() << "a version-" << old_version << " manifest was accepted";
+    } catch (const durability::DurabilityError& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -228,7 +234,6 @@ Manifest every_field_set() {
   w.profile.min_bandwidth = Bandwidth::kbps(12.0);
   w.profile.min_utilization = 0.22;
   w.profile.min_replicas = 3;
-  w.use_script = false;
   w.script_source = "tactic t() : boolean = { return true; }";
   w.policy_name = "worst-first";
   w.damping = false;
@@ -275,8 +280,8 @@ TEST(DurabilityFormatTest, ManifestIsPinned) {
   write_manifest(dir, every_field_set());
   const std::vector<std::uint8_t> bytes =
       durability::read_file(dir + "/" + kManifestFile);
-  EXPECT_EQ(bytes.size(), 997u);
-  EXPECT_EQ(durability::fnv1a(bytes), 0x2f7d8d77e7b13b81ull)
+  EXPECT_EQ(bytes.size(), 996u);
+  EXPECT_EQ(durability::fnv1a(bytes), 0x32485bef06c09c0cull)
       << std::hex << "0x" << durability::fnv1a(bytes);
 
   // Decoding restores every field: re-encoding what was read reproduces

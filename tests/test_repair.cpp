@@ -426,18 +426,44 @@ TEST(RepairEngineTest, RuntimeFailureAbortsAndCoolsDown) {
   EXPECT_EQ(engine.stats().committed, 0u);
 }
 
-TEST(RepairEngineTest, NativeStrategiesViaConfig) {
-  RepairEngineConfig cfg;
-  cfg.use_script = false;
-  EngineRig rig(cfg);
-  rig.violate("User1", 5.0);
-  rig.sys.component("ServerGrp1").set_property("load",
-                                               model::PropertyValue(9.0));
-  rig.queries.spare = "Server4";
-  ASSERT_TRUE(rig.check_and_handle());
-  rig.sim.run_until(SimTime::seconds(10));
-  EXPECT_TRUE(rig.engine->records()[0].committed);
-  EXPECT_EQ(rig.engine->records()[0].servers_added, 1);
+TEST(RepairEngineTest, UnknownHandlerAborts) {
+  // The constraint names a handler the script does not define. The engine
+  // has no other strategy source: the repair aborts without touching the
+  // model or the runtime, and the constraint cools down.
+  sim::Simulator sim;
+  model::System sys = make_system();
+  acme::Script script = acme::parse_script(
+      "invariant r : averageLatency <= maxLatency !-> fixLatency(r);");
+  StubQueries queries;
+  queries.spare = "Server4";  // a strategy would have something to recruit
+  StubTranslator translator;
+  RepairEngine engine(sim, sys, script, &queries, &translator, nullptr, {});
+  ConstraintChecker checker(sys);
+  bind_standard_globals(checker);
+  checker.instantiate(script);
+
+  sys.component("User1").set_property("averageLatency",
+                                      model::PropertyValue(9.0));
+  sys.component("ServerGrp1").set_property("load", model::PropertyValue(9.0));
+  ASSERT_TRUE(engine.handle_violations(checker.check()));
+  sim.run_until(SimTime::seconds(10));
+
+  ASSERT_EQ(engine.records().size(), 1u);
+  const RepairRecord& rec = engine.records()[0];
+  EXPECT_TRUE(rec.aborted);
+  EXPECT_FALSE(rec.committed);
+  EXPECT_TRUE(rec.finished);
+  EXPECT_EQ(rec.abort_reason, "UnknownStrategy:fixLatency");
+  EXPECT_TRUE(rec.journal.empty());
+  EXPECT_EQ(rec.servers_added, 0);
+  EXPECT_FALSE(engine.busy());
+  EXPECT_EQ(engine.stats().committed, 0u);
+  EXPECT_EQ(engine.stats().aborted, 1u);
+  EXPECT_TRUE(translator.seen.empty());
+  EXPECT_EQ(sys.component("ServerGrp1").property("replicationCount").as_int(),
+            3);
+  EXPECT_TRUE(engine.constraint_cooling(rec.constraint_id));
+  EXPECT_FALSE(engine.handle_violations(checker.check()));
 }
 
 }  // namespace
