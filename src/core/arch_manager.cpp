@@ -50,24 +50,27 @@ bool ArchitectureManager::parse_gauge_report(const events::Notification& n,
       !addr_v->is_string() || !prop_v->is_string()) {
     return false;
   }
-  // Gauge managers publish interned addresses; the component case (no dot)
-  // passes the symbol straight through — no hashing at all. Connector-role
-  // addresses and raw string reports intern once per report here; model
-  // lookups and the property write are integer-keyed from there on.
-  const std::string& addr = addr_v->as_string();
+  if (!parse_gauge_address(addr_v->to_symbol(), element, role)) return false;
+  property = prop_v->to_symbol();
+  return true;
+}
+
+bool ArchitectureManager::parse_gauge_address(util::Symbol address,
+                                              util::Symbol& element,
+                                              util::Symbol& role) {
+  const std::string& addr = address.str();
   if (addr.empty()) return false;
   const auto dot = addr.find('.');
   if (dot == std::string::npos) {
-    element = addr_v->to_symbol();
+    element = address;
     role = util::Symbol();
-  } else {
-    // "Connector.role" needs both halves; "X." must not degrade to a
-    // component write against X.
-    if (dot == 0 || dot + 1 == addr.size()) return false;
-    element = util::Symbol::intern(std::string_view(addr).substr(0, dot));
-    role = util::Symbol::intern(std::string_view(addr).substr(dot + 1));
+    return true;
   }
-  property = prop_v->to_symbol();
+  // "Connector.role" needs both halves; "X." must not degrade to a
+  // component write against X.
+  if (dot == 0 || dot + 1 == addr.size()) return false;
+  element = util::Symbol::intern(std::string_view(addr).substr(0, dot));
+  role = util::Symbol::intern(std::string_view(addr).substr(dot + 1));
   return true;
 }
 

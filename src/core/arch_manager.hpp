@@ -65,6 +65,12 @@ class ArchitectureManager {
                                  util::Symbol& element, util::Symbol& role,
                                  util::Symbol& property);
 
+  /// Split a gauge address into its element and role: "Component" gives
+  /// (Component, empty), "Connector.role" gives (Connector, role). False
+  /// for an empty address or a half-empty "X." / ".r".
+  static bool parse_gauge_address(util::Symbol address, util::Symbol& element,
+                                  util::Symbol& role);
+
   /// Parse a gauge lifecycle notification's element + phase attributes
   /// (the FleetManager's per-shard liveness sink). False when absent.
   static bool parse_gauge_lifecycle(const events::Notification& n,

@@ -137,7 +137,18 @@ void Fleet::start() {
     tenant->framework->start();
     tenant->testbed.start();
   }
-  if (manager_) manager_->start();
+  if (manager_) {
+    manager_->start();
+    // Sweep-aligned coalescing: the sweep is each report's only reader, so
+    // tenants whose reports land after a fixed delay publish only what it
+    // reads.
+    if (const auto reads = manager_->read_schedule()) {
+      for (auto& tenant : tenants_) {
+        util::SerialLane in_lane(tenant->lane());
+        tenant->framework->demand_reports(*reads);
+      }
+    }
+  }
   // One snapshot stream for the whole fleet: snapshot-0 anchors replay,
   // then periodic captures of every shard together (a torn multi-shard
   // snapshot is impossible — the capture is a single atomic file). The

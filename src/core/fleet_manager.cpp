@@ -76,8 +76,9 @@ void FleetManager::start() {
     // had degraded_after of quiet from the moment the fleet starts.
     shard.last_report_at = shard.clock->now();
   }
+  first_sweep_ = sim_.now() + config_.first_check;
   sweep_task_ = std::make_unique<sim::PeriodicTask>(
-      sim_, sim_.now() + config_.first_check, config_.check_period, [this] {
+      sim_, first_sweep_, config_.check_period, [this] {
         run_sweep();
         return true;
       });
@@ -104,6 +105,15 @@ void FleetManager::stop() {
     shard.touched.clear();
   }
   started_ = false;
+}
+
+std::optional<monitor::ReadSchedule> FleetManager::read_schedule() const {
+  // A shorter window flushes between sweeps on its own timer, so reports
+  // overwritten in the slot before a sweep would still have been applied.
+  if (!started_ || config_.coalesce_window < config_.check_period) {
+    return std::nullopt;
+  }
+  return monitor::ReadSchedule{first_sweep_, config_.check_period};
 }
 
 void FleetManager::apply(Shard& shard, const Shard::PendingSlot& slot) {
@@ -147,47 +157,50 @@ void FleetManager::enqueue(ShardId id, const events::Notification& n) {
   // Any report — even one the parse below rejects — proves the tenant's
   // monitoring path is alive.
   shard.last_report_at = shard.clock->now();
-  // Parse and intern once, at delivery (shared address convention); from
-  // here the report is three symbol ids and a value.
-  util::Symbol element_sym, role_sym, property;
-  if (!ArchitectureManager::parse_gauge_report(n, element_sym, role_sym,
-                                               property)) {
+  const events::Value* address = n.get_if(monitor::topics::kAttrElementSym);
+  const events::Value* property = n.get_if(monitor::topics::kAttrPropertySym);
+  const events::Value* value = n.get_if(monitor::topics::kAttrValueSym);
+  if (!address || !property || !value || !address->is_string() ||
+      !property->is_string()) {
     ++shard.stats.reports_ignored;  // malformed, same verdict as unbatched
     return;
   }
-  const events::Value& value = *n.get_if(monitor::topics::kAttrValueSym);
-
+  // Resolve the key's persistent slot from the report's own symbols; the
+  // address is parsed (and a connector role interned) only on first sight.
+  const util::Symbol address_sym = address->to_symbol();
+  const util::Symbol property_sym = property->to_symbol();
+  util::SymbolMap<std::uint32_t>* by_property =
+      shard.slot_index.find(address_sym);
+  const std::uint32_t* found =
+      by_property ? by_property->find(property_sym) : nullptr;
+  if (!found) {
+    Shard::PendingSlot fresh;
+    if (!ArchitectureManager::parse_gauge_address(address_sym, fresh.element,
+                                                  fresh.role)) {
+      ++shard.stats.reports_ignored;
+      return;
+    }
+    fresh.property = property_sym;
+    found = &shard.slot_index[address_sym].insert_or_assign(
+        property_sym, static_cast<std::uint32_t>(shard.slots.size()));
+    shard.slots.push_back(std::move(fresh));
+  }
+  const std::uint32_t index = *found;
+  Shard::PendingSlot& slot = shard.slots[index];
+  slot.value = *value;
   if (config_.coalesce_window <= SimTime::zero()) {
-    Shard::PendingSlot direct;
-    direct.element = element_sym;
-    direct.role = role_sym;
-    direct.property = property;
-    direct.value = value;
-    apply(shard, direct);
+    apply(shard, slot);
     return;
   }
 
-  // Coalesce into the key's persistent slot: a newer report supersedes the
-  // armed value in place — one model write per key per window.
-  const std::array<std::uint32_t, 3> key = {element_sym.id(), role_sym.id(),
-                                            property.id()};
-  auto [it, inserted] =
-      shard.slot_index.emplace(key, static_cast<std::uint32_t>(shard.slots.size()));
-  if (inserted) {
-    Shard::PendingSlot slot;
-    slot.element = element_sym;
-    slot.role = role_sym;
-    slot.property = property;
-    shard.slots.push_back(std::move(slot));
-  }
-  Shard::PendingSlot& slot = shard.slots[it->second];
-  slot.value = value;
+  // Coalesce: a newer report supersedes the armed value in place — one
+  // model write per key per window.
   if (slot.armed) {
     ++shard.stats.reports_coalesced;
     return;
   }
   slot.armed = true;
-  shard.touched.push_back(it->second);
+  shard.touched.push_back(index);
   // Sweep-aligned batching: when the window spans a whole sweep period the
   // periodic sweep's own flush is always soon enough — no timer needed.
   if (config_.coalesce_window >= config_.check_period) return;

@@ -9,7 +9,10 @@
 //   * batched gauge application — reports landing on a shard's gauge bus
 //     within a coalescing window are applied in one model pass; reports for
 //     the same (element, property) are superseded in place, so a burst of
-//     samples costs one property write instead of one per report;
+//     samples costs one property write instead of one per report. When the
+//     window spans a sweep period, the sweep is the only reader:
+//     read_schedule() publishes when it reads, so gauges can send just the
+//     report each sweep will keep (demand-aligned reporting, DESIGN.md §3c);
 //   * parallel constraint sweep — the periodic check runs each shard's
 //     incremental detection concurrently on a util::ThreadPool. Detection is
 //     read-only per shard (disjoint models), so threads never contend on
@@ -29,18 +32,19 @@
 // where every clock agrees.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/arch_manager.hpp"
 #include "events/bus.hpp"
+#include "monitor/gauge_manager.hpp"
 #include "repair/constraint.hpp"
 #include "sim/simulator.hpp"
 #include "util/annotations.hpp"
+#include "util/symbol.hpp"
 #include "util/thread_pool.hpp"
 
 namespace arcadia::core {
@@ -174,6 +178,14 @@ class FleetManager {
   const FleetStats& stats() const { return stats_; }
   std::size_t sweep_threads() const { return pool_ ? pool_->size() : 1; }
 
+  /// When the sweep reads the coalescing slots: first_check after start(),
+  /// then every check_period. Null before start() and unless the coalesce
+  /// window spans a sweep period — only then is the sweep the slots' one
+  /// reader. core::Fleet hands it to every tenant's gauges
+  /// (Framework::demand_reports), so each gauge publishes only the report
+  /// a sweep would read.
+  std::optional<monitor::ReadSchedule> read_schedule() const;
+
   /// Apply a shard's pending coalesced reports immediately (also happens
   /// automatically before every sweep and when the window timer fires).
   void flush(ShardId id);
@@ -205,12 +217,13 @@ class FleetManager {
     std::uintptr_t lane = 0;
     util::SerialDomain serial;
 
-    /// One coalescing slot per distinct (element, role, property) gauge key
-    /// this shard has ever reported. The key set is the gauge deployment —
-    /// stable across windows — so slots and their index persist: after the
-    /// first window, enqueue is an integer-keyed lookup plus a value store,
-    /// with no parsing state, no notification copies, and (for numeric
-    /// values) no allocation.
+    /// One slot per distinct (element, role, property) gauge key this shard
+    /// has ever reported. The key set is the gauge deployment — stable
+    /// across windows — so slots and their index persist: after a key's
+    /// first report, enqueue is an integer-keyed lookup plus a value store,
+    /// with no parsing, no interning, no notification copies, and (for
+    /// numeric values) no allocation. Unbatched shards (coalesce_window 0)
+    /// use the slots only to resolve keys.
     struct PendingSlot {
       util::Symbol element;  ///< component, or connector when role set
       util::Symbol role;
@@ -219,9 +232,10 @@ class FleetManager {
       bool armed = false;  ///< holds a value for the current window
     };
     std::vector<PendingSlot> slots;
-    /// (element, role, property) symbol ids -> slot. Persistent; ~one entry
-    /// per gauge, so the tree stays tiny.
-    std::map<std::array<std::uint32_t, 3>, std::uint32_t> slot_index;
+    /// Address symbol -> property symbol -> slot, as the report carries
+    /// them. An address parses to one (element, role) pair, so keys and
+    /// slots correspond one to one. Persistent; ~one entry per gauge.
+    util::SymbolMap<util::SymbolMap<std::uint32_t>> slot_index;
     /// Armed slots in first-touch order — the deterministic apply order.
     std::vector<std::uint32_t> touched;
     sim::EventHandle flush_timer;
@@ -264,6 +278,7 @@ class FleetManager {
   std::vector<Shard> shards_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<sim::PeriodicTask> sweep_task_;
+  SimTime first_sweep_;  ///< set by start()
   /// Structure clock at the end of the previous sweep round: any structural
   /// edit anywhere (repairs are the only in-run source) re-sweeps every
   /// shard — spurious work for the untouched ones, never a stale verdict.

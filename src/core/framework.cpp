@@ -176,6 +176,30 @@ FleetManager::ShardId Framework::attach_fleet_manager(
                                  testbed_.manager_node);
 }
 
+void Framework::demand_reports(const monitor::ReadSchedule& reads) {
+  // Skipping a tick is invisible to the reader only if every report lands
+  // exactly bus_base_delay after it is sent and nothing but the reader
+  // watches arrivals. A network-shared bus delays by congestion; the fault
+  // plane drops, duplicates, delays and disconnects reports; the watchdog
+  // times silences.
+  const bool fixed_delay = config_.monitoring_qos && !parts_.gauge_bus;
+  if (!fixed_delay || fault_plane_ ||
+      gauge_manager_->config().watchdog_period > SimTime::zero()) {
+    return;
+  }
+  // A windowed gauge stops reporting once it has held its value for a
+  // window past its last sample. Demanded ticks a read period apart cannot
+  // straddle a reading and that silence only while a read period plus a
+  // report period fits in the window; a substituted deployer's gauges are
+  // unknown.
+  if (parts_.gauges ||
+      reads.period + gauge_manager_->config().report_period >
+          config_.gauge_window) {
+    return;
+  }
+  gauge_manager_->set_read_schedule(reads, config_.bus_base_delay);
+}
+
 std::string Framework::solo_name() const {
   return testbed_.scenario.empty() ? std::string("solo") : testbed_.scenario;
 }

@@ -197,6 +197,15 @@ class Framework {
   FleetManager::ShardId attach_fleet_manager(FleetManager& fleet_manager,
                                              std::string name);
 
+  /// A fleet's sweep reads this tenant's reports only at `reads`
+  /// (FleetManager::read_schedule). When every report lands after a fixed
+  /// delay — monitoring_qos on (bus_base_delay), the default gauge bus, no
+  /// fault plane, no gauge watchdog — and the default gauges' window spans
+  /// a read period plus a report period, the gauges then publish only the
+  /// ticks those reads consume; otherwise every tick keeps reporting.
+  /// Call after start(), before the gauges go live.
+  void demand_reports(const monitor::ReadSchedule& reads);
+
   /// Capture this framework's durable state for a snapshot: the full model
   /// encoding + digest, every gauge channel's liveness state, and the fault
   /// plane's RNG stream positions. Health is Healthy here; the fleet's

@@ -47,6 +47,36 @@ std::optional<double> SlidingWindowGauge::read() {
   return std::nullopt;
 }
 
+void SlidingWindowGauge::skipped_reads(SimTime first, SimTime last,
+                                       SimTime period) {
+  // A read leaves behind only the mean it computed, and only until the next
+  // consume overwrites it; and windows only shrink once samples stop. So
+  // the one skipped read that counts is the newest one at or after the
+  // newest sample whose window still reaches back to that sample.
+  if (samples_.empty() || last_sample_time_ > last) return;
+  SimTime at = last;
+  if (at - window_ > last_sample_time_) {
+    const std::int64_t p = period.as_micros();
+    const std::int64_t reach =
+        (last_sample_time_ + window_ - first).as_micros();
+    if (reach < 0) return;
+    at = first + SimTime::micros(reach / p * p);
+  }
+  if (at < last_sample_time_) return;
+  // The samples that read() at `at` would have averaged: a time-ordered
+  // suffix of the ring, summed in read()'s order. Nothing after `at` has
+  // been consumed, and nothing evicted since was inside its window.
+  const SimTime cutoff = at - window_;
+  double sum = 0.0;
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < samples_.size(); ++i) {
+    if (samples_[i].first < cutoff) continue;
+    sum += samples_[i].second;
+    ++n;
+  }
+  if (n > 0) last_value_ = sum / static_cast<double>(n);
+}
+
 void SlidingWindowGauge::reset() {
   samples_.clear();
   last_value_.reset();

@@ -49,6 +49,14 @@ class Gauge {
   virtual void consume(const events::Notification& n) = 0;
   /// Current interpreted value; std::nullopt when there is no data yet.
   virtual std::optional<double> read() = 0;
+  /// The reads due at `first`, `first + period`, ..., `last` were skipped
+  /// (a GaugeManager reporting on demand). A gauge whose read() leaves
+  /// state behind brings that state to where reading at each of those
+  /// ticks would have left it, so the next read() returns what it would
+  /// have returned had every tick read. Gauges whose read() is pure need
+  /// nothing.
+  virtual void skipped_reads(SimTime /*first*/, SimTime /*last*/,
+                             SimTime /*period*/) {}
   /// Drop accumulated state (called when a gauge is re-deployed cold).
   virtual void reset() = 0;
 
@@ -70,6 +78,9 @@ class SlidingWindowGauge : public Gauge {
   events::Filter probe_filter() const override { return filter_; }
   void consume(const events::Notification& n) override;
   std::optional<double> read() override;
+  /// read() holds the window's mean through a silence, so a skipped read
+  /// that still saw samples decides what is held.
+  void skipped_reads(SimTime first, SimTime last, SimTime period) override;
   void reset() override;
 
   std::size_t samples_in_window() const { return samples_.size(); }

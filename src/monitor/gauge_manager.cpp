@@ -9,6 +9,37 @@
 
 namespace arcadia::monitor {
 
+namespace {
+
+/// Floor and ceiling of a / b for b > 0, rounding toward -inf / +inf.
+std::int64_t floor_div(std::int64_t a, std::int64_t b) {
+  return a >= 0 ? a / b : -((-a + b - 1) / b);
+}
+std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
+  return -floor_div(-a, b);
+}
+
+}  // namespace
+
+SimTime next_demanded_tick(SimTime origin, SimTime period, SimTime from,
+                           const ReadSchedule& reads, SimTime delay) {
+  const std::int64_t p = period.as_micros();
+  const std::int64_t o = origin.as_micros();
+  // The first tick at or after `from`; the grid starts one period in.
+  const std::int64_t k = std::max<std::int64_t>(
+      1, ceil_div(from.as_micros() - o, p));
+  const std::int64_t tick = o + k * p;
+  // The first read whose deadline S_j - delay is not before that tick. The
+  // newest tick by that deadline is the one it demands; every earlier
+  // read's deadline, and so its demanded tick, lies before `tick`.
+  const std::int64_t c = reads.period.as_micros();
+  const std::int64_t first_deadline = (reads.first - delay).as_micros();
+  const std::int64_t j =
+      std::max<std::int64_t>(0, ceil_div(tick - first_deadline, c));
+  const std::int64_t deadline = first_deadline + j * c;
+  return SimTime::micros(o + floor_div(deadline - o, p) * p);
+}
+
 GaugeManager::GaugeManager(sim::Simulator& sim, events::EventBus& probe_bus,
                            events::EventBus& gauge_bus,
                            GaugeManagerConfig config)
@@ -43,19 +74,64 @@ std::string GaugeManager::deploy(std::unique_ptr<Gauge> gauge,
   return id.str();
 }
 
-void GaugeManager::bring_online(Managed& m) {
+void GaugeManager::set_read_schedule(ReadSchedule reads,
+                                     SimTime delivery_delay) {
+  serial_.check();
+  if (reads.period <= SimTime::zero() ||
+      config_.report_period <= SimTime::zero() ||
+      delivery_delay < SimTime::zero()) {
+    throw Error("set_read_schedule: read and report periods must be positive"
+                " and the delivery delay non-negative");
+  }
+  for (const auto& entry : gauges_) {
+    if (entry.value.live) {
+      throw Error("set_read_schedule: gauge " + entry.key.str() +
+                  " is already reporting");
+    }
+  }
+  reads_ = reads;
+  delivery_delay_ = delivery_delay;
+}
+
+void GaugeManager::arm_report(util::Symbol id, Managed& m, SimTime from) {
+  const SimTime at = reads_ ? next_demanded_tick(m.online_at,
+                                                 config_.report_period, from,
+                                                 *reads_, delivery_delay_)
+                           : from;
+  m.reporter = sim_.schedule_at(at, [this, id] { on_tick(id); });
+}
+
+void GaugeManager::catch_up(Managed& m, SimTime until) {
+  if (!reads_) return;
+  const std::int64_t p = config_.report_period.as_micros();
+  const SimTime first = m.last_read + config_.report_period;
+  if (first >= until) return;
+  // The newest tick before `until`.
+  const SimTime last =
+      first + SimTime::micros(((until - first).as_micros() - 1) / p * p);
+  m.gauge->skipped_reads(first, last, config_.report_period);
+}
+
+void GaugeManager::on_tick(util::Symbol id) {
+  Managed* m = gauges_.find(id);
+  if (!m || !m->live) return;
+  catch_up(*m, sim_.now());
+  m->last_read = sim_.now();
+  report(*m);
+  // A synchronous subscriber may have destroyed or redeployed the gauge.
+  m = gauges_.find(id);
+  if (!m || !m->live) return;
+  arm_report(id, *m, sim_.now() + config_.report_period);
+}
+
+void GaugeManager::bring_online(util::Symbol id, Managed& m) {
   Gauge* g = m.gauge.get();
   m.probe_sub = probe_bus_.subscribe(
       g->probe_filter(), [g](const events::Notification& n) { g->consume(n); },
       g->spec().host_node);
-  m.reporter = std::make_unique<sim::PeriodicTask>(
-      sim_, sim_.now() + config_.report_period, config_.report_period,
-      [this, g]() {
-        Managed* mm = gauges_.find(g->spec().id);
-        if (!mm || !mm->live) return false;
-        report(*mm);
-        return true;
-      });
+  m.online_at = sim_.now();
+  m.last_read = sim_.now();
+  arm_report(id, m, sim_.now() + config_.report_period);
   m.live = true;
   // Deployment counts as a heartbeat: a gauge is not stale until it has
   // had stale_after of silence from this moment.
@@ -65,7 +141,7 @@ void GaugeManager::bring_online(Managed& m) {
 void GaugeManager::go_live(util::Symbol id, std::function<void()> on_live) {
   Managed* m = gauges_.find(id);
   if (!m) return;  // destroyed while being created
-  bring_online(*m);
+  bring_online(id, *m);
   ++stats_.created;
   publish_lifecycle(id, m->gauge->spec().element, topics::kPhaseCreated);
   if (on_live) on_live();
@@ -102,11 +178,13 @@ void GaugeManager::report(Managed& m) {
 }
 
 void GaugeManager::take_offline(Managed& m) {
+  // A relocated gauge keeps its state: bring it up to date first.
+  if (m.live) catch_up(m, sim_.now());
   if (m.probe_sub != 0) {
     probe_bus_.unsubscribe(m.probe_sub);
     m.probe_sub = 0;
   }
-  m.reporter.reset();
+  m.reporter.cancel();
   m.live = false;
 }
 
@@ -292,7 +370,17 @@ void GaugeManager::redeploy_element(const std::string& element,
     });
     return;
   }
-  const SimTime started = sim_.now();
+  // Shared by the completion callbacks actually scheduled; the last one to
+  // run fires on_done. The first id is always still there, so at least one
+  // is scheduled.
+  struct Pending {
+    std::size_t callbacks = 0;
+    SimTime started;
+    std::function<void()> on_done;
+  };
+  auto pending = std::make_shared<Pending>();
+  pending->started = sim_.now();
+  pending->on_done = std::move(on_done);
   // All of the element's gauges stop reporting now; they come back one by
   // one as the (sequential) lifecycle communication completes.
   SimTime cursor = SimTime::zero();
@@ -316,12 +404,12 @@ void GaugeManager::redeploy_element(const std::string& element,
     publish_lifecycle(id, m.gauge->spec().element,
                       config_.caching ? topics::kPhaseRelocating
                                       : topics::kPhaseDeleted);
-    const bool last = (id == ids.back());
-    sim_.schedule_in(cursor, [this, id, last, started, on_done] {
+    ++pending->callbacks;
+    sim_.schedule_in(cursor, [this, id, pending] {
       Managed* mm = gauges_.find(id);
       if (mm) {
         // Bring the gauge back online.
-        bring_online(*mm);
+        bring_online(id, *mm);
         publish_lifecycle(id, mm->gauge->spec().element,
                           topics::kPhaseCreated);
       }
@@ -329,9 +417,10 @@ void GaugeManager::redeploy_element(const std::string& element,
       // has nothing to bring back — but the completion contract still
       // holds: on_done fires exactly once per redeploy, or a plan step
       // (and the repair engine behind it) would wait forever.
-      if (last) {
-        stats_.redeploy_time_total_s += (sim_.now() - started).as_seconds();
-        if (on_done) on_done();
+      if (--pending->callbacks == 0) {
+        stats_.redeploy_time_total_s +=
+            (sim_.now() - pending->started).as_seconds();
+        if (pending->on_done) pending->on_done();
       }
     });
   }

@@ -6,11 +6,18 @@
 // destroying and creating new ones) should see our repair speed improve
 // dramatically." The `caching` flag switches between those two worlds and
 // is the axis of bench_paper's Section 5.3 repair-time ablation.
+//
+// Reporting: every live gauge reports each `report_period`, unless its
+// consumer's read schedule is known (set_read_schedule). Then it publishes
+// only the ticks a read will see — the newest report to land by each read
+// (next_demanded_tick) — and skips the rest, which the consumer would have
+// overwritten unread.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,6 +50,24 @@ struct GaugeManagerConfig {
   /// through clears it ("cleared").
   SimTime stale_after = SimTime::seconds(15);
 };
+
+/// When the consumer of gauge reports reads them: at `first + j·period`,
+/// j >= 0. A fleet's FleetManager reads its coalescing slots only at its
+/// sweeps when its coalesce window spans a sweep period; this is that grid.
+struct ReadSchedule {
+  SimTime first;
+  SimTime period;
+};
+
+/// The demand rule, stated once. A gauge ticks on `origin + k·period`
+/// (k >= 1, origin = the moment it went live), and every report lands
+/// exactly `delay` after its tick. Tick t is demanded iff some read S_j has
+/// S_j - delay - period < t <= S_j - delay: its report is the newest to
+/// land by S_j (a landing exactly at S_j counts). Returns the first
+/// demanded tick at or after `from`. Each read demands exactly one tick,
+/// so with reads sparser than ticks most ticks are never demanded.
+SimTime next_demanded_tick(SimTime origin, SimTime period, SimTime from,
+                           const ReadSchedule& reads, SimTime delay);
 
 struct GaugeManagerStats {
   std::uint64_t created = 0;
@@ -106,6 +131,16 @@ class GaugeManager {
   /// Gauges currently marked suspect by the watchdog.
   std::size_t suspect_count() const;
 
+  /// Report on demand: each gauge publishes only the ticks whose reports
+  /// `reads` consumes, given that every report lands exactly
+  /// `delivery_delay` after it is sent (next_demanded_tick). Sound only
+  /// when `reads` is the one consumer of reports and keeps just the newest
+  /// per gauge, the delay is a constant, and nothing else watches report
+  /// arrivals (no fault plane, no watchdog): then the consumer sees the
+  /// values it would have seen with every tick reported. Without a call,
+  /// every tick reports. Throws once any gauge is live.
+  void set_read_schedule(ReadSchedule reads, SimTime delivery_delay);
+
   /// Wire the fault plane: reports consult it for channel-disconnect
   /// windows (suppressed at source). Null disables injection.
   void set_fault_plane(fault::FaultPlane* plane) { plane_ = plane; }
@@ -144,14 +179,23 @@ class GaugeManager {
   struct Managed {
     std::unique_ptr<Gauge> gauge;
     events::SubscriptionId probe_sub = 0;
-    std::unique_ptr<sim::PeriodicTask> reporter;
+    sim::EventHandle reporter;  ///< the pending report tick
+    SimTime online_at;          ///< origin of the gauge's tick grid
+    SimTime last_read;          ///< the last tick that read (or online_at)
     bool live = false;
     bool suspect = false;
     SimTime last_report;  ///< watchdog heartbeat (deployment counts)
   };
 
   void go_live(util::Symbol id, std::function<void()> on_live);
-  void bring_online(Managed& m);
+  void bring_online(util::Symbol id, Managed& m);
+  /// Schedule the gauge's next report: the tick at `from`, or with a read
+  /// schedule the first demanded tick at or after it.
+  void arm_report(util::Symbol id, Managed& m, SimTime from);
+  void on_tick(util::Symbol id);
+  /// With a read schedule: hand the gauge the ticks it skipped after its
+  /// last read and before `until` (Gauge::skipped_reads).
+  void catch_up(Managed& m, SimTime until);
   void take_offline(Managed& m);
   void publish_lifecycle(util::Symbol id, util::Symbol element,
                          util::Symbol phase);
@@ -168,6 +212,9 @@ class GaugeManager {
   util::SymbolMap<Managed> gauges_;
   GaugeManagerStats stats_;
   fault::FaultPlane* plane_ = nullptr;
+  /// Set by set_read_schedule: report only demanded ticks.
+  std::optional<ReadSchedule> reads_;
+  SimTime delivery_delay_;
   std::unique_ptr<sim::PeriodicTask> watchdog_;
   /// Concurrency capability: not a mutex — every mutating call (deploy,
   /// destroy, redeploy*) must come from the simulation thread; the fleet's

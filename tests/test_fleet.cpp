@@ -5,13 +5,17 @@
 // bit-identical repair sequences.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "acme/adl.hpp"
 #include "acme/script.hpp"
+#include "core/experiment.hpp"
 #include "core/fleet.hpp"
+#include "durability/codec.hpp"
+#include "durability/model_codec.hpp"
 #include "events/bus.hpp"
 #include "monitor/topics.hpp"
 #include "repair/scripts.hpp"
@@ -336,6 +340,209 @@ TEST(FleetDeterminismTest, SweepRejectsShardClocksBehindControl) {
   fleet->start();
   EXPECT_THROW(sim.run_until(opt.framework.first_check + SimTime::seconds(1)),
                Error);
+}
+
+
+// ---- demand-aligned reporting parity ----
+
+/// One tenant's adaptation outcome, reduced to what the parity pin holds:
+/// the repair record count, an FNV-1a digest over each record's strategy,
+/// element, start and end (µs) and verdict, and the digest of the final
+/// model encoding.
+struct TenantOutcome {
+  std::size_t repairs = 0;
+  std::uint64_t records_digest = 0;
+  std::uint64_t model_digest = 0;
+  bool operator==(const TenantOutcome&) const = default;
+};
+
+/// fleet-4x16 under the e2e bench's fleet config (QoS monitoring, 250 ms
+/// gauge reports, a 1 s sweep and coalesce window, the Figure 7 schedule
+/// with stress over 30-80% of the horizon): 8 tenants, 600 s, 4 sim
+/// threads.
+std::vector<TenantOutcome> run_bench_fleet(std::uint64_t seed) {
+  sim::Simulator sim;
+  core::FleetOptions opt;
+  opt.scenario = "fleet-4x16";
+  opt.tenants = 8;
+  opt.use_scenario_defaults = false;
+  opt.config = sim::scenario_defaults("fleet-4x16");
+  opt.config.seed = seed;
+  opt.config.quiescent_end = SimTime::seconds(10);
+  opt.config.stress_start = SimTime::seconds(180);
+  opt.config.stress_end = SimTime::seconds(480);
+  opt.config.normal_rate_hz = 1.0;
+  opt.config.stress_rate_hz = 1.1;
+  opt.config.fleet.phase_shift = SimTime::seconds(2);
+  opt.config.fleet.active_duration = SimTime::zero();
+  opt.framework.monitoring_qos = true;
+  opt.framework.gauge_costs.report_period = SimTime::millis(250);
+  opt.framework.check_period = SimTime::seconds(1);
+  opt.manager.coalesce_window = SimTime::seconds(1);
+  opt.manager.sweep_threads = 1;
+  opt.sim_threads = 4;
+  auto fleet = std::make_unique<core::Fleet>(sim, opt);
+  fleet->start();
+  fleet->run_until(SimTime::seconds(600));
+
+  std::vector<TenantOutcome> out;
+  for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
+    core::FleetTenant& tenant = fleet->tenant(t);
+    util::SerialLane in_lane(tenant.lane());
+    durability::Encoder enc;
+    for (const repair::RepairRecord& r :
+         tenant.framework->engine().records()) {
+      enc.str(r.strategy);
+      enc.str(r.element);
+      enc.i64(r.started.as_micros());
+      enc.i64(r.completed.as_micros());
+      enc.u8(r.committed ? 1 : 0);
+    }
+    TenantOutcome o;
+    o.repairs = tenant.framework->engine().records().size();
+    o.records_digest = durability::fnv1a(enc.bytes());
+    o.model_digest = durability::fnv1a(
+        durability::encode_system(tenant.framework->system()));
+    out.push_back(o);
+  }
+  return out;
+}
+
+TEST(FleetParityTest, DemandAlignedReportsKeepRepairsAndModels) {
+  // Recorded before gauges reported on demand, when every 250 ms tick
+  // published and the sweep read the newest report per key. Demand-aligned
+  // reporting publishes only those newest reports, so nothing here may
+  // move.
+  const std::vector<TenantOutcome> seed7 = {
+      {21, 0xe3a325374a15ec07ULL, 0x13f7b5926d488c5fULL},
+      {13, 0xdd0391eb9fdc254fULL, 0x3b2781832f342cb4ULL},
+      {21, 0x338cbe9fe51cb1ceULL, 0xf363062be8b4f010ULL},
+      {11, 0x74579bfd14aef0f2ULL, 0x95226f0b3e2736fdULL},
+      {18, 0x46b908d4401050e0ULL, 0x203831477f2f59f2ULL},
+      {16, 0x385e49930c5413dbULL, 0x0bf2b4b2f8523cc4ULL},
+      {17, 0x7ebb5f7aa46f7d78ULL, 0x88bcd6032eb8c7fcULL},
+      {6, 0x0b96bda36a9ba162ULL, 0x43911b2c1b7b0e68ULL},
+  };
+  const std::vector<TenantOutcome> seed11 = {
+      {10, 0xd6a98c7e44ba10f5ULL, 0x5cc96c30eb3609a8ULL},
+      {16, 0xf0463c53beec867cULL, 0x4e6f9d72afc12a14ULL},
+      {7, 0x14b0e47efaeb3024ULL, 0x08fbd77b43fc868fULL},
+      {17, 0x76847dda552cef46ULL, 0xe067e883cc6f6c06ULL},
+      {7, 0x7fc27bc7cb040aa1ULL, 0xd711dffcdfb47f56ULL},
+      {7, 0x3418e6c1b8bfa45fULL, 0x3092f4a9c36c8a00ULL},
+      {13, 0x72a5a6846b45d2d6ULL, 0x652b564a37e031eaULL},
+      {23, 0xc907d3d64de80bd4ULL, 0x15a9cbafde53511dULL},
+  };
+  for (const auto& [seed, pinned] :
+       {std::pair{7u, seed7}, std::pair{11u, seed11}}) {
+    const std::vector<TenantOutcome> got = run_bench_fleet(seed);
+    ASSERT_EQ(got.size(), pinned.size());
+    for (std::size_t t = 0; t < got.size(); ++t) {
+      EXPECT_EQ(got[t].repairs, pinned[t].repairs)
+          << "seed " << seed << " tenant " << t;
+      EXPECT_EQ(got[t].records_digest, pinned[t].records_digest)
+          << "seed " << seed << " tenant " << t;
+      EXPECT_EQ(got[t].model_digest, pinned[t].model_digest)
+          << "seed " << seed << " tenant " << t;
+    }
+  }
+}
+
+// ---- demand-aligned reporting: which configurations take it ----
+
+/// Gauge reports published by every tenant of a small fleet-4x16 under the
+/// e2e bench's monitoring cadence (250 ms reports, a 1 s sweep), after
+/// `tweak` adjusts the options.
+std::uint64_t fleet_gauge_reports(
+    const std::function<void(core::FleetOptions&)>& tweak) {
+  sim::Simulator sim;
+  core::FleetOptions opt;
+  opt.scenario = "fleet-4x16";
+  opt.tenants = 3;
+  opt.use_scenario_defaults = false;
+  opt.config = sim::scenario_defaults("fleet-4x16");
+  opt.config.grid.groups = 2;
+  opt.config.grid.clients = 8;
+  opt.config.grid.spares = 1;
+  opt.config.quiescent_end = SimTime::seconds(40);
+  opt.config.stress_start = SimTime::seconds(80);
+  opt.config.stress_end = SimTime::seconds(220);
+  opt.config.normal_rate_hz = 2.0;
+  opt.config.fleet.phase_shift = SimTime::seconds(30);
+  opt.framework.monitoring_qos = true;
+  opt.framework.gauge_costs.report_period = SimTime::millis(250);
+  opt.framework.check_period = SimTime::seconds(1);
+  opt.manager.coalesce_window = SimTime::seconds(1);
+  tweak(opt);
+  auto fleet = std::make_unique<core::Fleet>(sim, opt);
+  fleet->start();
+  fleet->run_until(SimTime::seconds(320));
+  std::uint64_t reports = 0;
+  for (std::size_t t = 0; t < fleet->tenant_count(); ++t) {
+    core::FleetTenant& tenant = fleet->tenant(t);
+    util::SerialLane in_lane(tenant.lane());
+    reports += tenant.framework->gauges().stats().reports;
+  }
+  return reports;
+}
+
+// Report counts recorded before gauges reported on demand, when every tick
+// published. A configuration where skipping a tick could change what a
+// sweep sees must still publish every one of them.
+constexpr std::uint64_t kEveryTickFleetReports = 68619;
+
+TEST(GaugeManagerTest, SweepAlignedFleetReportsOncePerSweep) {
+  // QoS delivery, a 1 s coalesce window = the 1 s sweep, no faults: each
+  // gauge publishes one 250 ms tick per sweep instead of four.
+  const std::uint64_t reports =
+      fleet_gauge_reports([](core::FleetOptions&) {});
+  EXPECT_LE(reports, kEveryTickFleetReports / 4);
+  EXPECT_GT(reports, kEveryTickFleetReports / 5);
+}
+
+TEST(GaugeManagerTest, FleetsWhereSkippingCouldShowKeepEveryTick) {
+  const struct {
+    const char* name;
+    std::function<void(core::FleetOptions&)> tweak;
+    std::uint64_t reports;
+  } cases[] = {
+      {"fault plane",
+       [](core::FleetOptions& o) {
+         o.framework.fault.enabled = true;
+         o.framework.fault.monitoring.report_loss = 0.02;
+       },
+       68611},
+      {"shared-network delay",
+       [](core::FleetOptions& o) { o.framework.monitoring_qos = false; },
+       kEveryTickFleetReports},
+      {"coalesce window shorter than the sweep",
+       [](core::FleetOptions& o) {
+         o.manager.coalesce_window = SimTime::millis(500);
+       },
+       kEveryTickFleetReports},
+      // A 1 s latency/load window cannot span a 1 s sweep plus a 250 ms
+      // tick, so a held value could expire between two demanded ticks.
+      {"gauge window shorter than a sweep plus a tick",
+       [](core::FleetOptions& o) {
+         o.framework.gauge_window = SimTime::seconds(1);
+       },
+       67513},
+      {"uncoordinated fleet",
+       [](core::FleetOptions& o) { o.coordinated = false; },
+       kEveryTickFleetReports},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(fleet_gauge_reports(c.tweak), c.reports) << c.name;
+  }
+}
+
+TEST(GaugeManagerTest, SoloRunKeepsEveryTick) {
+  core::ExperimentOptions solo = core::options_for("paper-fig6");
+  solo.scenario.horizon = SimTime::seconds(300);
+  solo.framework.monitoring_qos = true;
+  solo.framework.gauge_costs.report_period = SimTime::millis(250);
+  solo.framework.check_period = SimTime::seconds(1);
+  EXPECT_EQ(core::run_experiment(solo).gauge_stats.reports, 18155u);
 }
 
 }  // namespace

@@ -1,10 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "events/bus.hpp"
 #include "monitor/gauge.hpp"
 #include "monitor/gauge_manager.hpp"
 #include "monitor/probes.hpp"
 #include "monitor/topics.hpp"
+#include "util/error.hpp"
 
 namespace arcadia::monitor {
 namespace {
@@ -252,6 +261,293 @@ TEST(GaugeManagerTest, RedeployUnknownElementCompletesImmediately) {
   rig.mgr->redeploy_element("ghost", [&] { done = true; });
   rig.sim.run_until(SimTime::seconds(1));
   EXPECT_TRUE(done);
+}
+
+TEST(GaugeManagerTest, RedeployFinishesWhenASubscriberDestroysTheLastGauge) {
+  // Two gauges on U; redeploying U takes latency:U down first, and a
+  // lifecycle subscriber reacts by destroying load:U — the element's last
+  // gauge id — before the loop reaches it. The redeploy must still finish.
+  ManagerRig rig;
+  rig.mgr->deploy(make_latency_gauge(rig.sim, "U", sim::kNoNode,
+                                     SimTime::seconds(30)));
+  rig.mgr->deploy(make_load_gauge(rig.sim, "U", sim::kNoNode,
+                                  SimTime::seconds(30)));
+  rig.sim.run_until(SimTime::seconds(13));
+  rig.gauge_bus.subscribe(
+      Filter::topic(topics::kGaugeLifecycle), [&](const Notification& n) {
+        if (n.get(topics::kAttrGaugeId).as_string() == "latency:U" &&
+            rig.mgr->is_live("load:U")) {
+          rig.mgr->destroy("load:U");
+        }
+      });
+  bool done = false;
+  rig.mgr->redeploy_element("U", [&] { done = true; });
+  rig.sim.run_until(SimTime::seconds(60));
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(rig.mgr->is_live("latency:U"));
+  EXPECT_EQ(rig.mgr->gauge_count(), 1u);
+}
+
+// ---- demand-aligned reporting ----
+
+/// Tick t is demanded iff some read S_j of `reads` (up to `horizon`) has
+/// S_j - delay - period < t <= S_j - delay — the rule, by scanning reads.
+bool demanded_by_scan(SimTime t, SimTime period, const ReadSchedule& reads,
+                      SimTime delay, SimTime horizon) {
+  for (SimTime s = reads.first; s <= horizon; s += reads.period) {
+    if (s - delay - period < t && t <= s - delay) return true;
+  }
+  return false;
+}
+
+TEST(NextDemandedTickTest, GridOriginNotAlignedWithSweeps) {
+  const ReadSchedule reads{SimTime::seconds(15), SimTime::seconds(1)};
+  const SimTime p = SimTime::millis(250);
+  const SimTime d = SimTime::millis(50);
+  const SimTime origin = SimTime::millis(12300);
+  // Deadlines S_j - d fall at 14.95 s, 15.95 s, ...; the ticks at
+  // 12.3 + k * 0.25 s. Each deadline demands the newest tick by it.
+  EXPECT_EQ(next_demanded_tick(origin, p, origin, reads, d),
+            SimTime::millis(14800));
+  EXPECT_EQ(next_demanded_tick(origin, p, SimTime::millis(14801), reads, d),
+            SimTime::millis(15800));
+  // A demanded tick is its own next demanded tick.
+  EXPECT_EQ(next_demanded_tick(origin, p, SimTime::millis(15800), reads, d),
+            SimTime::millis(15800));
+}
+
+TEST(NextDemandedTickTest, ReadPeriodNotAMultipleOfReportPeriod) {
+  const ReadSchedule reads{SimTime::seconds(2), SimTime::seconds(1)};
+  const SimTime p = SimTime::millis(400);
+  std::vector<SimTime> ticks;
+  SimTime from = SimTime::zero();
+  for (int i = 0; i < 5; ++i) {
+    ticks.push_back(
+        next_demanded_tick(SimTime::zero(), p, from, reads, SimTime::zero()));
+    from = ticks.back() + p;
+  }
+  // The newest 400 ms tick by each whole second: the gaps alternate.
+  const std::vector<SimTime> want = {
+      SimTime::millis(2000), SimTime::millis(2800), SimTime::millis(4000),
+      SimTime::millis(4800), SimTime::millis(6000)};
+  EXPECT_EQ(ticks, want);
+}
+
+TEST(NextDemandedTickTest, DeliveryExactlyAtTheReadCounts) {
+  const ReadSchedule reads{SimTime::seconds(1), SimTime::seconds(1)};
+  const SimTime p = SimTime::millis(250);
+  // The 0.75 s tick lands exactly at the 1 s read: it is the one read.
+  EXPECT_EQ(next_demanded_tick(SimTime::zero(), p, SimTime::zero(), reads,
+                               SimTime::millis(250)),
+            SimTime::millis(750));
+  EXPECT_EQ(next_demanded_tick(SimTime::zero(), p, SimTime::zero(), reads,
+                               SimTime::millis(200)),
+            SimTime::millis(750));
+  // One microsecond later it would miss the read; the tick before it is
+  // the newest to land in time.
+  EXPECT_EQ(next_demanded_tick(SimTime::zero(), p, SimTime::zero(), reads,
+                               SimTime::micros(250001)),
+            SimTime::millis(500));
+}
+
+TEST(NextDemandedTickTest, TicksBeforeTheFirstSweepAreNotDemanded) {
+  const ReadSchedule reads{SimTime::seconds(15), SimTime::seconds(1)};
+  const SimTime p = SimTime::millis(250);
+  const SimTime d = SimTime::millis(50);
+  // Fifty-odd ticks land before the first read; it reads only the newest.
+  EXPECT_EQ(next_demanded_tick(SimTime::zero(), p, SimTime::zero(), reads, d),
+            SimTime::millis(14750));
+  // A gauge live at 14.9 s ticks first at 15.15 s, too late for the 15 s
+  // read: its first demanded tick serves the 16 s read.
+  EXPECT_EQ(next_demanded_tick(SimTime::millis(14900), p,
+                               SimTime::millis(14900), reads, d),
+            SimTime::millis(15900));
+}
+
+TEST(NextDemandedTickTest, MatchesTheRuleByScanning) {
+  std::mt19937_64 rng(23);
+  auto ms = [&](int lo, int hi) {
+    return SimTime::millis(std::uniform_int_distribution<int>(lo, hi)(rng));
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    const SimTime origin = ms(0, 5000);
+    const SimTime p = ms(1, 700);
+    const ReadSchedule reads{ms(0, 6000), ms(1, 1500)};
+    const SimTime d = ms(0, 300);
+    const SimTime from = origin + ms(0, 3000);
+    const SimTime got = next_demanded_tick(origin, p, from, reads, d);
+    // The first tick of origin + k * p (k >= 1) at or after `from` that
+    // the rule demands.
+    SimTime want = origin + p;
+    while (want < from) want += p;
+    const SimTime horizon = got + reads.period + d + p;
+    while (!demanded_by_scan(want, p, reads, d, horizon)) want += p;
+    ASSERT_EQ(got, want) << "trial " << trial;
+  }
+}
+
+Notification queue_obs(const std::string& group, double value) {
+  Notification n(topics::kProbeQueue);
+  n.set(topics::kAttrGroup, group).set(topics::kAttrValue, value);
+  return n;
+}
+
+/// Two gauges on U (2 s windows) fed a moving latency and queue
+/// observation every 130 ms, reporting every 250 ms; every report is
+/// recorded with its send time. A local bus delivers at once: a report
+/// sent at t "lands" at t + kDelay, the delay the read schedule is told
+/// about.
+struct DemandRig {
+  static constexpr SimTime kDelay = SimTime::millis(50);
+  sim::Simulator sim;
+  LocalEventBus probe_bus;
+  LocalEventBus gauge_bus;
+  std::unique_ptr<GaugeManager> mgr;
+  std::unique_ptr<sim::PeriodicTask> feeder;
+  struct Report {
+    SimTime sent;
+    std::string gauge;
+    double value;
+  };
+  std::vector<Report> reports;
+
+  /// Probes fall silent at `feed_until`.
+  explicit DemandRig(std::optional<ReadSchedule> reads,
+                     SimTime feed_until = SimTime::infinity()) {
+    GaugeManagerConfig cfg;
+    cfg.report_period = SimTime::millis(250);
+    cfg.caching = true;
+    mgr = std::make_unique<GaugeManager>(sim, probe_bus, gauge_bus, cfg);
+    if (reads) mgr->set_read_schedule(*reads, kDelay);
+    gauge_bus.subscribe(Filter::topic(topics::kGaugeReport),
+                        [this](const Notification& n) {
+                          reports.push_back(
+                              {sim.now(),
+                               n.get(topics::kAttrGaugeId).as_string(),
+                               n.get(topics::kAttrValue).as_double()});
+                        });
+    mgr->deploy(make_latency_gauge(sim, "U", sim::kNoNode,
+                                   SimTime::seconds(2)));
+    mgr->deploy(make_load_gauge(sim, "U", sim::kNoNode, SimTime::seconds(2)));
+    int step = 0;
+    feeder = std::make_unique<sim::PeriodicTask>(
+        sim, SimTime::millis(130), SimTime::millis(130),
+        [this, step, feed_until]() mutable {
+          ++step;
+          probe_bus.publish(latency_obs("U", 0.1 * (step % 17)));
+          probe_bus.publish(queue_obs("U", static_cast<double>(step % 5)));
+          return sim.now() < feed_until;
+        });
+  }
+
+  /// What the sweeps at the reads of `reads` up to 40 s write into the
+  /// model, per (read index, gauge): each read applies the newest report
+  /// that landed after the previous read and by this one, unless it
+  /// repeats the value already applied (the dead band).
+  std::map<std::pair<long, std::string>, double> model_writes(
+      const ReadSchedule& reads) const {
+    std::map<std::pair<long, std::string>, double> slots;
+    for (const Report& r : reports) {
+      const SimTime lands = r.sent + kDelay;
+      if (lands > SimTime::seconds(40)) continue;
+      long j = 0;
+      while (reads.first + reads.period * static_cast<double>(j) < lands) ++j;
+      slots[{j, r.gauge}] = r.value;  // sent in order: the newest wins
+    }
+    std::map<std::pair<long, std::string>, double> writes;
+    std::map<std::string, double> model;
+    for (const auto& [key, value] : slots) {
+      const auto it = model.find(key.second);
+      if (it != model.end() && it->second == value) continue;
+      model[key.second] = value;
+      writes[key] = value;
+    }
+    return writes;
+  }
+};
+
+TEST(GaugeManagerTest, ReadScheduleAfterAGaugeIsLiveThrows) {
+  ManagerRig rig;
+  rig.mgr->deploy(make_latency_gauge(rig.sim, "U", sim::kNoNode,
+                                     SimTime::seconds(30)));
+  const ReadSchedule reads{SimTime::seconds(15), SimTime::seconds(1)};
+  EXPECT_NO_THROW(rig.mgr->set_read_schedule(reads, SimTime::zero()));
+  rig.sim.run_until(SimTime::seconds(13));
+  EXPECT_THROW(rig.mgr->set_read_schedule(reads, SimTime::zero()), Error);
+}
+
+TEST(GaugeManagerTest, DemandedTicksCarryWhatEachSweepReads) {
+  const ReadSchedule reads{SimTime::seconds(15), SimTime::seconds(1)};
+  DemandRig every(std::nullopt);
+  DemandRig demand(reads);
+  every.sim.run_until(SimTime::seconds(40));
+  demand.sim.run_until(SimTime::seconds(40));
+  // The same value for every read and gauge — the same report.
+  EXPECT_EQ(demand.model_writes(reads), every.model_writes(reads));
+  // One report per read per live gauge: reads 0..25 land by 40 s.
+  EXPECT_EQ(demand.reports.size(), 2u * 26u);
+  std::map<std::pair<long, std::string>, int> per_read;
+  for (const DemandRig::Report& r : demand.reports) {
+    for (long j = 0; j <= 25; ++j) {
+      const SimTime s = reads.first + reads.period * static_cast<double>(j);
+      if (s - DemandRig::kDelay - SimTime::millis(250) < r.sent &&
+          r.sent <= s - DemandRig::kDelay) {
+        ++per_read[{j, r.gauge}];
+      }
+    }
+  }
+  EXPECT_EQ(per_read.size(), 2u * 26u);
+  for (const auto& [key, n] : per_read) EXPECT_EQ(n, 1) << key.first;
+  EXPECT_GT(every.reports.size(), 3 * demand.reports.size());
+}
+
+TEST(GaugeManagerTest, HeldValueThroughASilenceMatchesEveryTick) {
+  // The last samples arrive at 20.28 and 20.41 s. The 2 s windows empty
+  // after 22.41 s, and the gauges then hold the mean their last non-empty
+  // read computed — the skipped 22.25 s tick's, not the demanded 21.75 s
+  // tick's — until 24.41 s. The 23 s read must apply that held value.
+  const ReadSchedule reads{SimTime::seconds(15), SimTime::seconds(1)};
+  DemandRig every(std::nullopt, SimTime::millis(20400));
+  DemandRig demand(reads, SimTime::millis(20400));
+  every.sim.run_until(SimTime::seconds(40));
+  demand.sim.run_until(SimTime::seconds(40));
+  const auto writes = demand.model_writes(reads);
+  EXPECT_EQ(writes, every.model_writes(reads));
+  EXPECT_TRUE(writes.count({8, "latency:U"}));
+  EXPECT_TRUE(writes.count({8, "load:U"}));
+}
+
+TEST(GaugeManagerTest, RedeployedGaugeAtAnArbitraryPhaseStaysOnDemand) {
+  const ReadSchedule reads{SimTime::seconds(15), SimTime::seconds(1)};
+  DemandRig every(std::nullopt);
+  DemandRig demand(reads);
+  // Relocations take 1.5 s per gauge: latency:U is back at 18.63 s and
+  // load:U at 20.13 s, each on a tick grid of its own.
+  for (DemandRig* rig : {&every, &demand}) {
+    rig->sim.schedule_at(SimTime::millis(17130),
+                         [rig] { rig->mgr->redeploy_element("U"); });
+    rig->sim.run_until(SimTime::seconds(40));
+  }
+  const std::map<std::string, SimTime> origin = {
+      {"latency:U", SimTime::millis(18630)},
+      {"load:U", SimTime::millis(20130)}};
+  for (const DemandRig::Report& r : demand.reports) {
+    if (r.sent < SimTime::millis(17130)) continue;
+    const SimTime since = r.sent - origin.at(r.gauge);
+    EXPECT_EQ(since.as_micros() % SimTime::millis(250).as_micros(), 0)
+        << r.gauge << " at " << r.sent.as_seconds();
+    EXPECT_TRUE(demanded_by_scan(r.sent, SimTime::millis(250), reads,
+                                 DemandRig::kDelay, SimTime::seconds(40)))
+        << r.gauge << " at " << r.sent.as_seconds();
+  }
+  // Once both gauges are back, every read sees the same values.
+  auto after = [](std::map<std::pair<long, std::string>, double> m) {
+    std::erase_if(m, [](const auto& e) { return e.first.first < 6; });
+    return m;
+  };
+  EXPECT_EQ(after(demand.model_writes(reads)),
+            after(every.model_writes(reads)));
+  EXPECT_FALSE(after(demand.model_writes(reads)).empty());
 }
 
 }  // namespace
