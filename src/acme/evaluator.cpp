@@ -382,6 +382,33 @@ EvalValue Evaluator::eval_call(const CallExpr& c, EvalContext& ctx) const {
   fail(c.line, "unknown function '" + name->name + "'");
 }
 
+bool is_ordering(BinaryExpr::Op op) {
+  using Op = BinaryExpr::Op;
+  return op == Op::Lt || op == Op::Le || op == Op::Gt || op == Op::Ge;
+}
+
+bool compare_ordered(BinaryExpr::Op op, const EvalValue& lhs,
+                     const EvalValue& rhs, int line) {
+  using Op = BinaryExpr::Op;
+  int cmp;
+  if (lhs.is_number() && rhs.is_number()) {
+    double x = lhs.as_number();
+    double y = rhs.as_number();
+    cmp = (x < y) ? -1 : (x > y) ? 1 : 0;
+  } else if (lhs.is_string() && rhs.is_string()) {
+    int c = lhs.as_string().compare(rhs.as_string());
+    cmp = (c < 0) ? -1 : (c > 0) ? 1 : 0;
+  } else {
+    fail(line, "cannot order " + lhs.to_string() + " and " + rhs.to_string());
+  }
+  switch (op) {
+    case Op::Lt: return cmp < 0;
+    case Op::Le: return cmp <= 0;
+    case Op::Gt: return cmp > 0;
+    default: return cmp >= 0;
+  }
+}
+
 EvalValue Evaluator::eval_binary(const BinaryExpr& b, EvalContext& ctx) const {
   using Op = BinaryExpr::Op;
   // Short-circuit logical operators.
@@ -402,26 +429,7 @@ EvalValue Evaluator::eval_binary(const BinaryExpr& b, EvalContext& ctx) const {
     case Op::Lt:
     case Op::Le:
     case Op::Gt:
-    case Op::Ge: {
-      int cmp;
-      if (lhs.is_number() && rhs.is_number()) {
-        double x = lhs.as_number();
-        double y = rhs.as_number();
-        cmp = (x < y) ? -1 : (x > y) ? 1 : 0;
-      } else if (lhs.is_string() && rhs.is_string()) {
-        int c = lhs.as_string().compare(rhs.as_string());
-        cmp = (c < 0) ? -1 : (c > 0) ? 1 : 0;
-      } else {
-        fail(b.line, "cannot order " + lhs.to_string() + " and " +
-                         rhs.to_string());
-      }
-      switch (b.op) {
-        case Op::Lt: return EvalValue(cmp < 0);
-        case Op::Le: return EvalValue(cmp <= 0);
-        case Op::Gt: return EvalValue(cmp > 0);
-        default: return EvalValue(cmp >= 0);
-      }
-    }
+    case Op::Ge: return EvalValue(compare_ordered(b.op, lhs, rhs, b.line));
     case Op::Add:
       if (lhs.is_string() && rhs.is_string()) {
         return EvalValue(lhs.as_string() + rhs.as_string());

@@ -155,6 +155,16 @@ class EvalContext {
   bool has_context_element_ = false;
 };
 
+/// True for the ordering operators `<`, `<=`, `>` and `>=`.
+bool is_ordering(BinaryExpr::Op op);
+
+/// `lhs op rhs` for an ordering operator: numbers by value, strings
+/// lexicographically; any other pair throws ScriptError ("cannot order ...",
+/// with `line` when positive). The evaluator's binary operators and the
+/// constraint checker's threshold form both compare through it.
+bool compare_ordered(BinaryExpr::Op op, const EvalValue& lhs,
+                     const EvalValue& rhs, int line);
+
 class Evaluator {
  public:
   Evaluator();

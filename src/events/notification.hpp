@@ -48,8 +48,19 @@ class AttrList {
     }
     return *this;
   }
-  AttrList(AttrList&&) = default;
-  AttrList& operator=(AttrList&&) = default;
+  // Moves touch only live slots: a pooled payload's reuse (PayloadPool)
+  // move-assigns a whole notification on every publish, and most carry
+  // fewer than kInlineCap attributes. The source is left empty; its
+  // moved-from slots own no heap memory.
+  AttrList(AttrList&& other) noexcept { move_from(other); }
+  AttrList& operator=(AttrList&& other) noexcept {
+    if (this != &other) {
+      const std::uint32_t was_live = inline_size_;
+      move_from(other);
+      for (std::size_t i = inline_size_; i < was_live; ++i) inline_[i] = Attr{};
+    }
+    return *this;
+  }
 
   std::size_t size() const {
     return overflow_ ? overflow_->size() : inline_size_;
@@ -102,6 +113,17 @@ class AttrList {
   }
 
  private:
+  /// Takes `other`'s live slots (or its spill vector) into slots [0, n);
+  /// the caller resets any of its own live slots past n.
+  void move_from(AttrList& other) noexcept {
+    overflow_ = std::move(other.overflow_);
+    for (std::size_t i = 0; i < other.inline_size_; ++i) {
+      inline_[i] = std::move(other.inline_[i]);
+    }
+    inline_size_ = other.inline_size_;
+    other.inline_size_ = 0;
+  }
+
   void copy_from(const AttrList& other) {
     if (other.overflow_) {
       overflow_ = std::make_unique<std::vector<Attr>>(*other.overflow_);

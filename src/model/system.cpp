@@ -186,16 +186,24 @@ std::vector<const Connector*> System::connectors() const {
 }
 
 bool System::connected(const std::string& a, const std::string& b) const {
-  for (const auto& e : connectors_) {
-    const std::string& name = e.value->name();
-    bool touches_a = false;
-    bool touches_b = false;
-    for (const Attachment& att : attachments_) {
-      if (att.connector != name) continue;
-      if (att.component == a) touches_a = true;
-      if (att.component == b) touches_b = true;
+  // One pass collects the connectors `a` is attached to, a second finds `b`
+  // on one of them: two scans of the attachments, not one per connector.
+  // An attachment may still name a connector released since, so the shared
+  // connector must also exist.
+  std::vector<const std::string*> of_a;
+  for (const Attachment& att : attachments_) {
+    if (att.component == a) of_a.push_back(&att.connector);
+  }
+  if (of_a.empty()) return false;
+  for (const Attachment& att : attachments_) {
+    if (att.component != b) continue;
+    for (const std::string* conn : of_a) {
+      if (*conn != att.connector) continue;
+      // A connector's name was interned when it was added, so a lock-free
+      // lookup suffices.
+      const std::optional<util::Symbol> key = util::Symbol::lookup(*conn);
+      if (key && connectors_.contains(*key)) return true;
     }
-    if (touches_a && touches_b) return true;
   }
   return false;
 }

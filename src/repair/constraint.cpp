@@ -81,11 +81,11 @@ bool expression_is_local(const acme::Expr& expr) {
 }
 
 ConstraintChecker::ConstraintChecker(const model::System& system)
-    : system_(system) {}
+    : system_(system), globals_(system) {}
 
 void ConstraintChecker::bind_global(const std::string& name,
                                     acme::EvalValue value) {
-  globals_.insert_or_assign(util::Symbol::intern(name), std::move(value));
+  globals_.bind(util::Symbol::intern(name), std::move(value));
   ++globals_stamp_;
 }
 
@@ -123,7 +123,7 @@ std::size_t ConstraintChecker::instantiate(const acme::Script& script) {
     // Which properties must an element carry for this invariant to apply?
     std::vector<std::string> needed;
     for (const std::string& name : free_names(*inv.condition)) {
-      if (!globals_.contains(util::Symbol::intern(name))) needed.push_back(name);
+      if (!globals_.lookup(name)) needed.push_back(name);
     }
     for (const model::Component* comp : system_.components()) {
       bool applies = !needed.empty();
@@ -151,30 +151,26 @@ std::size_t ConstraintChecker::instantiate(const acme::Script& script) {
 
 bool ConstraintChecker::eval_constraint(const Constraint& c,
                                         double* observed) const {
-  acme::EvalContext ctx(system_);
-  for (const auto& e : globals_) ctx.bind(e.key, e.value);
+  // A child scope reads the globals through its parent link: nothing is
+  // copied and nothing allocated per evaluation.
+  acme::EvalContext ctx = globals_.child();
   if (!c.element_sym.empty() && system_.has_component(c.element_sym)) {
     ctx.set_context_element(acme::ElementRef::of_component(
         system_, system_.component(c.element_sym)));
   }
-  bool ok = evaluator_.evaluate_bool(*c.condition, ctx);
-  if (observed) {
-    *observed = 0.0;
-    // For threshold comparisons, report the left-hand side's value so the
-    // worst-first policy can rank violations.
-    if (const auto* cmp = dynamic_cast<const acme::BinaryExpr*>(c.condition.get())) {
-      using Op = acme::BinaryExpr::Op;
-      if (cmp->op == Op::Le || cmp->op == Op::Lt || cmp->op == Op::Ge ||
-          cmp->op == Op::Gt) {
-        try {
-          acme::EvalValue lhs = evaluator_.evaluate(*cmp->lhs, ctx);
-          if (lhs.is_number()) *observed = lhs.as_number();
-        } catch (const Error&) {
-          // Leave observed at 0; ranking degrades gracefully.
-        }
-      }
-    }
+  // Threshold form (an ordering comparison at the root): each operand is
+  // evaluated once, and the left-hand value is what the worst-first policy
+  // ranks violations by. Any other condition observes 0.
+  const auto* cmp = dynamic_cast<const acme::BinaryExpr*>(c.condition.get());
+  if (cmp && acme::is_ordering(cmp->op)) {
+    const acme::EvalValue lhs = evaluator_.evaluate(*cmp->lhs, ctx);
+    const acme::EvalValue rhs = evaluator_.evaluate(*cmp->rhs, ctx);
+    const bool ok = acme::compare_ordered(cmp->op, lhs, rhs, cmp->line);
+    if (observed) *observed = lhs.is_number() ? lhs.as_number() : 0.0;
+    return ok;
   }
+  const bool ok = evaluator_.evaluate_bool(*c.condition, ctx);
+  if (observed) *observed = 0.0;
   return ok;
 }
 

@@ -112,7 +112,8 @@ class ConstraintChecker {
 
   const model::System& system_;
   acme::Evaluator evaluator_;
-  util::SymbolMap<acme::EvalValue> globals_;
+  /// The global bindings; every evaluation runs in a child of this scope.
+  acme::EvalContext globals_;
   std::vector<Constraint> constraints_;
   /// Elements under a verdict hold (set from the sim thread between
   /// sweeps; check() only reads it).

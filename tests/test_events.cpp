@@ -25,6 +25,60 @@ TEST(ValueTest, AsDoublePromotesInt) {
   EXPECT_DOUBLE_EQ(Value(7).as_double(), 7.0);
 }
 
+/// A list of `n` attributes a0..a(n-1) holding n*10 + i, the last one an
+/// owned string so a move must carry heap-backed values too.
+AttrList make_attrs(int n) {
+  AttrList list;
+  for (int i = 0; i < n; ++i) {
+    const util::Symbol name = util::Symbol::intern("a" + std::to_string(i));
+    if (i + 1 == n) {
+      list.set(name, Value(std::string(40, static_cast<char>('a' + n))));
+    } else {
+      list.set(name, Value(n * 10 + i));
+    }
+  }
+  return list;
+}
+
+void expect_attrs(const AttrList& list, int n) {
+  ASSERT_EQ(list.size(), static_cast<std::size_t>(n));
+  int i = 0;
+  for (const AttrList::Attr& a : list) {
+    EXPECT_EQ(a.name.str(), "a" + std::to_string(i));
+    if (i + 1 == n) {
+      EXPECT_EQ(a.value, Value(std::string(40, static_cast<char>('a' + n))));
+    } else {
+      EXPECT_EQ(a.value, Value(n * 10 + i));
+    }
+    ++i;
+  }
+}
+
+TEST(AttrListTest, MovesCarryExactlyTheLiveAttributes) {
+  // Inline lists from empty to full and a spilled one (9 > kInlineCap),
+  // moved into a new list and assigned over shorter, longer and spilled
+  // destinations.
+  for (int from : {0, 1, 3, 6, 9}) {
+    AttrList source = make_attrs(from);
+    AttrList built(std::move(source));
+    expect_attrs(built, from);
+    EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+    for (int onto : {0, 2, 6, 9}) {
+      AttrList src = make_attrs(from);
+      AttrList dst = make_attrs(onto);
+      dst = std::move(src);
+      expect_attrs(dst, from);
+      EXPECT_TRUE(src.empty());  // NOLINT(bugprone-use-after-move)
+      // Both stay usable: a later set lands after the moved attributes.
+      dst.set(util::Symbol::intern("z"), Value(1));
+      EXPECT_EQ(dst.size(), static_cast<std::size_t>(from + 1));
+      src.set(util::Symbol::intern("z"), Value(2));
+      ASSERT_EQ(src.size(), 1u);
+      EXPECT_EQ(*src.find(util::Symbol::intern("z")), Value(2));
+    }
+  }
+}
+
 struct FilterCase {
   Op op;
   Value attr;

@@ -269,5 +269,118 @@ TEST(IncrementalCheckTest, VerdictsMatchAFreshChecker) {
   }
 }
 
+TEST(CheckerEvaluationTest, BindGlobalAfterSweepsChangesTheNextVerdict) {
+  model::System sys = make_system(2);
+  ConstraintChecker checker(sys);
+  checker.bind_global("limit", acme::EvalValue(2.0));
+  checker.add_constraint("lat:User1", "User1", "averageLatency <= limit",
+                         "fix");
+  checker.add_constraint("lat:User2", "User2", "averageLatency <= limit",
+                         "fix");
+  for (int sweep = 0; sweep < 4; ++sweep) EXPECT_TRUE(checker.check().empty());
+  checker.bind_global("limit", acme::EvalValue(0.25));
+  auto violations = checker.check();
+  ASSERT_EQ(violations.size(), 2u);
+  EXPECT_DOUBLE_EQ(violations[0].observed, 0.5);
+  EXPECT_FALSE(checker.satisfied("lat:User1"));
+  // A new global is visible too, and rebinding back clears the verdict.
+  checker.bind_global("unrelated", acme::EvalValue(true));
+  checker.bind_global("limit", acme::EvalValue(0.5));
+  EXPECT_TRUE(checker.check().empty());
+  EXPECT_TRUE(checker.satisfied("lat:User2"));
+}
+
+TEST(CheckerEvaluationTest, ObservedIsTheLeftHandValueForEachOrdering) {
+  model::System sys = make_system(1);
+  sys.component("User1").set_property("averageLatency",
+                                      model::PropertyValue(0.75));
+  // Each condition fails; its left-hand side is an expression, not a bare
+  // property, and evaluates to 1.5.
+  const char* kFailing[] = {
+      "averageLatency * 2.0 < 1.5",
+      "averageLatency * 2.0 <= 1.0",
+      "averageLatency * 2.0 > 1.5",
+      "averageLatency * 2.0 >= 2.0",
+  };
+  for (const char* condition : kFailing) {
+    ConstraintChecker checker(sys);
+    checker.add_constraint("c", "User1", condition, "fix");
+    auto violations = checker.check();
+    ASSERT_EQ(violations.size(), 1u) << condition;
+    EXPECT_DOUBLE_EQ(violations[0].observed, 1.5) << condition;
+  }
+  // The same forms, satisfied, report no violation.
+  const char* kHolding[] = {
+      "averageLatency * 2.0 < 2.0",
+      "averageLatency * 2.0 <= 1.5",
+      "averageLatency * 2.0 > 1.0",
+      "averageLatency * 2.0 >= 1.5",
+  };
+  for (const char* condition : kHolding) {
+    ConstraintChecker checker(sys);
+    checker.add_constraint("c", "User1", condition, "fix");
+    EXPECT_TRUE(checker.check().empty()) << condition;
+    EXPECT_TRUE(checker.satisfied("c")) << condition;
+  }
+}
+
+TEST(CheckerEvaluationTest, NonThresholdInvariantObservesZero) {
+  model::System sys("Groups");
+  auto& grp = sys.add_component("Grp", "ServerGroupT");
+  grp.set_property("utilization", model::PropertyValue(0.1));
+  grp.set_property("replicationCount", model::PropertyValue(5));
+  ConstraintChecker checker(sys);
+  checker.bind_global("minUtilization", acme::EvalValue(0.5));
+  checker.bind_global("minReplicas", acme::EvalValue(1.0));
+  checker.add_constraint(
+      "u:Grp", "Grp",
+      "utilization >= minUtilization or replicationCount <= minReplicas",
+      "trim");
+  checker.add_constraint("eq:Grp", "Grp", "replicationCount == 4", "trim");
+  checker.add_constraint("not:Grp", "Grp", "!(utilization < 1.0)", "trim");
+  auto violations = checker.check();
+  ASSERT_EQ(violations.size(), 3u);
+  for (const Violation& v : violations) {
+    EXPECT_DOUBLE_EQ(v.observed, 0.0) << v.constraint->id;
+  }
+}
+
+TEST(CheckerEvaluationTest, UnorderableComparisonThrowsTheEvaluatorsError) {
+  model::System sys = make_system(1);
+  sys.component("User1").set_property("label", model::PropertyValue("fast"));
+  const char* kConditions[] = {"label < 3", "averageLatency >= limit"};
+  for (const char* condition : kConditions) {
+    auto expr = acme::parse_expression(condition);
+    acme::EvalContext ctx(sys);
+    ctx.bind("limit", acme::EvalValue("high"));
+    ctx.set_context_element(acme::ElementRef::of_component(
+        sys, sys.component("User1")));
+    std::string expected;
+    try {
+      acme::Evaluator().evaluate(*expr, ctx);
+      ADD_FAILURE() << condition << " evaluated";
+    } catch (const ScriptError& e) {
+      expected = e.what();
+    }
+    EXPECT_NE(expected.find("cannot order"), std::string::npos) << expected;
+
+    ConstraintChecker checker(sys);
+    checker.bind_global("limit", acme::EvalValue("high"));
+    checker.add_constraint("c", "User1", condition, "fix");
+    try {
+      checker.check();
+      ADD_FAILURE() << condition << " checked";
+    } catch (const ScriptError& e) {
+      EXPECT_EQ(std::string(e.what()), expected);
+    }
+    try {
+      checker.satisfied("c");
+      ADD_FAILURE() << condition << " satisfied";
+    } catch (const ScriptError& e) {
+      EXPECT_EQ(std::string(e.what()), expected);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace arcadia::repair

@@ -69,6 +69,109 @@ TEST(SystemTest, ConnectedAndAttached) {
   EXPECT_FALSE(sys.attached("User1", "request", "Conn_User1", "serverSide"));
 }
 
+/// Reference definition of `System::connected`: some existing connector
+/// has an attachment to `a` and one to `b`. Rescans every attachment per
+/// connector, which is quadratic but plainly right.
+bool reference_connected(const System& sys, const std::string& a,
+                         const std::string& b) {
+  for (const Connector* conn : sys.connectors()) {
+    bool touches_a = false;
+    bool touches_b = false;
+    for (const Attachment& att : sys.attachments()) {
+      if (att.connector != conn->name()) continue;
+      if (att.component == a) touches_a = true;
+      if (att.component == b) touches_b = true;
+    }
+    if (touches_a && touches_b) return true;
+  }
+  return false;
+}
+
+/// Every ordered pair over the system's components plus names on neither
+/// side, including a == b.
+void expect_connected_matches_reference(const System& sys) {
+  std::vector<std::string> names = {"Nobody", "", "Conn0"};
+  for (const Component* c : sys.components()) names.push_back(c->name());
+  for (const std::string& a : names) {
+    for (const std::string& b : names) {
+      EXPECT_EQ(sys.connected(a, b), reference_connected(sys, a, b))
+          << "connected(" << a << ", " << b << ")";
+    }
+  }
+}
+
+TEST(SystemTest, ConnectedMatchesTheNestedLoopDefinition) {
+  System sys = make_small_system();
+  // A component on two connectors, and one with no attachments.
+  Component& grp2 = sys.add_component("ServerGrp2", cs::kServerGroupT);
+  grp2.add_port("provide", cs::kProvidePortT);
+  sys.add_component("Loner", cs::kClientT).add_port("request",
+                                                    cs::kRequestPortT);
+  Connector& conn = sys.add_connector("Conn_User1b", cs::kConnT);
+  conn.add_role("clientSide", cs::kClientRoleT);
+  conn.add_role("serverSide", cs::kServerRoleT);
+  sys.component("User1").add_port("request2", cs::kRequestPortT);
+  sys.attach({"User1", "request2", "Conn_User1b", "clientSide"});
+  sys.attach({"ServerGrp2", "provide", "Conn_User1b", "serverSide"});
+
+  EXPECT_TRUE(sys.connected("User1", "ServerGrp2"));
+  EXPECT_TRUE(sys.connected("User1", "User1"));
+  EXPECT_FALSE(sys.connected("ServerGrp1", "ServerGrp2"));
+  EXPECT_FALSE(sys.connected("Loner", "Loner"));
+  EXPECT_FALSE(sys.connected("Nobody", "User1"));
+  expect_connected_matches_reference(sys);
+
+  // Releasing a connector leaves its attachments behind; they no longer
+  // connect anything.
+  auto released = sys.release_connector("Conn_User1b");
+  EXPECT_FALSE(sys.connected("User1", "ServerGrp2"));
+  EXPECT_TRUE(sys.connected("User1", "ServerGrp1"));
+  expect_connected_matches_reference(sys);
+}
+
+TEST(SystemTest, ConnectedMatchesTheNestedLoopDefinitionOnRandomSystems) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed * 104729);
+    System sys("Random");
+    const int components = 2 + static_cast<int>(rng.uniform_int(7));
+    const int connectors = 1 + static_cast<int>(rng.uniform_int(6));
+    for (int c = 0; c < components; ++c) {
+      Component& comp = sys.add_component("C" + std::to_string(c),
+                                          cs::kClientT);
+      comp.add_port("p0", cs::kRequestPortT);
+      comp.add_port("p1", cs::kRequestPortT);
+    }
+    for (int k = 0; k < connectors; ++k) {
+      Connector& conn = sys.add_connector("Conn" + std::to_string(k),
+                                          cs::kConnT);
+      for (int r = 0; r < 3; ++r) {
+        conn.add_role("r" + std::to_string(r), cs::kClientRoleT);
+      }
+    }
+    const int attachments = static_cast<int>(rng.uniform_int(12));
+    for (int i = 0; i < attachments; ++i) {
+      try {
+        sys.attach({"C" + std::to_string(rng.uniform_int(components)),
+                    "p" + std::to_string(rng.uniform_int(2)),
+                    "Conn" + std::to_string(rng.uniform_int(connectors)),
+                    "r" + std::to_string(rng.uniform_int(3))});
+      } catch (const ModelError&) {
+        // Duplicate draw; skip it.
+      }
+    }
+    expect_connected_matches_reference(sys);
+    // Dangling attachments (a released connector) and a removed component.
+    if (rng.bernoulli(0.5)) {
+      sys.release_connector("Conn" +
+                            std::to_string(rng.uniform_int(connectors)));
+    }
+    if (rng.bernoulli(0.5)) {
+      sys.remove_component("C" + std::to_string(rng.uniform_int(components)));
+    }
+    expect_connected_matches_reference(sys);
+  }
+}
+
 TEST(SystemTest, NeighborsAndConnectorsOf) {
   System sys = make_small_system();
   auto neighbors = sys.neighbors("User1");
