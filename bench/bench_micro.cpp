@@ -1,8 +1,8 @@
 // Microbenchmarks for the paths the paper's loop runs most: model property
 // reads, transactions, Armani expression evaluation and constraint sweeps
 // (gauge -> model -> checker), the event kernel and the max-min allocator
-// (the simulated testbed), and local and delayed bus delivery (probe ->
-// gauge).
+// (the simulated testbed), and zero-delay and delayed bus delivery (probe
+// -> gauge).
 //
 // Each path runs once. Its wall time per operation goes to the JSON as a
 // record and is never gated: it depends on the host. Pass or fail rests on
@@ -14,10 +14,10 @@
 //     with no allocation per evaluation;
 //   - a reserved Simulator schedules, cancels and fires events with no
 //     allocation and no pool or heap growth at steady state;
-//   - a steady-state publish allocates nothing on either bus, every
-//     publish reaches exactly the subscribers its filters select, and a
-//     local publish checks the filter of only the one subscription keyed
-//     on its client.
+//   - a steady-state publish allocates nothing, with or without delivery
+//     delay, every publish reaches exactly the subscribers its filters
+//     select, and a keyed publish checks the filter of only the one
+//     subscription keyed on its client.
 //
 // Usage: bench_micro [out.json]   (default: BENCH_micro.json beside the
 // binary). Exits 1 if any gate fails.
@@ -431,11 +431,12 @@ void bench_maxmin(Report& report) {
   }
 }
 
-// ---- events: local publish and delayed sim-bus delivery -------------------
+// ---- events: keyed publish and delayed sim-bus delivery -------------------
 
-void bench_local_publish(Report& report) {
-  constexpr std::uint64_t kWarmup = 2'000;
-  constexpr std::uint64_t kPublishes = 100'000;
+void bench_keyed_publish(Report& report) {
+  constexpr int kWarmupRounds = 4;
+  constexpr int kRounds = 200;
+  constexpr int kPerRound = 500;
   constexpr int kClients = 16;
   // Fleet-shaped subscription table: 4 probe topics, one Eq-filtered
   // subscription per client on each, so every publish matches exactly one.
@@ -450,7 +451,10 @@ void bench_local_publish(Report& report) {
   const util::Symbol client_sym = util::Symbol::intern("client");
   const util::Symbol value_sym = util::Symbol::intern("value");
 
-  events::LocalEventBus bus;
+  // Zero delivery delay: each round's deliveries run at the publish time
+  // when the round drains, so the payload pool reaches its steady size.
+  sim::Simulator sim;
+  events::SimEventBus bus(sim, events::fixed_delay(SimTime::zero()));
   std::uint64_t delivered = 0;
   for (util::Symbol topic : topics) {
     for (util::Symbol client : clients) {
@@ -461,26 +465,31 @@ void bench_local_publish(Report& report) {
                     });
     }
   }
-  auto publish = [&](std::uint64_t i) {
-    events::Notification n(topics[i % 4]);
-    n.set(client_sym, clients[i % kClients])
-        .set(value_sym, static_cast<double>(i));
-    bus.publish(std::move(n));
+  auto round = [&] {
+    for (std::uint64_t i = 0; i < kPerRound; ++i) {
+      events::Notification n(topics[i % 4]);
+      n.set(client_sym, clients[i % kClients])
+          .set(value_sym, static_cast<double>(i));
+      bus.publish(std::move(n));
+    }
+    sim.run_until(sim.now());
   };
-  for (std::uint64_t i = 0; i < kWarmup; ++i) publish(i);
+  for (int r = 0; r < kWarmupRounds; ++r) round();
   delivered = 0;
   const std::uint64_t checks_before = bus.stats().filter_checks;
-  Path p = measure("local_publish", kPublishes, [&] {
-    for (std::uint64_t i = 0; i < kPublishes; ++i) publish(i);
+  constexpr std::uint64_t kPublishes = std::uint64_t(kRounds) * kPerRound;
+  Path p = measure("sim_bus_keyed_publish", kPublishes, [&] {
+    for (int r = 0; r < kRounds; ++r) round();
   });
   const std::uint64_t filter_checks = bus.stats().filter_checks - checks_before;
   p.counts = {{"deliveries", delivered}, {"filter_checks", filter_checks}};
   report.add(p);
-  report.gate("local_publish.allocations", p.allocations, 0);
-  report.gate("local_publish.deliveries", delivered, kPublishes);
+  report.gate("sim_bus_keyed_publish.allocations", p.allocations, 0);
+  report.gate("sim_bus_keyed_publish.deliveries", delivered, kPublishes);
   // The key index hands each publish only the subscription keyed on its
   // client: one filter check, not one per client.
-  report.gate("local_publish.filter_checks", filter_checks, kPublishes);
+  report.gate("sim_bus_keyed_publish.filter_checks", filter_checks,
+              kPublishes);
 }
 
 void bench_sim_bus(Report& report) {
@@ -544,8 +553,8 @@ int main(int argc, char** argv) {
   std::cout << "bench_micro: simulator and max-min allocator\n";
   bench_simulator(report);
   bench_maxmin(report);
-  std::cout << "bench_micro: event buses\n";
-  bench_local_publish(report);
+  std::cout << "bench_micro: event bus\n";
+  bench_keyed_publish(report);
   bench_sim_bus(report);
 
   report.write_json(out_path);

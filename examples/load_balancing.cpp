@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The paper's scenario, by registry name: 1800 s, seed 42.
+  // The paper's scenario, by catalog name: 1800 s, seed 42.
   core::ExperimentOptions options = core::options_for("paper-fig6");
 
   std::cout << "=== Grid storage load balancing (Cheng et al., HPDC'02) ===\n";

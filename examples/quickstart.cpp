@@ -1,5 +1,5 @@
-// Quickstart on the builder/registry API: pick a scenario from the
-// ScenarioRegistry by name, run it with the adaptation framework, and
+// Quickstart on the builder/catalog API: pick a scenario from the
+// scenario catalog by name, run it with the adaptation framework, and
 // print what happened.
 //
 //   quickstart                      # shortened paper experiment
@@ -24,14 +24,12 @@ using namespace arcadia;
 
 void print_catalog() {
   std::cout << "registered scenarios:\n";
-  for (const std::string& name : sim::ScenarioRegistry::instance().names()) {
-    std::cout << "  " << name << "\n      "
-              << sim::ScenarioRegistry::instance().at(name).description
-              << "\n";
+  for (const sim::ScenarioSpec& spec : sim::scenario_catalog()) {
+    std::cout << "  " << spec.name << "\n      " << spec.description << "\n";
   }
 }
 
-/// The README's minimal loop: registry scenario + FrameworkBuilder.
+/// The README's minimal loop: catalog scenario + FrameworkBuilder.
 int run_builder_demo() {
   sim::Simulator s;
   sim::Testbed tb = sim::build_scenario(s, "flash-crowd");

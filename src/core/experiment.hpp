@@ -18,7 +18,7 @@
 namespace arcadia::core {
 
 struct ExperimentOptions {
-  /// Which registered scenario to run (sim::ScenarioRegistry name). Use
+  /// Which scenario to run (a sim::scenario_catalog() name). Use
   /// options_for() to start from a scenario's calibrated defaults.
   std::string scenario_name = "paper-fig6";
   sim::ScenarioConfig scenario;
@@ -93,7 +93,7 @@ struct ExperimentResult {
   const GroupSeries* group(const std::string& name) const;
 };
 
-/// Options seeded with a registered scenario's calibrated defaults.
+/// Options seeded with a catalog scenario's calibrated defaults.
 ExperimentOptions options_for(const std::string& scenario_name);
 
 ExperimentResult run_experiment(const ExperimentOptions& options);

@@ -16,7 +16,7 @@
 // for any sim_threads.
 //
 // Every tenant is a full Framework (its own probes, gauges, buses, model,
-// constraint checker, and repair engine) built from a registered scenario;
+// constraint checker, and repair engine) built from a catalog scenario;
 // the scenario's `fleet.tenant_index` is looped to clone phase-shifted
 // tenants. With `coordinated` (the default), every tenant is attached to the
 // fleet's FleetManager (Framework::attach_fleet_manager), which batches

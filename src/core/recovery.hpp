@@ -41,7 +41,7 @@ namespace arcadia::core {
 /// defaults: a restore of a run that customized them diverges in catchup
 /// verification (a loud RecoveryError), never silently.
 struct Manifest {
-  std::string scenario;  ///< ScenarioRegistry name
+  std::string scenario;  ///< scenario catalog name
   sim::ScenarioConfig config;
   FrameworkConfig framework;
 };

@@ -49,9 +49,9 @@ class ExperimentSuite {
  public:
   /// Queue one labeled run.
   ExperimentSuite& add(std::string label, ExperimentOptions options);
-  /// Queue scenario x variant runs: every registered scenario name in
+  /// Queue scenario x variant runs: every catalog scenario name in
   /// `scenarios` under every framework variant, labeled
-  /// "<scenario>/<variant>". Scenario defaults come from the registry.
+  /// "<scenario>/<variant>". Scenario defaults come from the catalog.
   ExperimentSuite& add_grid(const std::vector<std::string>& scenarios,
                             const std::vector<SuiteVariant>& variants);
 

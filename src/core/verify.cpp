@@ -112,7 +112,7 @@ std::vector<AnalysisIssue> verify_scenario_config(
     const std::string& name, const sim::ScenarioConfig& config) {
   std::vector<AnalysisIssue> out;
 
-  if (!name.empty() && !sim::ScenarioRegistry::instance().contains(name)) {
+  if (!name.empty() && !sim::find_scenario(name)) {
     config_issue(out, "scenario '" + name + "' is not registered");
   }
 

@@ -5,13 +5,13 @@
 // a started Framework, the gauge mappings its GaugeManager deployed, the
 // operator costs its environment declares, and the operator call sites
 // reachable from its script's invariant handlers. It also validates
-// scenario configurations against the registry and their own invariants
+// scenario configurations against the catalog and their own invariants
 // (probabilities in range, ordered schedule breakpoints, positive
 // topology counts).
 //
 // Used three ways: the FrameworkConfig::verify startup hook (warn or
 // fail-fast on a misconfigured deployment), the tools/arcverify CLI (the
-// ctest/CI gate over shipped scripts and every registered scenario), and
+// ctest/CI gate over shipped scripts and every catalog scenario), and
 // tests.
 #pragma once
 
@@ -33,8 +33,8 @@ acme::analysis::DeploymentView make_deployment_view(Framework& fw);
 /// Script rules + deployment rules over one started framework.
 std::vector<acme::analysis::AnalysisIssue> verify_framework(Framework& fw);
 
-/// Validate a scenario configuration: `name` must be registered (empty
-/// skips the registry check), probabilities must be probabilities, fault
+/// Validate a scenario configuration: `name` must be in the catalog (empty
+/// skips the catalog check), probabilities must be probabilities, fault
 /// windows and schedule breakpoints must be ordered, topology counts
 /// positive. Rule id: "scenario-config".
 std::vector<acme::analysis::AnalysisIssue> verify_scenario_config(

@@ -1,19 +1,16 @@
-// Event buses. The paper's monitoring infrastructure runs two logical buses
-// (a probe bus and a gauge reporting bus) over Siena. Arcadia provides:
-//   * LocalEventBus  — immediate synchronous dispatch, thread-safe; for
-//                      standalone use of the monitoring stack.
-//   * SimEventBus    — dispatch scheduled through the Simulator with a
-//                      pluggable per-delivery delay model. With the
-//                      network-aware delay model, monitoring messages slow
-//                      down exactly when the network is congested — the
-//                      paper's "the same network is being used to monitor
-//                      the system as to run it" observation. A QoS mode
-//                      (prioritized monitoring traffic) removes that
-//                      penalty, implementing the mitigation the paper
-//                      proposes in Section 5.3.
+// The event bus. The paper's monitoring infrastructure runs two logical
+// buses (a probe bus and a gauge reporting bus) over Siena; Arcadia runs
+// each as a SimEventBus, whose deliveries are simulator events with a
+// pluggable per-delivery delay model. With the network-aware delay model,
+// monitoring messages slow down exactly when the network is congested —
+// the paper's "the same network is being used to monitor the system as to
+// run it" observation. A QoS mode (prioritized monitoring traffic) removes
+// that penalty, implementing the mitigation the paper proposes in Section
+// 5.3. The EventBus interface stays abstract so fault::FaultyBus can
+// decorate a bus with a lossy substrate.
 //
 // Hot-path design (the monitoring pipeline pushes millions of notifications
-// per fleet run through these — about 5.4M on fleet-scale):
+// per fleet run through the bus — about 5.4M on fleet-scale):
 //   * topic- and key-indexed routing — exact-topic subscriptions live in a
 //     SymbolMap<topic -> bucket>. Within a bucket, a filter with a routing
 //     key (its first symbol-valued Eq constraint, e.g. the gauge filter
@@ -26,15 +23,13 @@
 //     only rules candidates out: every candidate still runs its filter;
 //   * slot + generation subscriptions — subscriber state lives in pooled
 //     slots; unsubscribe bumps the slot's generation, which both drops
-//     in-flight SimEventBus deliveries (like messages to a deleted Siena
-//     subscription) and lets the slot be reused without invalidating
-//     anything. No per-publish snapshot copy of the subscription vector:
-//     LocalEventBus gathers matches into a pooled scratch buffer,
-//     SimEventBus's pending deliveries carry (slot, generation) pairs;
+//     in-flight deliveries (like messages to a deleted Siena subscription)
+//     and lets the slot be reused without invalidating anything. No
+//     per-publish snapshot copy of the subscription vector: pending
+//     deliveries carry (slot, generation) pairs;
 //   * shared-payload delivery — all matched subscribers of one publish see
-//     the same immutable notification; SimEventBus recycles payloads
-//     through a use_count-scanned pool, so a steady publish stream does
-//     not allocate at all.
+//     the same immutable notification, recycled through a use_count-scanned
+//     pool, so a steady publish stream does not allocate at all.
 // Delivery order is unchanged from the scan design: candidates are merged
 // across the selected bucket lists and the fallback list in subscription
 // order, so per-subscriber FIFO and cross-subscriber determinism hold
@@ -87,25 +82,29 @@ class EventBus {
 
 namespace detail {
 
-/// Indexed subscription storage shared by both buses: pooled slots with
-/// generations, an exact-topic index whose buckets are further keyed by
-/// each filter's routing key (Filter::routing_key()), and a fallback list
-/// for any/prefix filters. Every index list holds slots in subscription
-/// order (ids are monotonic), and candidate iteration merges the lists a
-/// notification selects by id, preserving the delivery order of the
-/// linear-scan design this replaced. Not synchronized — callers lock
-/// (LocalEventBus) or are single-threaded (SimEventBus).
-template <typename SubData>
+/// The bus's indexed subscription storage: pooled slots with generations,
+/// an exact-topic index whose buckets are further keyed by each filter's
+/// routing key (Filter::routing_key()), and a fallback list for any/prefix
+/// filters. Every index list holds slots in subscription order (ids are
+/// monotonic), and candidate iteration merges the lists a notification
+/// selects by id, preserving the delivery order of the linear-scan design
+/// this replaced. Not synchronized: the bus is single-threaded.
 class SubTable {
  public:
   struct Slot {
     SubscriptionId id = 0;  ///< 0 = free
     Filter filter;
-    SubData data;
+    /// Refcounted so a delivery can pin the closure with one atomic bump
+    /// before invoking it: a handler that re-entrantly subscribes (the
+    /// slot vector may reallocate) or unsubscribes itself stays alive for
+    /// the remainder of its own call.
+    std::shared_ptr<Handler> handler;
+    sim::NodeId node = sim::kNoNode;  ///< where the subscriber runs
     std::uint32_t gen = 1;
   };
 
-  std::uint32_t add(SubscriptionId id, Filter filter, SubData data) {
+  std::uint32_t add(SubscriptionId id, Filter filter, Handler handler,
+                    sim::NodeId node) {
     std::uint32_t idx;
     if (!free_.empty()) {
       idx = free_.back();
@@ -117,15 +116,16 @@ class SubTable {
     Slot& s = slots_[idx];
     s.id = id;
     s.filter = std::move(filter);
-    s.data = std::move(data);
+    s.handler = std::make_shared<Handler>(std::move(handler));
+    s.node = node;
     list_for(s.filter).push_back(idx);
     return idx;
   }
 
   /// Unsubscribe: detach from the index, bump the generation (dropping any
   /// in-flight deliveries holding the old one), and recycle the slot.
-  /// Callers must not hold references into the slot across this — both
-  /// buses dispatch from refcounted handler copies, never from the slot.
+  /// Callers must not hold references into the slot across this — the bus
+  /// dispatches from a refcounted handler copy, never from the slot.
   bool remove(SubscriptionId id) {
     for (std::uint32_t idx = 0; idx < slots_.size(); ++idx) {
       Slot& s = slots_[idx];
@@ -134,7 +134,7 @@ class SubTable {
       list.erase(std::find(list.begin(), list.end(), idx));
       s.id = 0;
       ++s.gen;
-      s.data = SubData{};
+      s.handler.reset();
       free_.push_back(idx);
       return true;
     }
@@ -257,43 +257,6 @@ class PayloadPool {
 
 }  // namespace detail
 
-/// Immediate dispatch. Handlers run on the publisher's thread, under no
-/// bus lock (matches are gathered into a pooled scratch snapshot first),
-/// so handlers may re-enter the bus (publish, subscribe, unsubscribe).
-/// Snapshot semantics: subscribers added during a dispatch do not see the
-/// in-flight notification; a subscriber unsubscribed mid-dispatch may
-/// still receive it (its handler is kept alive by the snapshot).
-class LocalEventBus : public EventBus {
- public:
-  SubscriptionId subscribe(Filter filter, Handler handler,
-                           sim::NodeId subscriber_node) override;
-  using EventBus::subscribe;
-  void unsubscribe(SubscriptionId id) override;
-  void publish(Notification n) override;
-  /// Quiescent read: the counters are mutated under the bus mutex, but the
-  /// accessor hands out an unlocked reference — callers read it only after
-  /// concurrent publishers have been joined (tests/benches do exactly
-  /// that). Analysis is off for this one deliberate hole.
-  const BusStats& stats() const ARC_NO_TSA override { return stats_; }
-
- private:
-  struct SubData {
-    std::shared_ptr<Handler> handler;
-  };
-  using Scratch = std::vector<std::shared_ptr<Handler>>;
-
-  /// Reusable match buffers (thread-local; one per re-entrant publish
-  /// depth). Each retains its capacity, so steady-state publishes never
-  /// allocate and scratch management takes no lock.
-  static std::vector<std::unique_ptr<Scratch>>& scratch_pool();
-  std::unique_ptr<Scratch> acquire_scratch();
-
-  mutable util::Mutex mutex_;
-  detail::SubTable<SubData> subs_ ARC_GUARDED_BY(mutex_);
-  SubscriptionId next_id_ ARC_GUARDED_BY(mutex_) = 1;
-  BusStats stats_ ARC_GUARDED_BY(mutex_);
-};
-
 /// Computes the delivery delay of a notification to a subscriber node.
 using DelayModel =
     std::function<SimTime(const Notification&, sim::NodeId subscriber)>;
@@ -310,7 +273,9 @@ DelayModel network_delay(const sim::FlowNetwork& net, SimTime base,
 /// Bus whose deliveries are simulator events. All matched subscribers of a
 /// publish share one pooled immutable payload; each pending delivery is a
 /// (payload, slot, generation) triple small enough to live inline in the
-/// simulator's event slot. Single-threaded, like the simulator itself.
+/// simulator's event slot. Single-threaded, like the simulator itself. With
+/// fixed_delay(SimTime::zero()) a delivery runs at the publish time, after
+/// the events already queued for that time.
 class SimEventBus : public EventBus {
  public:
   SimEventBus(sim::Simulator& sim, DelayModel delay);
@@ -326,14 +291,6 @@ class SimEventBus : public EventBus {
   std::uint64_t in_flight() const { return in_flight_; }
 
  private:
-  /// The handler is refcounted so a delivery can pin the closure with one
-  /// atomic bump before invoking it: a handler that re-entrantly
-  /// subscribes (slot vector may reallocate) or unsubscribes itself stays
-  /// alive for the remainder of its own call.
-  struct SubData {
-    std::shared_ptr<Handler> handler;
-    sim::NodeId node = sim::kNoNode;
-  };
   void deliver(std::uint32_t idx, std::uint32_t gen, const Notification& n);
 
   sim::Simulator& sim_;
@@ -342,7 +299,7 @@ class SimEventBus : public EventBus {
   /// simulator is single-threaded); the domain turns a cross-thread call
   /// into a debug abort instead of a silent race.
   util::SerialDomain serial_;
-  detail::SubTable<SubData> subs_;
+  detail::SubTable subs_;
   detail::PayloadPool payloads_;
   SubscriptionId next_id_ = 1;
   BusStats stats_;

@@ -71,7 +71,7 @@ struct ChurnConfig {
 
 /// All knobs for one experiment run. Defaults reproduce the paper's set-up;
 /// see DESIGN.md ("Calibration") for the rationale. Scenario factories in
-/// the ScenarioRegistry interpret the sub-configs they care about (`grid`,
+/// the scenario catalog interpret the sub-configs they care about (`grid`,
 /// `flash`, `churn`) and ignore the rest.
 struct ScenarioConfig {
   std::uint64_t seed = 42;
@@ -124,7 +124,7 @@ struct ScenarioConfig {
   /// translator.
   fault::FaultProfile fault;
 
-  // -- scenario-specific sub-configs (see the ScenarioRegistry catalog)
+  // -- scenario-specific sub-configs (see the scenario catalog)
   GridScaleConfig grid;
   FlashCrowdConfig flash;
   ChurnConfig churn;
@@ -135,7 +135,7 @@ struct ScenarioConfig {
 /// well-known element indices the rest of the framework wires against.
 struct Testbed {
   Simulator* sim = nullptr;
-  /// Registry name of the scenario that built this testbed ("" for ad-hoc
+  /// Catalog name of the scenario that built this testbed ("" for ad-hoc
   /// construction).
   std::string scenario;
   std::unique_ptr<Topology> topo;

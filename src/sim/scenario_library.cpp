@@ -1,5 +1,7 @@
-#include "sim/scenario_library.hpp"
-
+// The scenario catalog: the built-in library as one constant table. A new
+// scenario is one more entry in builtin_scenarios() below; its description
+// is what `quickstart --list` prints.
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -8,7 +10,9 @@
 #include "util/error.hpp"
 
 namespace arcadia::sim {
+namespace {
 
+/// The parameterized grid-NxM factory (grid shape from `config.grid`).
 Testbed build_grid_testbed(Simulator& sim, const ScenarioConfig& config) {
   const GridScaleConfig& grid = config.grid;
   if (grid.groups < 1 || grid.servers_per_group < 1 || grid.clients < 1 ||
@@ -119,6 +123,7 @@ Testbed build_grid_testbed(Simulator& sim, const ScenarioConfig& config) {
   return tb;
 }
 
+/// Figure 6 testbed + flash-crowd workload (no competition traffic).
 Testbed build_flash_crowd_testbed(Simulator& sim, const ScenarioConfig& config) {
   Testbed tb = build_testbed_without_workload(sim, config);
 
@@ -136,6 +141,7 @@ Testbed build_flash_crowd_testbed(Simulator& sim, const ScenarioConfig& config) 
   return tb;
 }
 
+/// Figure 6 testbed + rotating SG1 outages on top of the normal workload.
 Testbed build_server_churn_testbed(Simulator& sim,
                                    const ScenarioConfig& config) {
   Testbed tb = build_testbed(sim, config);
@@ -155,6 +161,9 @@ Testbed build_server_churn_testbed(Simulator& sim,
   return tb;
 }
 
+/// One fleet tenant: the grid testbed of `config.grid`, with the Figure 7
+/// schedule shifted by `config.fleet.tenant_index * config.fleet.phase_shift`
+/// and the RNG seed decorrelated per tenant.
 Testbed build_fleet_tenant_testbed(Simulator& sim,
                                    const ScenarioConfig& config) {
   const FleetConfig& fleet = config.fleet;
@@ -193,17 +202,16 @@ Testbed build_fleet_tenant_testbed(Simulator& sim,
   return tb;
 }
 
-void register_builtin_scenarios(ScenarioRegistry& registry) {
+std::vector<ScenarioSpec> builtin_scenarios() {
+  std::vector<ScenarioSpec> specs;
   {
     ScenarioSpec spec;
     spec.name = "paper-fig6";
     spec.description =
         "The paper's Figure 6 testbed under the Figure 7 schedule "
         "(bandwidth competition, then a 20 KB @ 2/s stress phase)";
-    spec.build = [](Simulator& sim, const ScenarioConfig& config) {
-      return build_testbed(sim, config);
-    };
-    registry.add(std::move(spec));
+    spec.build = build_testbed;
+    specs.push_back(std::move(spec));
   }
   {
     ScenarioSpec spec;
@@ -212,10 +220,8 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
         "Figure 6/7 with bidirectional competition: monitoring traffic "
         "shares the congestion (the Section 5.3 monitoring-lag variant)";
     spec.defaults.comp_bidirectional = true;
-    spec.build = [](Simulator& sim, const ScenarioConfig& config) {
-      return build_testbed(sim, config);
-    };
-    registry.add(std::move(spec));
+    spec.build = build_testbed;
+    specs.push_back(std::move(spec));
   }
   {
     ScenarioSpec spec;
@@ -224,7 +230,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
         "Scaled grid: 4 server groups x 16 clients over an interleaved "
         "router ring; load-driven adaptation, no competition traffic";
     spec.build = build_grid_testbed;  // shape from ScenarioConfig::grid
-    registry.add(std::move(spec));
+    specs.push_back(std::move(spec));
   }
   {
     ScenarioSpec spec;
@@ -238,7 +244,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
     // grid shape: the GridScaleConfig defaults ARE grid-4x16.
     spec.defaults.horizon = SimTime::seconds(600);
     spec.build = build_fleet_tenant_testbed;
-    registry.add(std::move(spec));
+    specs.push_back(std::move(spec));
   }
   {
     ScenarioSpec spec;
@@ -257,7 +263,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
     spec.defaults.grid.spares = 4;
     spec.defaults.horizon = SimTime::seconds(300);
     spec.build = build_fleet_tenant_testbed;
-    registry.add(std::move(spec));
+    specs.push_back(std::move(spec));
   }
   {
     ScenarioSpec spec;
@@ -276,7 +282,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
     spec.defaults.stress_start = SimTime::seconds(1e9);
     spec.defaults.stress_end = SimTime::seconds(1e9);
     spec.build = build_flash_crowd_testbed;
-    registry.add(std::move(spec));
+    specs.push_back(std::move(spec));
   }
   {
     // Same builder as server-churn, with the outages packed tightly enough
@@ -306,7 +312,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
     spec.defaults.churn.outage = SimTime::seconds(120);
     spec.defaults.churn.outages = 2;
     spec.build = build_server_churn_testbed;
-    registry.add(std::move(spec));
+    specs.push_back(std::move(spec));
   }
   {
     // The fault-plane reference scenario: the scaled grid under a lossy
@@ -334,7 +340,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
     spec.defaults.fault.monitoring.channel_disconnect = 0.002;
     spec.defaults.fault.repair.op_transient = 0.10;
     spec.build = build_grid_testbed;
-    registry.add(std::move(spec));
+    specs.push_back(std::move(spec));
   }
   {
     // The repair-seam stress scenario: server-churn's guaranteed repair
@@ -364,7 +370,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
     spec.defaults.fault.repair.permanent_from = SimTime::seconds(400);
     spec.defaults.fault.repair.permanent_until = SimTime::seconds(500);
     spec.build = build_server_churn_testbed;
-    registry.add(std::move(spec));
+    specs.push_back(std::move(spec));
   }
   {
     ScenarioSpec spec;
@@ -385,8 +391,20 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
     spec.defaults.comp_sg2_stress_mbps = 0.0;
     spec.defaults.comp_sg2_final_mbps = 0.0;
     spec.build = build_server_churn_testbed;
-    registry.add(std::move(spec));
+    specs.push_back(std::move(spec));
   }
+  std::sort(specs.begin(), specs.end(),
+            [](const ScenarioSpec& a, const ScenarioSpec& b) {
+              return a.name < b.name;
+            });
+  return specs;
+}
+
+}  // namespace
+
+const std::vector<ScenarioSpec>& scenario_catalog() {
+  static const std::vector<ScenarioSpec> catalog = builtin_scenarios();
+  return catalog;
 }
 
 }  // namespace arcadia::sim

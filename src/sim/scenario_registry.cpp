@@ -1,81 +1,37 @@
 #include "sim/scenario_registry.hpp"
 
-#include "sim/scenario_library.hpp"
-#include "util/catalog.hpp"
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace arcadia::sim {
 
-ScenarioRegistry::ScenarioRegistry() { register_builtin_scenarios(*this); }
-
-ScenarioRegistry& ScenarioRegistry::instance() {
-  static ScenarioRegistry registry;
-  return registry;
+const ScenarioSpec* find_scenario(const std::string& name) {
+  const std::vector<ScenarioSpec>& catalog = scenario_catalog();
+  auto it = std::find_if(catalog.begin(), catalog.end(),
+                         [&](const ScenarioSpec& spec) {
+                           return spec.name == name;
+                         });
+  return it != catalog.end() ? &*it : nullptr;
 }
 
-void ScenarioRegistry::add(ScenarioSpec spec) {
-  if (spec.name.empty()) throw Error("ScenarioRegistry: empty scenario name");
-  if (!spec.build) {
-    throw Error("ScenarioRegistry: scenario '" + spec.name + "' has no factory");
-  }
-  util::MutexLock lock(mutex_);
-  if (specs_.count(spec.name)) {
-    throw Error("ScenarioRegistry: scenario '" + spec.name +
-                "' already registered");
-  }
-  specs_.emplace(spec.name, std::move(spec));
-}
-
-void ScenarioRegistry::add_or_replace(ScenarioSpec spec) {
-  if (spec.name.empty()) throw Error("ScenarioRegistry: empty scenario name");
-  if (!spec.build) {
-    throw Error("ScenarioRegistry: scenario '" + spec.name + "' has no factory");
-  }
-  util::MutexLock lock(mutex_);
-  specs_[spec.name] = std::move(spec);
-}
-
-bool ScenarioRegistry::contains(const std::string& name) const {
-  util::MutexLock lock(mutex_);
-  return specs_.count(name) > 0;
-}
-
-ScenarioSpec ScenarioRegistry::at(const std::string& name) const {
-  util::MutexLock lock(mutex_);
-  auto it = specs_.find(name);
-  if (it == specs_.end()) {
-    throw Error("ScenarioRegistry: unknown scenario '" + name +
-                "' (catalog:" + catalog_of(specs_) + ")");
-  }
-  return it->second;
-}
-
-std::vector<std::string> ScenarioRegistry::names() const {
-  util::MutexLock lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(specs_.size());
-  for (const auto& [key, spec] : specs_) out.push_back(key);
-  return out;  // std::map keeps them sorted
-}
-
-std::size_t ScenarioRegistry::size() const {
-  util::MutexLock lock(mutex_);
-  return specs_.size();
+const ScenarioSpec& scenario_spec(const std::string& name) {
+  if (const ScenarioSpec* spec = find_scenario(name)) return *spec;
+  std::string names;
+  for (const ScenarioSpec& spec : scenario_catalog()) names += " " + spec.name;
+  throw Error("ScenarioRegistry: unknown scenario '" + name +
+              "' (catalog:" + names + ")");
 }
 
 Testbed build_scenario(Simulator& sim, const std::string& name) {
-  const ScenarioSpec spec = ScenarioRegistry::instance().at(name);
-  // Pre-size the event pool from the config before any event is scheduled:
-  // steady-state runs then never grow the slot pool or the heap.
-  sim.reserve(estimate_event_reserve(spec.defaults));
-  Testbed tb = spec.build(sim, spec.defaults);
-  tb.scenario = name;
-  return tb;
+  return build_scenario(sim, name, scenario_spec(name).defaults);
 }
 
 Testbed build_scenario(Simulator& sim, const std::string& name,
                        const ScenarioConfig& config) {
-  const ScenarioSpec spec = ScenarioRegistry::instance().at(name);
+  const ScenarioSpec& spec = scenario_spec(name);
+  // Pre-size the event pool from the config before any event is scheduled:
+  // steady-state runs then never grow the slot pool or the heap.
   sim.reserve(estimate_event_reserve(config));
   Testbed tb = spec.build(sim, config);
   tb.scenario = name;
@@ -83,7 +39,7 @@ Testbed build_scenario(Simulator& sim, const std::string& name,
 }
 
 ScenarioConfig scenario_defaults(const std::string& name) {
-  return ScenarioRegistry::instance().at(name).defaults;
+  return scenario_spec(name).defaults;
 }
 
 }  // namespace arcadia::sim

@@ -1,25 +1,19 @@
-// String-keyed scenario registry: the open entry point to the scenario
-// library. A scenario is a named (defaults, testbed factory) pair; benches,
+// The closed scenario catalog: a named (defaults, testbed factory) pair per
+// scenario, built once into a constant table sorted by name. Benches,
 // examples, and the experiment runner select scenarios by name instead of
-// hard-wiring build_testbed. User code may register its own scenarios at
-// start-up — the registry is how new workloads plug in without touching
-// the core.
+// hard-wiring build_testbed. The table lives in scenario_library.cpp.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "sim/scenario.hpp"
-#include "util/annotations.hpp"
 
 namespace arcadia::sim {
 
 /// Builds a testbed for `config` over `sim`. Factories read the sub-config
 /// fields they care about and ignore the rest.
-using TestbedFactory =
-    std::function<Testbed(Simulator& sim, const ScenarioConfig& config)>;
+using TestbedFactory = Testbed (*)(Simulator& sim, const ScenarioConfig& config);
 
 struct ScenarioSpec {
   std::string name;
@@ -27,42 +21,23 @@ struct ScenarioSpec {
   /// The config the scenario is calibrated for; callers typically start
   /// from this and override individual knobs.
   ScenarioConfig defaults;
-  TestbedFactory build;
+  TestbedFactory build = nullptr;
 };
 
-/// Process-wide scenario catalog. Thread-safe; the built-in library
-/// (paper-fig6, grid-NxM, flash-crowd, server-churn, ...) registers on
-/// first access, so link order cannot drop it.
-class ScenarioRegistry {
- public:
-  static ScenarioRegistry& instance();
+/// Every scenario, sorted by name. Built on first use, never written.
+const std::vector<ScenarioSpec>& scenario_catalog();
+/// The scenario named `name`, or nullptr when the catalog has none.
+const ScenarioSpec* find_scenario(const std::string& name);
+/// Look up a scenario; throws Error listing the catalog when unknown.
+const ScenarioSpec& scenario_spec(const std::string& name);
 
-  /// Register a scenario; throws Error when the name is taken.
-  void add(ScenarioSpec spec);
-  /// Register or overwrite (for examples that tweak a stock scenario).
-  void add_or_replace(ScenarioSpec spec);
-
-  bool contains(const std::string& name) const;
-  /// Look up a scenario; throws Error listing the catalog when unknown.
-  ScenarioSpec at(const std::string& name) const;
-  /// All registered names, sorted.
-  std::vector<std::string> names() const;
-  std::size_t size() const;
-
- private:
-  ScenarioRegistry();
-
-  mutable util::Mutex mutex_;
-  std::map<std::string, ScenarioSpec> specs_ ARC_GUARDED_BY(mutex_);
-};
-
-/// Build a registered scenario with its calibrated defaults.
+/// Build a catalog scenario with its calibrated defaults.
 Testbed build_scenario(Simulator& sim, const std::string& name);
-/// Build a registered scenario with an explicit config (start from
+/// Build a catalog scenario with an explicit config (start from
 /// scenario_defaults(name) and override knobs).
 Testbed build_scenario(Simulator& sim, const std::string& name,
                        const ScenarioConfig& config);
-/// The calibrated defaults of a registered scenario.
+/// The calibrated defaults of a catalog scenario.
 ScenarioConfig scenario_defaults(const std::string& name);
 
 }  // namespace arcadia::sim

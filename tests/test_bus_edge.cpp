@@ -14,13 +14,15 @@
 #include <vector>
 
 #include "events/bus.hpp"
+#include "zero_delay_bus.hpp"
 #include "util/ring_buffer.hpp"
 
 namespace arcadia::events {
 namespace {
 
-TEST(BusAccountingTest, LocalDroppedNoMatchCountsOnlyUnmatched) {
-  LocalEventBus bus;
+TEST(BusAccountingTest, SimDroppedNoMatchCountsOnlyUnmatched) {
+  sim::Simulator sim;
+  SimEventBus bus(sim, fixed_delay(SimTime::millis(1)));
   int hits = 0;
   bus.subscribe(Filter::topic("a"), [&](const Notification&) { ++hits; });
   bus.publish(Notification("a"));  // delivered
@@ -29,84 +31,11 @@ TEST(BusAccountingTest, LocalDroppedNoMatchCountsOnlyUnmatched) {
   bus.subscribe(Filter::topic("c").where("k", Op::Eq, 1),
                 [&](const Notification&) { ++hits; });
   bus.publish(Notification("c").set("k", 2));
+  sim.run_until(SimTime::seconds(1));
   EXPECT_EQ(hits, 1);
   EXPECT_EQ(bus.stats().published, 3u);
   EXPECT_EQ(bus.stats().delivered, 1u);
   EXPECT_EQ(bus.stats().dropped_no_match, 2u);
-}
-
-TEST(BusAccountingTest, SimDroppedNoMatchCountsOnlyUnmatched) {
-  sim::Simulator sim;
-  SimEventBus bus(sim, fixed_delay(SimTime::millis(1)));
-  int hits = 0;
-  bus.subscribe(Filter::topic("a"), [&](const Notification&) { ++hits; });
-  bus.publish(Notification("a"));
-  bus.publish(Notification("b"));
-  sim.run_until(SimTime::seconds(1));
-  EXPECT_EQ(hits, 1);
-  EXPECT_EQ(bus.stats().delivered, 1u);
-  EXPECT_EQ(bus.stats().dropped_no_match, 1u);
-}
-
-TEST(BusDispatchTest, LocalUnsubscribeDuringDispatchIsSnapshotted) {
-  LocalEventBus bus;
-  // A unsubscribes B mid-dispatch; the snapshot still delivers to B for
-  // the in-flight notification, and B is gone for the next one.
-  int b_hits = 0;
-  SubscriptionId b = 0;
-  bus.subscribe(Filter::topic("t"),
-                [&](const Notification&) { bus.unsubscribe(b); });
-  b = bus.subscribe(Filter::topic("t"),
-                    [&](const Notification&) { ++b_hits; });
-  bus.publish(Notification("t"));
-  EXPECT_EQ(b_hits, 1);
-  bus.publish(Notification("t"));
-  EXPECT_EQ(b_hits, 1);
-}
-
-TEST(BusDispatchTest, LocalHandlerMayUnsubscribeItself) {
-  LocalEventBus bus;
-  int hits = 0;
-  SubscriptionId id = 0;
-  id = bus.subscribe(Filter::topic("t"), [&](const Notification&) {
-    ++hits;
-    bus.unsubscribe(id);
-  });
-  bus.publish(Notification("t"));
-  bus.publish(Notification("t"));
-  EXPECT_EQ(hits, 1);
-}
-
-TEST(BusDispatchTest, LocalSubscribeDuringDispatchMissesInFlight) {
-  LocalEventBus bus;
-  int late_hits = 0;
-  bus.subscribe(Filter::topic("t"), [&](const Notification&) {
-    bus.subscribe(Filter::topic("t"),
-                  [&](const Notification&) { ++late_hits; });
-  });
-  bus.publish(Notification("t"));
-  EXPECT_EQ(late_hits, 0);  // added mid-dispatch: not snapshotted
-  bus.publish(Notification("t"));
-  EXPECT_EQ(late_hits, 1);  // ...but sees the next publish
-}
-
-TEST(BusDispatchTest, LocalReentrantPublishFromHandler) {
-  LocalEventBus bus;
-  std::vector<std::string> order;
-  bus.subscribe(Filter::topic("first"), [&](const Notification&) {
-    order.push_back("first");
-    bus.publish(Notification("second"));
-    order.push_back("first-done");
-  });
-  bus.subscribe(Filter::topic("second"),
-                [&](const Notification&) { order.push_back("second"); });
-  bus.publish(Notification("first"));
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], "first");
-  EXPECT_EQ(order[1], "second");  // synchronous, runs inside the outer dispatch
-  EXPECT_EQ(order[2], "first-done");
-  EXPECT_EQ(bus.stats().published, 2u);
-  EXPECT_EQ(bus.stats().delivered, 2u);
 }
 
 TEST(BusDispatchTest, SimHandlerMayUnsubscribeItselfAndRepublish) {
@@ -187,9 +116,7 @@ TEST(BusDispatchTest, SimSlotReuseDoesNotLeakOldDeliveries) {
 // and exact-topic filters must see exactly the same notifications in the
 // same per-subscriber order whether they were routed through the topic
 // index or the fallback scan.
-template <typename MakeBus, typename Pump>
-void RoutingEquivalence(MakeBus&& make_bus, Pump&& pump) {
-  auto& bus = make_bus();
+void RoutingEquivalence(sim::Simulator& sim, SimEventBus& bus) {
   std::vector<std::string> exact_a, exact_b, wild, any, interleaved;
   auto log = [&](std::vector<std::string>& into, const char* tag) {
     return [&into, &interleaved, tag](const Notification& n) {
@@ -206,7 +133,7 @@ void RoutingEquivalence(MakeBus&& make_bus, Pump&& pump) {
   bus.publish(Notification("probe.b"));
   bus.publish(Notification("gauge.x"));
   bus.publish(Notification("probe.a"));
-  pump();
+  sim.run_until(SimTime::seconds(1));
 
   EXPECT_EQ(exact_a, (std::vector<std::string>{"probe.a", "probe.a"}));
   EXPECT_EQ(exact_b, (std::vector<std::string>{"probe.b"}));
@@ -225,34 +152,32 @@ void RoutingEquivalence(MakeBus&& make_bus, Pump&& pump) {
                 "ea:probe.a", "w:probe.a", "any:probe.a"})); // n4
 }
 
-TEST(BusRoutingTest, WildcardVsIndexedEquivalenceLocal) {
-  LocalEventBus bus;
-  RoutingEquivalence([&]() -> LocalEventBus& { return bus; }, [] {});
-}
-
 TEST(BusRoutingTest, WildcardVsIndexedEquivalenceSim) {
   sim::Simulator sim;
   SimEventBus bus(sim, fixed_delay(SimTime::millis(1)));
-  RoutingEquivalence([&]() -> SimEventBus& { return bus; },
-                     [&] { sim.run_until(SimTime::seconds(1)); });
+  RoutingEquivalence(sim, bus);
 }
 
 TEST(BusRoutingTest, UnsubscribeRemovesFromTopicBucket) {
-  LocalEventBus bus;
+  sim::Simulator sim;
+  test::ZeroDelayBus bus(sim);
   int a = 0, b = 0;
   SubscriptionId ida =
       bus.subscribe(Filter::topic("t"), [&](const Notification&) { ++a; });
   bus.subscribe(Filter::topic("t"), [&](const Notification&) { ++b; });
   bus.publish(Notification("t"));
+  bus.drain();
   bus.unsubscribe(ida);
   bus.publish(Notification("t"));
+  bus.drain();
   EXPECT_EQ(a, 1);
   EXPECT_EQ(b, 2);
   EXPECT_EQ(bus.stats().delivered, 3u);
 }
 
 TEST(BusRoutingTest, KeyedPublishChecksOnlyCandidatesForItsKey) {
-  LocalEventBus bus;
+  sim::Simulator sim;
+  test::ZeroDelayBus bus(sim);
   int hits = 0;
   for (int i = 0; i < 8; ++i) {
     bus.subscribe(Filter::topic("probe.latency")
@@ -278,6 +203,7 @@ TEST(BusRoutingTest, KeyedPublishChecksOnlyCandidatesForItsKey) {
                   .set(client, std::string("never-a-key-text"))
                   .set("value", 1.0));
   EXPECT_EQ(bus.stats().filter_checks, 6u);
+  bus.drain();
   EXPECT_EQ(hits, 6);
 }
 
@@ -300,10 +226,9 @@ struct RoutingCoverage {
   int spawned_hits = 0;           ///< subscribed during a dispatch
 };
 
-template <typename Bus>
 class RoutingScript {
  public:
-  RoutingScript(Bus& bus, std::uint32_t seed) : bus_(bus), rng_(seed) {}
+  RoutingScript(SimEventBus& bus, std::uint32_t seed) : bus_(bus), rng_(seed) {}
 
   /// Runs `steps` random steps; `pump` drains the bus after each publish.
   template <typename Pump>
@@ -449,7 +374,7 @@ class RoutingScript {
     cov_.spawned_hits += sub.spawned;
   }
 
-  Bus& bus_;
+  SimEventBus& bus_;
   std::mt19937 rng_;
   std::map<int, Sub> live_;  ///< tag order == subscription order
   std::vector<int> got_;
@@ -472,20 +397,11 @@ void ExpectFullCoverage(const RoutingCoverage& cov) {
   EXPECT_GT(cov.spawned_hits, 0);
 }
 
-TEST(BusRoutingTest, KeyIndexMatchesBruteForceOracleLocal) {
-  for (std::uint32_t seed : {1u, 2u, 3u}) {
-    LocalEventBus bus;
-    RoutingScript<LocalEventBus> script(bus, seed);
-    script.run(3000, [] {});
-    ExpectFullCoverage(script.coverage());
-  }
-}
-
 TEST(BusRoutingTest, KeyIndexMatchesBruteForceOracleSim) {
   for (std::uint32_t seed : {1u, 2u, 3u}) {
     sim::Simulator sim;
     SimEventBus bus(sim, fixed_delay(SimTime::millis(1)));
-    RoutingScript<SimEventBus> script(bus, seed);
+    RoutingScript script(bus, seed);
     script.run(3000, [&] { sim.run_until(sim.now() + SimTime::seconds(1)); });
     ExpectFullCoverage(script.coverage());
   }

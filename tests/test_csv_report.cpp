@@ -3,37 +3,9 @@
 #include <sstream>
 
 #include "core/report.hpp"
-#include "util/csv.hpp"
 
 namespace arcadia {
 namespace {
-
-TEST(CsvWriterTest, QuotesSpecialCharacters) {
-  std::ostringstream out;
-  CsvWriter csv(out);
-  csv.field(std::string("plain")).field(std::string("with,comma"));
-  csv.end_row();
-  csv.field(std::string("with\"quote")).field(2.5).field(std::int64_t{7});
-  csv.end_row();
-  EXPECT_EQ(out.str(),
-            "plain,\"with,comma\"\n"
-            "\"with\"\"quote\",2.5,7\n");
-}
-
-TEST(CsvWriterTest, SeriesAlignment) {
-  TimeSeries a("a");
-  a.append(SimTime::seconds(1), 1.0);
-  a.append(SimTime::seconds(3), 3.0);
-  TimeSeries b("b");
-  b.append(SimTime::seconds(2), 20.0);
-  std::ostringstream out;
-  write_series_csv(out, {&a, &b});
-  EXPECT_EQ(out.str(),
-            "time_s,a,b\n"
-            "1,1,0\n"
-            "2,1,20\n"
-            "3,3,20\n");
-}
 
 TEST(ReportTest, SeriesTablePrintsColumns) {
   TimeSeries a("lat:U1");

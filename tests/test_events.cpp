@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "events/bus.hpp"
+#include "zero_delay_bus.hpp"
 
 namespace arcadia::events {
 namespace {
@@ -144,41 +145,50 @@ TEST(FilterTest, ConjunctionOfConstraints) {
   EXPECT_FALSE(bad.matches(n));
 }
 
-TEST(LocalEventBusTest, DeliversToMatchingSubscribers) {
-  LocalEventBus bus;
+TEST(ZeroDelayBusTest, DeliversToMatchingSubscribers) {
+  sim::Simulator sim;
+  test::ZeroDelayBus bus(sim);
   int a = 0, b = 0;
   bus.subscribe(Filter::topic("x"), [&](const Notification&) { ++a; });
   bus.subscribe(Filter::topic("y"), [&](const Notification&) { ++b; });
   bus.publish(Notification("x"));
   bus.publish(Notification("x"));
   bus.publish(Notification("y"));
+  bus.drain();
   EXPECT_EQ(a, 2);
   EXPECT_EQ(b, 1);
   EXPECT_EQ(bus.stats().published, 3u);
   EXPECT_EQ(bus.stats().delivered, 3u);
+  EXPECT_EQ(sim.now(), SimTime::zero());  // zero delay: no time passes
 }
 
-TEST(LocalEventBusTest, UnsubscribeStopsDelivery) {
-  LocalEventBus bus;
+TEST(ZeroDelayBusTest, UnsubscribeStopsDelivery) {
+  sim::Simulator sim;
+  test::ZeroDelayBus bus(sim);
   int count = 0;
   SubscriptionId id =
       bus.subscribe(Filter::any(), [&](const Notification&) { ++count; });
   bus.publish(Notification("t"));
+  bus.drain();
   bus.unsubscribe(id);
   bus.publish(Notification("t"));
+  bus.drain();
   EXPECT_EQ(count, 1);
   EXPECT_EQ(bus.stats().dropped_no_match, 1u);
 }
 
-TEST(LocalEventBusTest, HandlerMayReenterBus) {
-  LocalEventBus bus;
+TEST(ZeroDelayBusTest, HandlerMayReenterBus) {
+  sim::Simulator sim;
+  test::ZeroDelayBus bus(sim);
   int second = 0;
   bus.subscribe(Filter::topic("first"), [&](const Notification&) {
     bus.publish(Notification("second"));
   });
   bus.subscribe(Filter::topic("second"), [&](const Notification&) { ++second; });
   bus.publish(Notification("first"));
+  bus.drain();  // also delivers the re-entrant publish, at the same time
   EXPECT_EQ(second, 1);
+  EXPECT_EQ(bus.in_flight(), 0u);
 }
 
 TEST(SimEventBusTest, DeliveryIsDelayed) {

@@ -30,6 +30,7 @@
 #include "repair/scripts.hpp"
 #include "sim/scenario_registry.hpp"
 #include "util/annotations.hpp"
+#include "zero_delay_bus.hpp"
 
 namespace arcadia {
 namespace {
@@ -170,7 +171,7 @@ events::Notification report_for(const std::string& element, double value) {
 
 TEST(FaultyBusTest, DropsReportsButNeverControlTraffic) {
   sim::Simulator sim;
-  events::LocalEventBus inner;
+  test::ZeroDelayBus inner(sim);
   fault::FaultProfile p;
   p.enabled = true;
   p.monitoring.report_loss = 1.0;  // certain drop
@@ -186,6 +187,7 @@ TEST(FaultyBusTest, DropsReportsButNeverControlTraffic) {
   bus.publish(report_for("U1", 1.0));
   events::Notification ctl(topics::kGaugeLifecycleSym);
   bus.publish(std::move(ctl));
+  inner.drain();
   EXPECT_EQ(reports, 0);    // eaten by the plane
   EXPECT_EQ(lifecycle, 1);  // control channel is not the lossy substrate
   EXPECT_EQ(plane.stats().reports_dropped, 1u);
@@ -193,7 +195,7 @@ TEST(FaultyBusTest, DropsReportsButNeverControlTraffic) {
 
 TEST(FaultyBusTest, DuplicateDeliversTwice) {
   sim::Simulator sim;
-  events::LocalEventBus inner;
+  test::ZeroDelayBus inner(sim);
   fault::FaultProfile p;
   p.enabled = true;
   p.monitoring.report_dup = 1.0;
@@ -203,13 +205,14 @@ TEST(FaultyBusTest, DuplicateDeliversTwice) {
   bus.subscribe(events::Filter().topic(topics::kGaugeReport),
                 [&](const events::Notification&) { ++reports; });
   bus.publish(report_for("U1", 1.0));
+  inner.drain();
   EXPECT_EQ(reports, 2);
   EXPECT_EQ(plane.stats().reports_duplicated, 1u);
 }
 
 TEST(FaultyBusTest, DelayDefersDelivery) {
   sim::Simulator sim;
-  events::LocalEventBus inner;
+  test::ZeroDelayBus inner(sim);
   fault::FaultProfile p;
   p.enabled = true;
   p.monitoring.report_delay = 1.0;
@@ -221,6 +224,7 @@ TEST(FaultyBusTest, DelayDefersDelivery) {
   bus.subscribe(events::Filter().topic(topics::kGaugeReport),
                 [&](const events::Notification&) { ++reports; });
   bus.publish(report_for("U1", 1.0));
+  inner.drain();
   EXPECT_EQ(reports, 0);  // in flight, not lost
   sim.run_until(SimTime::seconds(4));
   EXPECT_EQ(reports, 1);
@@ -231,7 +235,7 @@ TEST(FaultyBusTest, DelayDefersDelivery) {
 
 TEST(GaugeWatchdogTest, MarksStaleChannelSuspectThenClears) {
   sim::Simulator sim;
-  events::LocalEventBus probe_bus, gauge_bus;
+  test::ZeroDelayBus probe_bus(sim), gauge_bus(sim);
   monitor::GaugeManagerConfig cfg;
   cfg.report_period = SimTime::seconds(5);
   cfg.watchdog_period = SimTime::seconds(5);
@@ -459,7 +463,7 @@ events::Notification gauge_report(const std::string& element, double value) {
 struct HealthRig {
   sim::Simulator sim;
   model::System system{"ShardSys"};
-  events::LocalEventBus bus;
+  test::ZeroDelayBus bus{sim};
   acme::Script script = acme::parse_script(repair::extended_script());
   std::unique_ptr<repair::RepairEngine> engine;
   std::unique_ptr<core::ArchitectureManager> manager;
@@ -620,6 +624,7 @@ TEST(FleetHealthTest, SuspectMarkDirtiesCleanShard) {
   fleet.start();
 
   rig.bus.publish(gauge_report("User1", 9.0));
+  rig.bus.drain();
   fleet.run_sweep();
   EXPECT_EQ(fleet.shard_stats(0).violations, 1u);
 
@@ -627,6 +632,7 @@ TEST(FleetHealthTest, SuspectMarkDirtiesCleanShard) {
   // hold must reach the checker: re-dispatching the cached violation would
   // act on exactly the evidence the hold distrusts.
   rig.bus.publish(gauge_lifecycle("User1", topics::kPhaseSuspect));
+  rig.bus.drain();
   fleet.run_sweep();
   EXPECT_EQ(fleet.shard_stats(0).sweeps, 2u);
   EXPECT_EQ(fleet.shard_stats(0).sweeps_skipped, 0u);
@@ -636,6 +642,7 @@ TEST(FleetHealthTest, SuspectMarkDirtiesCleanShard) {
   // A second stale gauge on the same element changes no hold: the shard
   // stays clean and its (empty) cached verdicts stand.
   rig.bus.publish(gauge_lifecycle("User1", topics::kPhaseSuspect));
+  rig.bus.drain();
   fleet.run_sweep();
   EXPECT_EQ(fleet.shard_stats(0).sweeps_skipped, 1u);
   EXPECT_EQ(fleet.shard_stats(0).violations, 1u);
@@ -649,12 +656,14 @@ TEST(FleetHealthTest, ClearedMarkDirtiesCleanShard) {
 
   rig.bus.publish(gauge_lifecycle("User1", topics::kPhaseSuspect));
   rig.bus.publish(gauge_report("User1", 9.0));
+  rig.bus.drain();
   fleet.run_sweep();  // violating value, but held
   EXPECT_EQ(fleet.shard_stats(0).violations, 0u);
 
   // The channel recovers with no new report: the released verdict must be
   // detected, not the held (empty) cache re-dispatched.
   rig.bus.publish(gauge_lifecycle("User1", topics::kPhaseCleared));
+  rig.bus.drain();
   fleet.run_sweep();
   EXPECT_EQ(fleet.shard_stats(0).sweeps, 2u);
   EXPECT_EQ(fleet.shard_stats(0).sweeps_skipped, 0u);

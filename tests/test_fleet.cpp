@@ -23,6 +23,7 @@
 #include "sim/shard_sim.hpp"
 #include "util/annotations.hpp"
 #include "util/error.hpp"
+#include "zero_delay_bus.hpp"
 
 namespace arcadia {
 namespace {
@@ -36,11 +37,11 @@ events::Notification gauge_report(const std::string& element,
   return n;
 }
 
-/// A minimal shard: one-component model, local gauge bus, model-only
+/// A minimal shard: one-component model, zero-delay gauge bus, model-only
 /// repair engine, architecture manager.
 struct ShardRig {
   explicit ShardRig(sim::Simulator& sim, const std::string& component)
-      : system("ShardSys") {
+      : system("ShardSys"), bus(sim) {
     auto& comp = system.add_component(component, "ClientT");
     comp.set_property("averageLatency", model::PropertyValue(0.5));
     static acme::Script script = acme::parse_script(repair::extended_script());
@@ -54,7 +55,7 @@ struct ShardRig {
   }
 
   model::System system;
-  events::LocalEventBus bus;
+  test::ZeroDelayBus bus;
   std::unique_ptr<repair::RepairEngine> engine;
   std::unique_ptr<core::ArchitectureManager> manager;
 };
@@ -74,6 +75,7 @@ TEST(FleetManagerTest, CoalescesReportsWithinWindow) {
   rig.bus.publish(gauge_report("User1", "averageLatency", 5.0));
   rig.bus.publish(gauge_report("User1", "averageLatency", 6.0));
   rig.bus.publish(gauge_report("User1", "averageLatency", 7.0));
+  rig.bus.drain();
   // Still coalescing: the model must not have been touched yet.
   EXPECT_DOUBLE_EQ(
       rig.system.component("User1").property("averageLatency").as_double(),
@@ -101,6 +103,7 @@ TEST(FleetManagerTest, ZeroWindowAppliesOnDelivery) {
   fleet.start();
 
   rig.bus.publish(gauge_report("User1", "averageLatency", 3.5));
+  rig.bus.drain();
   EXPECT_DOUBLE_EQ(
       rig.system.component("User1").property("averageLatency").as_double(),
       3.5);
@@ -123,6 +126,7 @@ TEST(FleetManagerTest, DeadBandKeepsQuietShardsClean) {
   fleet.start();
 
   rig.bus.publish(gauge_report("User1", "averageLatency", 1.25));
+  rig.bus.drain();
   fleet.run_sweep();  // applies 1.25 (a real change), sweeps
   EXPECT_EQ(fleet.shard_stats(0).reports_applied, 1u);
   EXPECT_EQ(fleet.shard_stats(0).sweeps, 1u);
@@ -130,6 +134,7 @@ TEST(FleetManagerTest, DeadBandKeepsQuietShardsClean) {
   // The same value again — and once more with sub-noise-floor jitter.
   rig.bus.publish(gauge_report("User1", "averageLatency", 1.25));
   rig.bus.publish(gauge_report("User1", "averageLatency", 1.25 + 1e-9));
+  rig.bus.drain();
   fleet.run_sweep();
   EXPECT_EQ(fleet.shard_stats(0).reports_unchanged, 1u);  // after coalescing
   EXPECT_EQ(fleet.shard_stats(0).reports_applied, 1u);
@@ -138,6 +143,7 @@ TEST(FleetManagerTest, DeadBandKeepsQuietShardsClean) {
 
   // A genuine change wakes the shard back up.
   rig.bus.publish(gauge_report("User1", "averageLatency", 3.0));
+  rig.bus.drain();
   fleet.run_sweep();
   EXPECT_EQ(fleet.shard_stats(0).sweeps, 2u);
   EXPECT_DOUBLE_EQ(
@@ -160,6 +166,7 @@ TEST(FleetManagerTest, SkipsCleanShardsAndKeepsCachedVerdicts) {
 
   // Shard "hot" goes into violation; "cold" stays quiet.
   hot.bus.publish(gauge_report("User1", "averageLatency", 9.0));
+  hot.bus.drain();
   fleet.run_sweep();  // flushes the pending batch first
   EXPECT_EQ(fleet.shard_stats(0).sweeps, 1u);
   EXPECT_EQ(fleet.shard_stats(1).sweeps, 1u);  // first sweep covers everyone

@@ -14,12 +14,12 @@
 #include "monitor/probes.hpp"
 #include "monitor/topics.hpp"
 #include "util/error.hpp"
+#include "zero_delay_bus.hpp"
 
 namespace arcadia::monitor {
 namespace {
 
 using events::Filter;
-using events::LocalEventBus;
 using events::Notification;
 
 Notification latency_obs(const std::string& client, double value) {
@@ -102,8 +102,8 @@ TEST(LatestValueGaugeTest, ReportsLatest) {
 
 struct ManagerRig {
   sim::Simulator sim;
-  LocalEventBus probe_bus;
-  LocalEventBus gauge_bus;
+  test::ZeroDelayBus probe_bus{sim};
+  test::ZeroDelayBus gauge_bus{sim};
   GaugeManagerConfig cfg;
   std::unique_ptr<GaugeManager> mgr;
 
@@ -264,19 +264,22 @@ TEST(GaugeManagerTest, RedeployUnknownElementCompletesImmediately) {
 }
 
 TEST(GaugeManagerTest, RedeployFinishesWhenASubscriberDestroysTheLastGauge) {
-  // Two gauges on U; redeploying U takes latency:U down first, and a
-  // lifecycle subscriber reacts by destroying load:U — the element's last
-  // gauge id — before the loop reaches it. The redeploy must still finish.
+  // Two gauges on U; redeploying U takes both down, and a lifecycle
+  // subscriber reacts to latency:U's notice by destroying load:U — the
+  // element's last gauge id — before its completion brings it back. The
+  // redeploy must still finish.
   ManagerRig rig;
   rig.mgr->deploy(make_latency_gauge(rig.sim, "U", sim::kNoNode,
                                      SimTime::seconds(30)));
   rig.mgr->deploy(make_load_gauge(rig.sim, "U", sim::kNoNode,
                                   SimTime::seconds(30)));
   rig.sim.run_until(SimTime::seconds(13));
+  bool torn_down = false;
   rig.gauge_bus.subscribe(
       Filter::topic(topics::kGaugeLifecycle), [&](const Notification& n) {
         if (n.get(topics::kAttrGaugeId).as_string() == "latency:U" &&
-            rig.mgr->is_live("load:U")) {
+            !torn_down) {
+          torn_down = true;
           rig.mgr->destroy("load:U");
         }
       });
@@ -394,14 +397,14 @@ Notification queue_obs(const std::string& group, double value) {
 
 /// Two gauges on U (2 s windows) fed a moving latency and queue
 /// observation every 130 ms, reporting every 250 ms; every report is
-/// recorded with its send time. A local bus delivers at once: a report
-/// sent at t "lands" at t + kDelay, the delay the read schedule is told
-/// about.
+/// recorded with its send time. A zero-delay bus delivers at the send
+/// time: a report sent at t "lands" at t + kDelay, the delay the read
+/// schedule is told about.
 struct DemandRig {
   static constexpr SimTime kDelay = SimTime::millis(50);
   sim::Simulator sim;
-  LocalEventBus probe_bus;
-  LocalEventBus gauge_bus;
+  test::ZeroDelayBus probe_bus{sim};
+  test::ZeroDelayBus gauge_bus{sim};
   std::unique_ptr<GaugeManager> mgr;
   std::unique_ptr<sim::PeriodicTask> feeder;
   struct Report {

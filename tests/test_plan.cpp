@@ -22,6 +22,7 @@
 #include "repair/plan_optimizer.hpp"
 #include "repair/scripts.hpp"
 #include "repair/style_ops.hpp"
+#include "zero_delay_bus.hpp"
 
 namespace arcadia::repair {
 namespace {
@@ -214,8 +215,8 @@ class FixedGauge : public monitor::Gauge {
 
 struct GaugeRig {
   sim::Simulator sim;
-  events::LocalEventBus probe_bus;
-  events::LocalEventBus gauge_bus;
+  test::ZeroDelayBus probe_bus{sim};
+  test::ZeroDelayBus gauge_bus{sim};
   monitor::GaugeManager gauges;
 
   explicit GaugeRig(monitor::GaugeManagerConfig cfg = {})
@@ -598,7 +599,8 @@ TEST(PlanEngineTest, PreemptFactorBelowOneIsRejected) {
 }
 
 TEST(PlanEngineTest, PlanEventsOnTheBus) {
-  events::LocalEventBus bus;
+  EngineRig rig;
+  test::ZeroDelayBus bus(rig.sim);
   std::vector<std::string> phases;
   bus.subscribe(events::Filter::topic(monitor::topics::kRepairPlanSym),
                 [&](const events::Notification& n) {
@@ -606,7 +608,6 @@ TEST(PlanEngineTest, PlanEventsOnTheBus) {
                       n.get_if(monitor::topics::kAttrPhaseSym)->as_string());
                 });
 
-  EngineRig rig;
   rig.engine->set_event_bus(&bus);
   rig.sys.component("User1").set_property("averageLatency",
                                           model::PropertyValue(9.0));

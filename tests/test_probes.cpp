@@ -8,6 +8,7 @@
 #include "monitor/topics.hpp"
 #include "remos/remos.hpp"
 #include "sim/scenario.hpp"
+#include "zero_delay_bus.hpp"
 
 namespace arcadia::monitor {
 namespace {
@@ -17,7 +18,7 @@ struct ProbeRig {
   sim::ScenarioConfig cfg;
   sim::Testbed tb;
   remos::RemosService remos;
-  events::LocalEventBus bus;
+  test::ZeroDelayBus bus{sim};
   std::vector<events::Notification> seen;
 
   ProbeRig() : tb(sim::build_testbed(sim, cfg)), remos(sim, *tb.net) {

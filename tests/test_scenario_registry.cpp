@@ -1,52 +1,48 @@
-// ScenarioRegistry: the catalog carries the built-in library, look-ups
-// fail loudly, and — the load-bearing property — every registered scenario
-// builds, runs under the adaptation framework, and keeps the
+// The scenario catalog: it carries the built-in library as a sorted
+// constant table, look-ups fail loudly, and — the load-bearing property —
+// every scenario builds, runs under the adaptation framework, and keeps the
 // model<->runtime correspondence clean.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "core/experiment.hpp"
-#include "sim/scenario_library.hpp"
 #include "sim/scenario_registry.hpp"
 
 namespace arcadia::sim {
 namespace {
 
 TEST(ScenarioRegistryTest, CatalogHasTheBuiltinLibrary) {
-  ScenarioRegistry& reg = ScenarioRegistry::instance();
-  EXPECT_GE(reg.size(), 4u);
+  const std::vector<ScenarioSpec>& catalog = scenario_catalog();
+  EXPECT_EQ(catalog.size(), 10u);
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    const ScenarioSpec& spec = catalog[i];
+    EXPECT_FALSE(spec.name.empty()) << i;
+    EXPECT_FALSE(spec.description.empty()) << spec.name;
+    EXPECT_NE(spec.build, nullptr) << spec.name;
+    // Strictly ascending: sorted, and every name unique.
+    if (i > 0) EXPECT_LT(catalog[i - 1].name, spec.name);
+    EXPECT_EQ(find_scenario(spec.name), &spec);
+    EXPECT_EQ(&scenario_spec(spec.name), &spec);
+  }
   for (const char* name : {"paper-fig6", "paper-fig6-bidir", "grid-4x16",
                            "flash-crowd", "server-churn"}) {
-    EXPECT_TRUE(reg.contains(name)) << name;
-    EXPECT_FALSE(reg.at(name).description.empty()) << name;
+    EXPECT_NE(find_scenario(name), nullptr) << name;
   }
-  std::vector<std::string> names = reg.names();
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  EXPECT_EQ(find_scenario("no-such-scenario"), nullptr);
 }
 
 TEST(ScenarioRegistryTest, UnknownScenarioThrowsWithCatalog) {
   try {
-    ScenarioRegistry::instance().at("no-such-scenario");
+    scenario_spec("no-such-scenario");
     FAIL() << "expected Error";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("paper-fig6"), std::string::npos);
+    EXPECT_EQ(std::string(e.what()),
+              "ScenarioRegistry: unknown scenario 'no-such-scenario' "
+              "(catalog: churn-mid-repair flaky-ops flash-crowd fleet-4x16 "
+              "fleet-64x256 grid-4x16 lossy-grid paper-fig6 paper-fig6-bidir "
+              "server-churn)");
   }
-}
-
-TEST(ScenarioRegistryTest, DuplicateAddThrowsButReplaceWorks) {
-  ScenarioSpec spec;
-  spec.name = "test-duplicate-probe";
-  spec.description = "registered by test_scenario_registry";
-  spec.build = [](Simulator& sim, const ScenarioConfig& config) {
-    return build_testbed(sim, config);
-  };
-  ScenarioRegistry& reg = ScenarioRegistry::instance();
-  if (!reg.contains(spec.name)) reg.add(spec);
-  EXPECT_THROW(reg.add(spec), Error);
-  spec.description = "replaced";
-  reg.add_or_replace(spec);
-  EXPECT_EQ(reg.at(spec.name).description, "replaced");
 }
 
 TEST(ScenarioRegistryTest, DefaultsAreScenarioSpecific) {
@@ -104,12 +100,12 @@ TEST(ScenarioRegistryTest, FaultDriverChurnsServers) {
   EXPECT_EQ(tb.app->active_servers(tb.sg1).size(), 3u);  // all recovered
 }
 
-// The acceptance gate: every registered scenario builds, runs 60
+// The acceptance gate: every catalog scenario builds, runs 60
 // sim-seconds under the full adaptation framework, makes progress, and
 // ends with the architectural model matching the runtime exactly.
 TEST(ScenarioRegistryTest, AllScenariosRunAdaptedAndStayConsistent) {
-  for (const std::string& name : ScenarioRegistry::instance().names()) {
-    if (name.rfind("test-", 0) == 0) continue;  // fixtures from other tests
+  for (const ScenarioSpec& spec : scenario_catalog()) {
+    const std::string& name = spec.name;
     core::ExperimentOptions options = core::options_for(name);
     options.adaptation = true;
     options.scenario.horizon = SimTime::seconds(60);

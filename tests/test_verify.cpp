@@ -101,7 +101,8 @@ TEST(VerifyTest, VerifyModeWarnToleratesBadDeployment) {
 // ---- scenario-config validation -------------------------------------------
 
 TEST(VerifyTest, RegisteredScenarioDefaultsAreValid) {
-  for (const std::string& name : sim::ScenarioRegistry::instance().names()) {
+  for (const sim::ScenarioSpec& spec : sim::scenario_catalog()) {
+    const std::string& name = spec.name;
     const auto issues =
         verify_scenario_config(name, sim::scenario_defaults(name));
     EXPECT_TRUE(issues.empty()) << name << ":\n" << dump(issues);

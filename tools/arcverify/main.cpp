@@ -100,9 +100,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- scenario catalog: config validation + live deployment rules ----
-  const std::vector<std::string> names =
-      sim::ScenarioRegistry::instance().names();
-  for (const std::string& name : names) {
+  for (const sim::ScenarioSpec& spec : sim::scenario_catalog()) {
+    const std::string& name = spec.name;
     try {
       core::ExperimentOptions opts = core::options_for(name);
       for (const AnalysisIssue& issue :
@@ -132,7 +131,7 @@ int main(int argc, char** argv) {
       "arcverify: " + std::to_string(diag.errors) + " error(s), " +
       std::to_string(diag.warnings) + " warning(s) over " +
       std::to_string(std::size(scripts)) + " script(s) and " +
-      std::to_string(names.size()) + " scenario(s)";
+      std::to_string(sim::scenario_catalog().size()) + " scenario(s)";
 
   if (!report_path.empty()) {
     std::ofstream out(report_path);
