@@ -1,4 +1,4 @@
-// Quickstart on the builder/catalog API: pick a scenario from the
+// Quickstart on the Framework/catalog API: pick a scenario from the
 // scenario catalog by name, run it with the adaptation framework, and
 // print what happened.
 //
@@ -6,13 +6,12 @@
 //   quickstart --scenario flash-crowd
 //   quickstart --list               # the scenario catalog
 //   quickstart --policy worst-first # or first-reported (the default)
-//   quickstart --builder            # the 10-line FrameworkBuilder loop
+//   quickstart --loop               # the README's minimal Framework loop
 //   quickstart --full --control --verbose
 #include <iostream>
 #include <string>
 
 #include "core/experiment.hpp"
-#include "core/framework_builder.hpp"
 #include "core/report.hpp"
 #include "repair/engine.hpp"
 #include "sim/scenario_registry.hpp"
@@ -29,16 +28,18 @@ void print_catalog() {
   }
 }
 
-/// The README's minimal loop: catalog scenario + FrameworkBuilder.
-int run_builder_demo() {
+/// The README's minimal loop: catalog scenario + Framework.
+int run_minimal_loop() {
   sim::Simulator s;
   sim::Testbed tb = sim::build_scenario(s, "flash-crowd");
-  auto fw = core::FrameworkBuilder(s, tb).with_policy("worst-first")
-                .build_started();
+  core::FrameworkConfig cfg;
+  cfg.policy_name = "worst-first";
+  core::Framework fw(s, tb, cfg);
+  fw.start();
   tb.start();
   s.run_until(SimTime::seconds(900));
-  std::cout << "flash-crowd: " << fw->engine().stats().committed
-            << " repairs committed, " << fw->engine().stats().servers_added
+  std::cout << "flash-crowd: " << fw.engine().stats().committed
+            << " repairs committed, " << fw.engine().stats().servers_added
             << " servers recruited\n";
   return 0;
 }
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
     if (arg == "--control") adaptation = false;
     if (arg == "--verbose") Logger::instance().set_level(LogLevel::Info);
     if (arg == "--list") return print_catalog(), 0;
-    if (arg == "--builder") return run_builder_demo();
+    if (arg == "--loop") return run_minimal_loop();
     if (arg == "--scenario" && i + 1 < argc) scenario = argv[++i];
     if (arg == "--policy" && i + 1 < argc) policy = argv[++i];
   }

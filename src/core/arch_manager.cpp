@@ -40,21 +40,6 @@ bool ArchitectureManager::note_gauge_liveness(util::Symbol element,
   return true;
 }
 
-bool ArchitectureManager::parse_gauge_report(const events::Notification& n,
-                                             util::Symbol& element,
-                                             util::Symbol& role,
-                                             util::Symbol& property) {
-  const events::Value* addr_v = n.get_if(monitor::topics::kAttrElementSym);
-  const events::Value* prop_v = n.get_if(monitor::topics::kAttrPropertySym);
-  if (!addr_v || !prop_v || !n.has(monitor::topics::kAttrValueSym) ||
-      !addr_v->is_string() || !prop_v->is_string()) {
-    return false;
-  }
-  if (!parse_gauge_address(addr_v->to_symbol(), element, role)) return false;
-  property = prop_v->to_symbol();
-  return true;
-}
-
 bool ArchitectureManager::parse_gauge_address(util::Symbol address,
                                               util::Symbol& element,
                                               util::Symbol& role) {
@@ -72,14 +57,6 @@ bool ArchitectureManager::parse_gauge_address(util::Symbol address,
   element = util::Symbol::intern(std::string_view(addr).substr(0, dot));
   role = util::Symbol::intern(std::string_view(addr).substr(dot + 1));
   return true;
-}
-
-bool ArchitectureManager::apply_gauge_report(const events::Notification& n) {
-  util::Symbol element, role, property;
-  if (!parse_gauge_report(n, element, role, property)) return false;
-  return apply_gauge_value(element, role, property,
-                           *n.get_if(monitor::topics::kAttrValueSym)) !=
-         GaugeApply::NoTarget;
 }
 
 namespace {

@@ -51,23 +51,11 @@ class ArchitectureManager {
     journal_shard_ = shard;
   }
 
-  /// Apply one gauge report to the model (public for tests). Element may
-  /// be a component name or "Connector.role". True unless the report was
-  /// malformed or named a missing element (an Unchanged dead-band hit still
-  /// counts as accepted).
-  bool apply_gauge_report(const events::Notification& n);
-
-  /// Parse a gauge report's address into interned symbols — the single
-  /// source of truth for the "Component" / "Connector.role" convention,
-  /// used by the FleetManager's report sink. False when attributes are
-  /// missing.
-  static bool parse_gauge_report(const events::Notification& n,
-                                 util::Symbol& element, util::Symbol& role,
-                                 util::Symbol& property);
-
-  /// Split a gauge address into its element and role: "Component" gives
-  /// (Component, empty), "Connector.role" gives (Connector, role). False
-  /// for an empty address or a half-empty "X." / ".r".
+  /// Split a gauge address into its element and role — the single source
+  /// of truth for the "Component" / "Connector.role" convention, used by the
+  /// FleetManager's report sink: "Component" gives (Component, empty),
+  /// "Connector.role" gives (Connector, role). False for an empty address or
+  /// a half-empty "X." / ".r".
   static bool parse_gauge_address(util::Symbol address, util::Symbol& element,
                                   util::Symbol& role);
 

@@ -168,8 +168,7 @@ ExperimentResult run_experiment(const ExperimentOptions& options) {
     if (options.scenario.fault.enabled && !fw_cfg.fault.enabled) {
       fw_cfg.fault = options.scenario.fault;
     }
-    framework =
-        std::make_unique<Framework>(sim, tb, fw_cfg, options.parts);
+    framework = std::make_unique<Framework>(sim, tb, fw_cfg);
     framework->start();
   }
 

@@ -23,9 +23,6 @@ struct ExperimentOptions {
   std::string scenario_name = "paper-fig6";
   sim::ScenarioConfig scenario;
   FrameworkConfig framework;
-  /// Part substitutions applied when the framework is assembled (see
-  /// FrameworkBuilder; default-constructed = the paper's wiring).
-  FrameworkParts parts;
   /// false = the paper's control run (no adaptation infrastructure at all).
   bool adaptation = true;
   /// Sampling period for queue-length / bandwidth / utilization series.

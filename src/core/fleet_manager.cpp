@@ -212,16 +212,6 @@ void FleetManager::enqueue(ShardId id, const events::Notification& n) {
   }
 }
 
-void FleetManager::stall_shard(ShardId id, SimTime duration) {
-  Shard& shard = shards_[id];
-  util::SerialLane in_lane(shard.lane);
-  shard.serial.check();
-  shard.stalled_until =
-      std::max(shard.stalled_until, shard.clock->now() + duration);
-  ARC_WARN << "fleet: shard '" << shard.name << "' stalled for "
-           << duration.as_seconds() << " s";
-}
-
 void FleetManager::update_health(ShardId id) {
   Shard& shard = shards_[id];
   const SimTime silence = sim_.now() - shard.last_report_at;
@@ -305,9 +295,6 @@ void FleetManager::flush(ShardId id) {
   util::SerialLane in_lane(shard.lane);
   shard.serial.check();
   shard.flush_timer.cancel();
-  // A stalled control loop applies nothing; the backlog stays armed in its
-  // slots and lands at the first flush after the stall lifts.
-  if (shard.stalled_until > shard.clock->now()) return;
   if (shard.touched.empty()) return;
   ++shard.stats.batches;
   // One model pass, in first-touch order of each key. Keys are distinct
@@ -355,13 +342,9 @@ void FleetManager::run_sweep() {
     // Health publishes on the shard's bus; selection reads shard state.
     util::SerialLane in_lane(shard.lane);
     if (config_.health_tracking) update_health(id);
-    // Degraded-mode fleet: a stalled or quarantined shard is neither swept
-    // nor dispatched this round — its cached verdicts are held, not acted
-    // on, until the control loop (or the monitoring substrate) returns.
-    if (shard.stalled_until > sim_.now()) {
-      ++shard.stats.sweeps_stalled;
-      continue;
-    }
+    // Degraded-mode fleet: a quarantined shard is neither swept nor
+    // dispatched this round — its cached verdicts are held, not acted on,
+    // until the monitoring substrate returns.
     if (config_.health_tracking &&
         shard.health == ShardHealth::Quarantined) {
       ++shard.stats.sweeps_quarantined;
@@ -400,7 +383,6 @@ void FleetManager::run_sweep() {
     Shard& shard = shards_[id];
     // Dispatch mutates the shard's model and schedules tenant events.
     util::SerialLane in_lane(shard.lane);
-    if (shard.stalled_until > sim_.now()) continue;
     if (config_.health_tracking &&
         shard.health == ShardHealth::Quarantined) {
       continue;

@@ -102,7 +102,6 @@ struct FleetShardStats {
   std::uint64_t health_quarantined = 0;  ///< entries into Quarantined
   std::uint64_t health_recovered = 0;    ///< returns to Healthy
   std::uint64_t sweeps_quarantined = 0;  ///< sweeps skipped while quarantined
-  std::uint64_t sweeps_stalled = 0;      ///< sweeps skipped while stalled
 };
 
 struct FleetStats {
@@ -171,10 +170,6 @@ class FleetManager {
   void bind_shard_executor(ShardId id, sim::Simulator* clock,
                            std::uintptr_t lane);
 
-  /// Fault seam: stall a shard's control loop — its sweeps and dispatches
-  /// are skipped until `duration` elapses (reports keep coalescing; the
-  /// backlog applies at the first sweep after the stall lifts).
-  void stall_shard(ShardId id, SimTime duration);
   const FleetStats& stats() const { return stats_; }
   std::size_t sweep_threads() const { return pool_ ? pool_->size() : 1; }
 
@@ -253,7 +248,6 @@ class FleetManager {
     ShardHealth health = ShardHealth::Healthy;
     SimTime last_report_at;    ///< any gauge report counts as liveness
     SimTime recovering_since;  ///< entry time of the Recovering state
-    SimTime stalled_until;     ///< stall_shard fault window
 
     FleetShardStats stats;
   };

@@ -37,10 +37,8 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
 
   sim::GridApp& app = *testbed_.app;
 
-  remos_ = parts_.remos
-               ? parts_.remos(sim_, testbed_, config_)
-               : std::make_unique<remos::RemosService>(sim_, *testbed_.net,
-                                                       config_.remos_config);
+  remos_ = std::make_unique<remos::RemosService>(sim_, *testbed_.net,
+                                                 config_.remos_config);
 
   // Probe bus: probes and gauges are effectively colocated per machine, so
   // delivery is a small fixed cost. Gauge bus: reports cross the shared
@@ -68,16 +66,10 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
         std::make_unique<fault::FaultyBus>(sim_, *gauge_bus_, *fault_plane_);
   }
 
-  if (parts_.model) {
-    system_ = parts_.model(testbed_, config_);
-  } else {
-    rt::ModelBuildOptions model_opts;
-    model_opts.conventions = config_.conventions;
-    model_opts.max_latency = config_.profile.max_latency;
-    system_ = rt::build_grid_model(testbed_, model_opts);
-  }
-  // Task-layer objectives are applied on top of whatever the factory
-  // built, so a substituted model cannot silently run un-profiled.
+  rt::ModelBuildOptions model_opts;
+  model_opts.conventions = config_.conventions;
+  model_opts.max_latency = config_.profile.max_latency;
+  system_ = rt::build_grid_model(testbed_, model_opts);
   task::apply_profile(*system_, config_.profile);
 
   env_ = std::make_unique<rt::SimEnvironmentManager>(app, *testbed_.topo,
@@ -280,11 +272,8 @@ void Framework::start() {
                                     ? static_cast<events::EventBus&>(
                                           *lossy_probe_bus_)
                                     : *probe_bus_;
-  probes_ = parts_.probes
-                ? parts_.probes(sim_, testbed_, *remos_, probe_pub, config_)
-                : monitor::make_standard_probes(sim_, *testbed_.app, *remos_,
-                                                probe_pub,
-                                                config_.probe_period);
+  probes_ = monitor::make_standard_probes(sim_, *testbed_.app, *remos_,
+                                         probe_pub, config_.probe_period);
   probes_.start_all();
   deploy_gauges();
   if (!fleet_attached_) {

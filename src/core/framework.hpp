@@ -111,32 +111,20 @@ struct FrameworkConfig {
   durability::Options durability;
 };
 
-/// The framework's pluggable assembly points. A null member selects the
-/// default wiring (what the paper's experiment ran); FrameworkBuilder is
-/// the ergonomic way to fill these in.
+/// The framework's substitutable parts. A null member selects the default
+/// wiring (what the paper's experiment ran).
 struct FrameworkParts {
-  using RemosFactory = std::function<std::unique_ptr<remos::RemosService>(
-      sim::Simulator&, sim::Testbed&, const FrameworkConfig&)>;
   using BusFactory = std::function<std::unique_ptr<events::SimEventBus>(
       sim::Simulator&, sim::Testbed&, const FrameworkConfig&)>;
-  using ModelFactory = std::function<std::unique_ptr<model::System>(
-      const sim::Testbed&, const FrameworkConfig&)>;
   using TranslatorFactory = std::function<std::unique_ptr<repair::Translator>(
       rt::SimEnvironmentManager&, const FrameworkConfig&)>;
-  using ProbeFactory = std::function<monitor::ProbeSet(
-      sim::Simulator&, sim::Testbed&, remos::RemosService&, events::EventBus&,
-      const FrameworkConfig&)>;
   using GaugeDeployer =
       std::function<void(sim::Simulator&, sim::Testbed&, monitor::GaugeManager&,
                          const FrameworkConfig&)>;
 
-  RemosFactory remos;            ///< default: RemosService over testbed.net
   BusFactory probe_bus;          ///< default: fixed 5 ms colocated delivery
   BusFactory gauge_bus;          ///< default: shared-network delay (+QoS knob)
-  ModelFactory model;            ///< default: rt::build_grid_model (the task
-                                 ///  profile is applied on top either way)
   TranslatorFactory translator;  ///< default: rt::SimTranslator
-  ProbeFactory probes;           ///< default: monitor::make_standard_probes
   GaugeDeployer gauges;          ///< default: latency/bw per client, load/util
                                  ///  per group
 };
@@ -144,7 +132,7 @@ struct FrameworkParts {
 class Framework {
  public:
   Framework(sim::Simulator& sim, sim::Testbed& testbed, FrameworkConfig config);
-  /// Assemble with substituted parts (see FrameworkBuilder).
+  /// Assemble with substituted parts.
   Framework(sim::Simulator& sim, sim::Testbed& testbed, FrameworkConfig config,
             FrameworkParts parts);
   ~Framework();

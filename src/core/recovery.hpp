@@ -37,9 +37,10 @@ namespace arcadia::core {
 /// Written once when the run is first created; read by restore_run. One
 /// `fields` description per config struct (recovery.cpp) drives both the
 /// writer and the reader. Sub-configs it does not describe (env_costs,
-/// conventions, remos_config, the pluggable FrameworkParts) stay at their
-/// defaults: a restore of a run that customized them diverges in catchup
-/// verification (a loud RecoveryError), never silently.
+/// conventions, remos_config) stay at their defaults, and a restore always
+/// assembles the default FrameworkParts: a restore of a run that customized
+/// either diverges in catchup verification (a loud RecoveryError), never
+/// silently.
 struct Manifest {
   std::string scenario;  ///< scenario catalog name
   sim::ScenarioConfig config;

@@ -76,6 +76,9 @@ class EventBus {
     return subscribe(std::move(filter), std::move(handler), sim::kNoNode);
   }
   virtual void unsubscribe(SubscriptionId id) = 0;
+  /// Queue `n` for every matching subscriber. No handler runs before
+  /// publish returns: delivery is always a later simulator event, so a
+  /// publisher's own state cannot change under it mid-publish.
   virtual void publish(Notification n) = 0;
   virtual const BusStats& stats() const = 0;
 };

@@ -118,9 +118,6 @@ void GaugeManager::on_tick(util::Symbol id) {
   catch_up(*m, sim_.now());
   m->last_read = sim_.now();
   report(*m);
-  // A synchronous subscriber may have destroyed or redeployed the gauge.
-  m = gauges_.find(id);
-  if (!m || !m->live) return;
   arm_report(id, *m, sim_.now() + config_.report_period);
 }
 
@@ -370,26 +367,22 @@ void GaugeManager::redeploy_element(const std::string& element,
     });
     return;
   }
-  // Shared by the completion callbacks actually scheduled; the last one to
-  // run fires on_done. The first id is always still there, so at least one
-  // is scheduled.
+  // Shared by the completion callbacks, one per gauge; the last one to run
+  // fires on_done.
   struct Pending {
-    std::size_t callbacks = 0;
+    std::size_t callbacks;
     SimTime started;
     std::function<void()> on_done;
   };
   auto pending = std::make_shared<Pending>();
+  pending->callbacks = ids.size();
   pending->started = sim_.now();
   pending->on_done = std::move(on_done);
   // All of the element's gauges stop reporting now; they come back one by
   // one as the (sequential) lifecycle communication completes.
   SimTime cursor = SimTime::zero();
   for (util::Symbol id : ids) {
-    // A lifecycle subscriber may destroy() gauges synchronously from the
-    // publish below; re-resolve and skip ids that vanished mid-loop.
-    Managed* found = gauges_.find(id);
-    if (!found) continue;
-    Managed& m = *found;
+    Managed& m = *gauges_.find(id);
     take_offline(m);
     if (config_.caching) {
       ++stats_.relocated;
@@ -404,7 +397,6 @@ void GaugeManager::redeploy_element(const std::string& element,
     publish_lifecycle(id, m.gauge->spec().element,
                       config_.caching ? topics::kPhaseRelocating
                                       : topics::kPhaseDeleted);
-    ++pending->callbacks;
     sim_.schedule_in(cursor, [this, id, pending] {
       Managed* mm = gauges_.find(id);
       if (mm) {
@@ -413,10 +405,10 @@ void GaugeManager::redeploy_element(const std::string& element,
         publish_lifecycle(id, mm->gauge->spec().element,
                           topics::kPhaseCreated);
       }
-      // A destroyed-mid-redeploy gauge (lifecycle subscriber tore it down)
-      // has nothing to bring back — but the completion contract still
-      // holds: on_done fires exactly once per redeploy, or a plan step
-      // (and the repair engine behind it) would wait forever.
+      // A gauge destroyed during the redeploy delay has nothing to bring
+      // back — but the completion contract still holds: on_done fires
+      // exactly once per redeploy, or a plan step (and the repair engine
+      // behind it) would wait forever.
       if (--pending->callbacks == 0) {
         stats_.redeploy_time_total_s +=
             (sim_.now() - pending->started).as_seconds();

@@ -143,13 +143,13 @@ class SerialDomain {
   // Movable so owners can live in growing containers (vector<Shard>).
   // Moving a domain is only legal while its owner is quiescent, which is
   // exactly when container growth happens; the binding travels along.
-  SerialDomain(SerialDomain&& other) noexcept {
+  SerialDomain([[maybe_unused]] SerialDomain&& other) noexcept {
 #ifndef NDEBUG
     owner_.store(other.owner_.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
 #endif
   }
-  SerialDomain& operator=(SerialDomain&& other) noexcept {
+  SerialDomain& operator=([[maybe_unused]] SerialDomain&& other) noexcept {
 #ifndef NDEBUG
     owner_.store(other.owner_.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);

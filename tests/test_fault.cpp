@@ -570,35 +570,6 @@ TEST(FleetHealthTest, RecoveringShardRelapsesOnRenewedSilence) {
   EXPECT_EQ(fleet.shard_stats(0).health_recovered, 0u);
 }
 
-TEST(FleetHealthTest, StalledShardSkipsSweepsUntilWindowEnds) {
-  HealthRig rig;
-  core::FleetManagerConfig cfg;
-  cfg.coalesce_window = SimTime::millis(500);
-  cfg.first_check = SimTime::seconds(1e6);
-  cfg.health_tracking = false;  // isolate the stall seam from the FSM
-  core::FleetManager fleet(rig.sim, cfg);
-  fleet.add_shard("t1", *rig.manager, rig.bus);
-  fleet.start();
-
-  auto at = [&](double t, std::function<void()> fn) {
-    rig.sim.schedule_at(SimTime::seconds(t), std::move(fn));
-  };
-  at(1, [&] { rig.bus.publish(gauge_report("User1", 9.0)); });
-  at(2, [&] {
-    fleet.stall_shard(0, SimTime::seconds(30));
-    fleet.run_sweep();  // stalled: no detection despite the violation
-    EXPECT_EQ(fleet.shard_stats(0).violations, 0u);
-    EXPECT_EQ(fleet.shard_stats(0).sweeps_stalled, 1u);
-  });
-  at(40, [&] {
-    fleet.run_sweep();  // window over: the backlog drains and detects
-    EXPECT_EQ(fleet.shard_stats(0).violations, 1u);
-    EXPECT_EQ(fleet.shard_stats(0).sweeps, 1u);
-  });
-  rig.sim.run_until(SimTime::seconds(45));
-  EXPECT_EQ(fleet.shard_stats(0).violations, 1u);
-}
-
 events::Notification gauge_lifecycle(const std::string& element,
                                      util::Symbol phase) {
   events::Notification n(topics::kGaugeLifecycleSym);

@@ -1,5 +1,6 @@
-// Framework wiring: gauge reports update the model, the architecture
-// manager triggers repairs, the Remos pre-query behaviour, and the gauge
+// Framework wiring: gauge reports delivered on the gauge bus update the
+// model (malformed ones are counted and ignored), the architecture manager
+// triggers repairs, the Remos pre-query behaviour, and the gauge
 // deployment inventory.
 #include <gtest/gtest.h>
 
@@ -104,13 +105,26 @@ TEST(FrameworkTest, SoloLoopChecksOncePerPeriod) {
   EXPECT_EQ(loop->shard_stats(0).batches, 0u);  // applied on delivery
 }
 
+/// Publish `n` on the started framework's gauge bus and run past its
+/// delivery, before any gauge's first report. Returns how many reports the
+/// detection loop ignored on the way.
+std::uint64_t deliver_report(FrameworkRig& rig, events::Notification n) {
+  const std::uint64_t ignored_before =
+      rig.fw->detection_loop()->shard_stats(0).reports_ignored;
+  rig.fw->gauge_bus().publish(std::move(n));
+  rig.sim.run_until(rig.sim.now() + SimTime::seconds(1));
+  return rig.fw->detection_loop()->shard_stats(0).reports_ignored -
+         ignored_before;
+}
+
 TEST(FrameworkTest, ManagerAppliesDottedElementReports) {
   FrameworkRig rig;
+  rig.fw->start();
   events::Notification n(monitor::topics::kGaugeReport);
   n.set(monitor::topics::kAttrElement, "Conn_User2.clientSide")
       .set(monitor::topics::kAttrProperty, "bandwidth")
       .set(monitor::topics::kAttrValue, 1234.0);
-  EXPECT_TRUE(rig.fw->manager().apply_gauge_report(n));
+  EXPECT_EQ(deliver_report(rig, std::move(n)), 0u);
   EXPECT_DOUBLE_EQ(rig.fw->system()
                        .connector("Conn_User2")
                        .role("clientSide")
@@ -121,26 +135,28 @@ TEST(FrameworkTest, ManagerAppliesDottedElementReports) {
 
 TEST(FrameworkTest, ManagerIgnoresUnknownElements) {
   FrameworkRig rig;
+  rig.fw->start();
   events::Notification n(monitor::topics::kGaugeReport);
   n.set(monitor::topics::kAttrElement, "Ghost")
       .set(monitor::topics::kAttrProperty, "x")
       .set(monitor::topics::kAttrValue, 1.0);
-  EXPECT_FALSE(rig.fw->manager().apply_gauge_report(n));
+  EXPECT_EQ(deliver_report(rig, std::move(n)), 1u);
   events::Notification partial(monitor::topics::kGaugeReport);
   partial.set(monitor::topics::kAttrElement, "User1");
-  EXPECT_FALSE(rig.fw->manager().apply_gauge_report(partial));
+  EXPECT_EQ(deliver_report(rig, std::move(partial)), 1u);
 }
 
 TEST(FrameworkTest, ManagerRejectsMalformedElementAddresses) {
   // A dangling dot must not degrade to a component write: "User1." used to
   // be rejected on the connector path and has to stay rejected.
   FrameworkRig rig;
+  rig.fw->start();
   for (const char* addr : {"User1.", ".clientSide", "."}) {
     events::Notification n(monitor::topics::kGaugeReport);
     n.set(monitor::topics::kAttrElement, addr)
         .set(monitor::topics::kAttrProperty, "load")
         .set(monitor::topics::kAttrValue, 9.0);
-    EXPECT_FALSE(rig.fw->manager().apply_gauge_report(n)) << addr;
+    EXPECT_EQ(deliver_report(rig, std::move(n)), 1u) << addr;
   }
   EXPECT_FALSE(rig.fw->system().component("User1").has_property("load"));
 }

@@ -13,7 +13,7 @@
 #include "acme/effects.hpp"
 #include "acme/script.hpp"
 #include "core/experiment.hpp"
-#include "core/framework_builder.hpp"
+#include "core/framework.hpp"
 #include "core/verify.hpp"
 #include "repair/scripts.hpp"
 #include "sim/scenario_registry.hpp"
@@ -37,15 +37,24 @@ bool has_rule(const std::vector<AnalysisIssue>& issues,
   return false;
 }
 
+/// Deploys no gauges at all: every property-reading constraint loses its
+/// feed.
+FrameworkParts no_gauges() {
+  FrameworkParts parts;
+  parts.gauges = [](sim::Simulator&, sim::Testbed&, monitor::GaugeManager&,
+                    const FrameworkConfig&) {};
+  return parts;
+}
+
 // ---- deployment view + rules over a started framework --------------------
 
 TEST(VerifyTest, PaperFig6DeploymentVerifiesClean) {
   sim::Simulator sim;
   sim::Testbed tb = sim::build_scenario(sim, "paper-fig6");
-  FrameworkBuilder builder(sim, tb);
-  std::unique_ptr<Framework> fw = builder.build_started();
+  Framework fw(sim, tb, FrameworkConfig{});
+  fw.start();
 
-  const acme::analysis::DeploymentView view = make_deployment_view(*fw);
+  const acme::analysis::DeploymentView view = make_deployment_view(fw);
   EXPECT_FALSE(view.constraints.empty());
   EXPECT_FALSE(view.gauge_feeds.empty());
   EXPECT_FALSE(view.operators_used.empty());
@@ -56,21 +65,17 @@ TEST(VerifyTest, PaperFig6DeploymentVerifiesClean) {
     EXPECT_GT(it->second, 0.0) << op;
   }
 
-  const auto issues = verify_framework(*fw);
+  const auto issues = verify_framework(fw);
   EXPECT_TRUE(issues.empty()) << dump(issues);
 }
 
 TEST(VerifyTest, MissingGaugesSurfaceAsUngaugedConstraints) {
   sim::Simulator sim;
   sim::Testbed tb = sim::build_scenario(sim, "paper-fig6");
-  FrameworkBuilder builder(sim, tb);
-  // Deploy no gauges at all: every property-reading constraint loses its
-  // feed and the cross-artifact rule must say so.
-  builder.with_gauge_deployer([](sim::Simulator&, sim::Testbed&,
-                                 monitor::GaugeManager&,
-                                 const FrameworkConfig&) {});
-  std::unique_ptr<Framework> fw = builder.build_started();
-  const auto issues = verify_framework(*fw);
+  // The cross-artifact rule must name the constraints left without a feed.
+  Framework fw(sim, tb, FrameworkConfig{}, no_gauges());
+  fw.start();
+  const auto issues = verify_framework(fw);
   EXPECT_TRUE(has_rule(issues, "ungauged-constraint")) << dump(issues);
 }
 
@@ -79,23 +84,19 @@ TEST(VerifyTest, MissingGaugesSurfaceAsUngaugedConstraints) {
 TEST(VerifyTest, VerifyModeErrorFailsStartOnBadDeployment) {
   sim::Simulator sim;
   sim::Testbed tb = sim::build_scenario(sim, "paper-fig6");
-  FrameworkBuilder builder(sim, tb);
-  builder.with_verification(VerifyMode::Error);
-  builder.with_gauge_deployer([](sim::Simulator&, sim::Testbed&,
-                                 monitor::GaugeManager&,
-                                 const FrameworkConfig&) {});
-  std::unique_ptr<Framework> fw = builder.build();
-  EXPECT_THROW(fw->start(), Error);
+  FrameworkConfig cfg;
+  cfg.verify = VerifyMode::Error;
+  Framework fw(sim, tb, cfg, no_gauges());
+  EXPECT_THROW(fw.start(), Error);
 }
 
 TEST(VerifyTest, VerifyModeWarnToleratesBadDeployment) {
   sim::Simulator sim;
   sim::Testbed tb = sim::build_scenario(sim, "paper-fig6");
-  FrameworkBuilder builder(sim, tb);  // Warn is the default
-  builder.with_gauge_deployer([](sim::Simulator&, sim::Testbed&,
-                                 monitor::GaugeManager&,
-                                 const FrameworkConfig&) {});
-  EXPECT_NO_THROW(builder.build_started());
+  EXPECT_NO_THROW({
+    Framework fw(sim, tb, FrameworkConfig{}, no_gauges());  // Warn: default
+    fw.start();
+  });
 }
 
 // ---- scenario-config validation -------------------------------------------
