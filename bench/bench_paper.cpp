@@ -195,7 +195,7 @@ Options paper(const std::function<void(Options&)>& tweak = {}) {
   return opt;
 }
 
-void sequential(Options& o) { o.framework.plan_pipeline = false; }
+void sequential(Options& o) { o.framework.repair.use_plan = false; }
 
 /// Both groups stay marginal even with the spares recruited: the regime
 /// where the paper saw clients "moving back and forth between server
@@ -226,7 +226,7 @@ core::ExperimentSuite paper_suite() {
   suite.add("sequential", paper(sequential));
   suite.add("sequential, gauge caching", paper([](Options& o) {
               sequential(o);
-              o.framework.gauge_caching = true;
+              o.framework.gauge_costs.caching = true;
             }));
   suite.add("sequential, no remos prequery", paper([](Options& o) {
               sequential(o);
@@ -235,10 +235,10 @@ core::ExperimentSuite paper_suite() {
   suite.add("lag, shared monitoring", detection_lag_run(false));
   suite.add("lag, QoS monitoring", detection_lag_run(true));
   suite.add("worst-client-first", paper([](Options& o) {
-              o.framework.policy_name = "worst-first";
+              o.framework.repair.policy_name = "worst-first";
             }));
   suite.add("damping off",
-            paper([](Options& o) { o.framework.damping = false; }));
+            paper([](Options& o) { o.framework.repair.damping = false; }));
   suite.add("figure-5 strict script", paper([](Options& o) {
               o.framework.script_source = acme::figure5_script();
             }));
@@ -249,7 +249,7 @@ core::ExperimentSuite paper_suite() {
   suite.add("heavy stress, damped", paper(heavy_stress));
   suite.add("heavy stress, damping off", paper([](Options& o) {
               heavy_stress(o);
-              o.framework.damping = false;
+              o.framework.repair.damping = false;
             }));
   return suite;
 }

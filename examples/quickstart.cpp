@@ -33,7 +33,7 @@ int run_minimal_loop() {
   sim::Simulator s;
   sim::Testbed tb = sim::build_scenario(s, "flash-crowd");
   core::FrameworkConfig cfg;
-  cfg.policy_name = "worst-first";
+  cfg.repair.policy_name = "worst-first";
   core::Framework fw(s, tb, cfg);
   fw.start();
   tb.start();
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   options.adaptation = adaptation;
-  options.framework.policy_name = policy;
+  options.framework.repair.policy_name = policy;
   if (!full && scenario == "paper-fig6") {
     // Quick run: quiescent 60 s, bandwidth trouble until 300 s, done.
     options.scenario.horizon = SimTime::seconds(420);

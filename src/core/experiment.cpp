@@ -163,11 +163,7 @@ ExperimentResult run_experiment(const ExperimentOptions& options) {
   std::unique_ptr<Framework> framework;
   if (options.adaptation) {
     FrameworkConfig fw_cfg = options.framework;
-    // The scenario's fault profile rides into the framework unless the
-    // caller enabled one explicitly (an explicit profile wins).
-    if (options.scenario.fault.enabled && !fw_cfg.fault.enabled) {
-      fw_cfg.fault = options.scenario.fault;
-    }
+    adopt_scenario_fault(fw_cfg, options.scenario);
     framework = std::make_unique<Framework>(sim, tb, fw_cfg);
     framework->start();
   }

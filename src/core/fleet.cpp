@@ -17,9 +17,12 @@ Fleet::Fleet(sim::Simulator& sim, FleetOptions options)
   if (tenants < 1) throw Error("Fleet: tenant count must be >= 1");
   base.fleet.tenants = tenants;
 
-  FrameworkConfig fw = options_.framework;
   // The fleet's journal is shared; tenants must not each own a plane.
-  fw.durability = durability::Options{};
+  if (options_.framework.durability.enabled()) {
+    throw Error(
+        "Fleet: set FleetOptions::durability, not framework.durability — "
+        "a fleet journals every tenant into one shared plane");
+  }
 
   if (options_.durability.enabled()) {
     plane_ = std::make_unique<durability::DurabilityPlane>(options_.durability);
@@ -34,13 +37,11 @@ Fleet::Fleet(sim::Simulator& sim, FleetOptions options)
   coordinator_->set_barrier_hook([this](SimTime) { drain_staging(); });
 
   if (options_.coordinated) {
-    // One source of truth for the check cadence: the framework-level knobs
-    // drive the fleet sweep, so a naive/coordinated A-B flip keeps the same
-    // schedule without having to set the cadence twice.
-    FleetManagerConfig mgr = options_.manager;
-    mgr.check_period = fw.check_period;
-    mgr.first_check = fw.first_check;
-    manager_ = std::make_unique<FleetManager>(sim_, mgr);
+    // The framework's check cadence drives the fleet sweep, so a
+    // naive/coordinated A-B flip keeps the same schedule.
+    manager_ = std::make_unique<FleetManager>(
+        sim_, options_.framework.check_period,
+        options_.framework.first_check, options_.manager);
   }
 
   const std::size_t reserve_hint = sim::estimate_event_reserve(base);
@@ -58,10 +59,8 @@ Fleet::Fleet(sim::Simulator& sim, FleetOptions options)
     // clock, so its draw sequences are a pure function of the shard's
     // (serial) event stream — independent of the worker-thread count by
     // construction.
-    FrameworkConfig tenant_fw = fw;
-    if (!tenant_fw.fault.enabled && cfg.fault.enabled) {
-      tenant_fw.fault = cfg.fault;
-    }
+    FrameworkConfig tenant_fw = options_.framework;
+    adopt_scenario_fault(tenant_fw, cfg);
     if (tenant_fw.fault.enabled) {
       tenant_fw.fault.seed +=
           0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(k);

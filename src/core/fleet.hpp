@@ -47,10 +47,11 @@ struct FleetOptions {
   sim::ScenarioConfig config;
   bool use_scenario_defaults = true;
 
+  /// Every tenant's framework; its check_period/first_check also set the
+  /// fleet sweep's cadence. Its `durability` must stay off (Fleet throws):
+  /// the fleet's journal is `durability` below.
   FrameworkConfig framework;
-  /// Fleet coordination knobs. check_period/first_check are taken from
-  /// `framework` (single source of truth for the check cadence); the
-  /// values here apply only to a standalone FleetManager.
+  /// Fleet coordination knobs (batching, sweep threads, health).
   FleetManagerConfig manager;
   /// true: every tenant attached to one FleetManager (batched, parallel).
   /// false: each tenant runs its private one-shard loop
@@ -62,9 +63,7 @@ struct FleetOptions {
   /// fleet, each tenant tagged with its shard index. Tenants stage records
   /// per shard; barriers append them in (time, shard, emission) order, so
   /// the journal bytes are identical for any sweep_threads or sim_threads
-  /// setting. An empty dir disables it. (FrameworkConfig::durability is
-  /// ignored per tenant here — a fleet must not scatter N private
-  /// journals.)
+  /// setting. An empty dir disables it.
   durability::Options durability;
 
   /// Worker threads advancing the tenants' shard windows (DESIGN.md §9);
@@ -94,7 +93,8 @@ struct FleetTenant {
 
 class Fleet {
  public:
-  /// Build all tenants (does not start anything).
+  /// Build all tenants (does not start anything). Throws Error when
+  /// options.framework.durability is enabled.
   Fleet(sim::Simulator& sim, FleetOptions options);
   ~Fleet();
 

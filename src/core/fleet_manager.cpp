@@ -13,8 +13,12 @@
 
 namespace arcadia::core {
 
-FleetManager::FleetManager(sim::Simulator& sim, FleetManagerConfig config)
-    : sim_(sim), config_(config) {}
+FleetManager::FleetManager(sim::Simulator& sim, SimTime check_period,
+                           SimTime first_check, FleetManagerConfig config)
+    : sim_(sim),
+      check_period_(check_period),
+      first_check_(first_check),
+      config_(config) {}
 
 FleetManager::~FleetManager() { stop(); }
 
@@ -76,9 +80,9 @@ void FleetManager::start() {
     // had degraded_after of quiet from the moment the fleet starts.
     shard.last_report_at = shard.clock->now();
   }
-  first_sweep_ = sim_.now() + config_.first_check;
+  first_sweep_ = sim_.now() + first_check_;
   sweep_task_ = std::make_unique<sim::PeriodicTask>(
-      sim_, first_sweep_, config_.check_period, [this] {
+      sim_, first_sweep_, check_period_, [this] {
         run_sweep();
         return true;
       });
@@ -110,10 +114,10 @@ void FleetManager::stop() {
 std::optional<monitor::ReadSchedule> FleetManager::read_schedule() const {
   // A shorter window flushes between sweeps on its own timer, so reports
   // overwritten in the slot before a sweep would still have been applied.
-  if (!started_ || config_.coalesce_window < config_.check_period) {
+  if (!started_ || config_.coalesce_window < check_period_) {
     return std::nullopt;
   }
-  return monitor::ReadSchedule{first_sweep_, config_.check_period};
+  return monitor::ReadSchedule{first_sweep_, check_period_};
 }
 
 void FleetManager::apply(Shard& shard, const Shard::PendingSlot& slot) {
@@ -203,7 +207,7 @@ void FleetManager::enqueue(ShardId id, const events::Notification& n) {
   shard.touched.push_back(index);
   // Sweep-aligned batching: when the window spans a whole sweep period the
   // periodic sweep's own flush is always soon enough — no timer needed.
-  if (config_.coalesce_window >= config_.check_period) return;
+  if (config_.coalesce_window >= check_period_) return;
   if (!shard.flush_timer.valid()) {
     // On the shard's own clock: under the sharded kernel the timer must
     // fire inside a window (in the shard's lane), not on the control loop.

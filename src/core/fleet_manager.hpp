@@ -49,10 +49,9 @@
 
 namespace arcadia::core {
 
+/// Batching, threading and health knobs; the sweep cadence is a
+/// constructor input (FrameworkConfig::check_period / first_check).
 struct FleetManagerConfig {
-  /// Constraint-sweep period across the whole fleet.
-  SimTime check_period = SimTime::seconds(5);
-  SimTime first_check = SimTime::seconds(15);
   /// Gauge reports arriving within this window are applied per-shard in one
   /// pass, newest value per (element, property) winning. Zero applies every
   /// report on delivery (unbatched). A window >= check_period is
@@ -130,7 +129,10 @@ class FleetManager {
  public:
   using ShardId = std::size_t;
 
-  FleetManager(sim::Simulator& sim, FleetManagerConfig config);
+  /// Sweeps the fleet every `check_period`, the first `first_check` after
+  /// start().
+  FleetManager(sim::Simulator& sim, SimTime check_period, SimTime first_check,
+               FleetManagerConfig config);
   ~FleetManager();
 
   FleetManager(const FleetManager&) = delete;
@@ -259,6 +261,8 @@ class FleetManager {
   void publish_health(Shard& shard);
 
   sim::Simulator& sim_;
+  const SimTime check_period_;
+  const SimTime first_check_;
   FleetManagerConfig config_;
   /// Concurrency capability: each shard's state is owned by its serial
   /// execution context — the shard's lane (windows migrate between pool

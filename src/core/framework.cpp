@@ -12,6 +12,13 @@
 
 namespace arcadia::core {
 
+void adopt_scenario_fault(FrameworkConfig& config,
+                          const sim::ScenarioConfig& scenario) {
+  if (!config.fault.enabled && scenario.fault.enabled) {
+    config.fault = scenario.fault;
+  }
+}
+
 Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
                      FrameworkConfig config)
     : Framework(sim, testbed, std::move(config), FrameworkParts{}) {}
@@ -37,8 +44,7 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
 
   sim::GridApp& app = *testbed_.app;
 
-  remos_ = std::make_unique<remos::RemosService>(sim_, *testbed_.net,
-                                                 config_.remos_config);
+  remos_ = std::make_unique<remos::RemosService>(sim_, *testbed_.net);
 
   // Probe bus: probes and gauges are effectively colocated per machine, so
   // delivery is a small fixed cost. Gauge bus: reports cross the shared
@@ -73,7 +79,7 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
   task::apply_profile(*system_, config_.profile);
 
   env_ = std::make_unique<rt::SimEnvironmentManager>(app, *testbed_.topo,
-                                                     *remos_, config_.env_costs);
+                                                     *remos_);
   queries_ = std::make_unique<rt::SimRuntimeQueries>(app, *env_, *remos_);
   translator_ = parts_.translator
                     ? parts_.translator(*env_, config_)
@@ -81,7 +87,6 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
                                                           config_.conventions);
 
   monitor::GaugeManagerConfig gauge_cfg = config_.gauge_costs;
-  gauge_cfg.caching = config_.gauge_caching;
   if (fault_plane_ && gauge_cfg.watchdog_period <= SimTime::zero()) {
     // Faults are on but nobody armed the watchdog: channel disconnects
     // would silently starve the model. Default to one report period.
@@ -97,21 +102,6 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
       gauge_cfg);
   if (fault_plane_) gauge_manager_->set_fault_plane(fault_plane_.get());
 
-  repair::RepairEngineConfig engine_cfg;
-  engine_cfg.policy_name = config_.policy_name;
-  engine_cfg.damping = config_.damping;
-  engine_cfg.settle_time = config_.settle_time;
-  engine_cfg.abort_cooldown = config_.abort_cooldown;
-  engine_cfg.use_plan = config_.plan_pipeline;
-  engine_cfg.preemption = config_.plan_preemption;
-  engine_cfg.preempt_factor = config_.plan_preempt_factor;
-  engine_cfg.max_server_load = config_.profile.max_server_load;
-  engine_cfg.min_bandwidth = config_.profile.min_bandwidth;
-  engine_cfg.min_utilization = config_.profile.min_utilization;
-  engine_cfg.min_replicas = config_.profile.min_replicas;
-  engine_cfg.load_improvement = config_.load_improvement;
-  engine_cfg.conventions = config_.conventions;
-  engine_cfg.retry = config_.retry;
   repair::Translator* engine_translator = translator_.get();
   if (fault_plane_) {
     flaky_translator_ = std::make_unique<fault::FaultyTranslator>(
@@ -120,7 +110,8 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
   }
   engine_ = std::make_unique<repair::RepairEngine>(
       sim_, *system_, script_, queries_.get(), engine_translator,
-      gauge_manager_.get(), engine_cfg);
+      gauge_manager_.get(), config_.repair, config_.profile,
+      config_.conventions);
   // Plan lifecycle notifications share the gauge bus: tools observe
   // repairs in flight without new wiring.
   engine_->set_event_bus(gauge_bus_.get());
@@ -129,16 +120,7 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
 
   // Task-layer thresholds visible in constraint expressions.
   repair::ConstraintChecker& checker = manager_->checker();
-  checker.bind_global("maxServerLoad",
-                      acme::EvalValue(config_.profile.max_server_load));
-  checker.bind_global(
-      "minBandwidth",
-      acme::EvalValue(config_.profile.min_bandwidth.as_bps()));
-  checker.bind_global("minUtilization",
-                      acme::EvalValue(config_.profile.min_utilization));
-  checker.bind_global(
-      "minReplicas",
-      acme::EvalValue(static_cast<double>(config_.profile.min_replicas)));
+  task::bind_task_globals(checker, config_.profile);
   checker.instantiate(script_);
 
   // Durability plane last: every collaborator it journals for exists now.
@@ -280,13 +262,12 @@ void Framework::start() {
     // The solo loop: one shard, each report applied on delivery, every
     // period a full detect() + dispatch() — the paper's periodic check.
     FleetManagerConfig loop_cfg;
-    loop_cfg.check_period = config_.check_period;
-    loop_cfg.first_check = config_.first_check;
     loop_cfg.coalesce_window = SimTime::zero();
     loop_cfg.sweep_threads = 1;
     loop_cfg.skip_clean_shards = false;
     loop_cfg.health_tracking = false;
-    loop_ = std::make_unique<FleetManager>(sim_, loop_cfg);
+    loop_ = std::make_unique<FleetManager>(sim_, config_.check_period,
+                                           config_.first_check, loop_cfg);
     loop_->add_shard(solo_name(), *manager_, *gauge_bus_,
                      testbed_.manager_node);
     loop_->start();

@@ -39,42 +39,23 @@ enum class VerifyMode {
   Error, ///< log every issue; throw if any has error severity
 };
 
+/// Every setting, declared once: a part's own knobs stay in that part's
+/// config struct (`repair`, `gauge_costs`), handed over as they are.
 struct FrameworkConfig {
+  /// Task-layer objectives: the model's maxLatency, and the script globals
+  /// of the checker and the engine (task::bind_task_globals).
   task::PerformanceProfile profile;
 
   /// Repair-script source; empty selects repair::extended_script(). Every
   /// repair strategy runs as this script.
   std::string script_source;
 
-  /// Violation policy (repair::violation_chooser): "first-reported" or
-  /// "worst-first".
-  std::string policy_name = "first-reported";
-  bool damping = true;
-  SimTime settle_time = SimTime::seconds(30);
-  SimTime abort_cooldown = SimTime::seconds(60);
-  double load_improvement = 2.0;
-
-  /// Shape of the AdaptationPlan every repair enacts through: on = lifted
-  /// op records, cost-aware optimization, overlapped execution; off = the
-  /// paper's sequential plan shape (translate all, then re-deploy gauges one
-  /// element at a time), kept as the measured baseline of bench_paper's
-  /// Figure 11 gate.
-  bool plan_pipeline = true;
-  /// Let a strictly worse violation abort a plan in flight (compensating
-  /// enacted steps) and start its own repair — pair with the
-  /// churn-mid-repair scenario.
-  bool plan_preemption = false;
-  /// Must be >= 1 when plan_preemption is on (RepairEngine throws).
-  double plan_preempt_factor = 2.0;
-
-  /// Gauge caching/relocation (Section 5.3's proposed speed-up) vs
-  /// destroy-and-create.
-  bool gauge_caching = false;
+  /// Gauge costs, report period, watchdog, and caching/relocation
+  /// (Section 5.3's proposed speed-up) vs destroy-and-create.
   monitor::GaugeManagerConfig gauge_costs;
 
   /// Pre-query Remos at start-up, as the paper's experiment did.
   bool remos_prequery = true;
-  remos::RemosConfig remos_config;
 
   /// Prioritize monitoring traffic (QoS) instead of sharing the
   /// application's network.
@@ -83,20 +64,19 @@ struct FrameworkConfig {
 
   SimTime probe_period = SimTime::seconds(1);
   SimTime gauge_window = SimTime::seconds(30);
+  /// The check cadence of the solo loop and of a coordinated fleet's sweep.
   SimTime check_period = SimTime::seconds(5);
   SimTime first_check = SimTime::seconds(15);
 
-  /// Fault injection (usually copied from ScenarioConfig::fault by the
-  /// experiment runner). When enabled, the framework constructs a
-  /// FaultPlane, wraps the probe/gauge buses and the translator in their
-  /// faulty decorators, arms the gauge-liveness watchdog, and schedules
-  /// the tenant-crash draw at start().
+  /// Fault injection (the scenario's profile, handed over by
+  /// adopt_scenario_fault unless the caller enabled one). When enabled, the
+  /// framework constructs a FaultPlane, wraps the probe/gauge buses and the
+  /// translator in their faulty decorators, arms the gauge-liveness
+  /// watchdog, and schedules the tenant-crash draw at start().
   fault::FaultProfile fault;
-  /// Retry/backoff + per-op timeouts for runtime steps (repair/retry.hpp);
-  /// forwarded to the repair engine's plan executor.
-  repair::RetryPolicy retry;
 
-  rt::EnvironmentCosts env_costs;
+  /// The style's element and role names, read by the model builder, the
+  /// translator, the repair engine and the default gauges.
   repair::StyleConventions conventions;
 
   /// Run arcverify's semantic checks (script effect/flow analysis +
@@ -109,7 +89,17 @@ struct FrameworkConfig {
   /// journals every repair commit / plan event / applied gauge delta, and
   /// snapshots periodically; see core/recovery.hpp for crash restore.
   durability::Options durability;
+
+  /// The repair engine's own settings (violation policy, damping, plan
+  /// shape and preemption, retry), handed to it as they are.
+  repair::RepairEngineConfig repair;
 };
+
+/// The scenario's fault profile rides into `config` unless the caller
+/// enabled one (an explicit profile wins) — the one hand-off rule of the
+/// experiment runner, the fleet, the recovery driver and arcverify.
+void adopt_scenario_fault(FrameworkConfig& config,
+                          const sim::ScenarioConfig& scenario);
 
 /// The framework's substitutable parts. A null member selects the default
 /// wiring (what the paper's experiment ran).
@@ -150,7 +140,7 @@ class Framework {
   repair::RepairEngine& engine() { return *engine_; }
   ArchitectureManager& manager() { return *manager_; }
   /// The private detection loop: a one-shard FleetManager (shard 0) built at
-  /// start() from check_period/first_check, applying every report on
+  /// start() on config().check_period/first_check, applying every report on
   /// delivery and detecting + dispatching every period. Null before start()
   /// and for a framework attached to a fleet.
   FleetManager* detection_loop() { return loop_.get(); }

@@ -15,7 +15,7 @@ namespace arcadia::core {
 namespace {
 
 constexpr char kManifestMagic[4] = {'A', 'R', 'C', 'M'};
-constexpr std::uint32_t kManifestVersion = 4;
+constexpr std::uint32_t kManifestVersion = 5;
 
 using durability::Decoder;
 using durability::DurabilityError;
@@ -73,9 +73,6 @@ void fields(Io& io, T& c) {
   io.f64(c.comp_sg2_final_mbps);
   io.boolean(c.comp_bidirectional);
   io.sim_time(c.thresholds.max_latency);
-  io.f64(c.thresholds.max_server_load);
-  io.bandwidth(c.thresholds.min_bandwidth);
-  io.f64(c.thresholds.min_utilization);
   fields(io, c.fault);
   io.i64(c.grid.groups);
   io.i64(c.grid.servers_per_group);
@@ -103,15 +100,15 @@ void fields(Io& io, T& f) {
   io.f64(f.profile.min_utilization);
   io.i64(f.profile.min_replicas);
   io.str(f.script_source);
-  io.str(f.policy_name);
-  io.boolean(f.damping);
-  io.sim_time(f.settle_time);
-  io.sim_time(f.abort_cooldown);
-  io.f64(f.load_improvement);
-  io.boolean(f.plan_pipeline);
-  io.boolean(f.plan_preemption);
-  io.f64(f.plan_preempt_factor);
-  io.boolean(f.gauge_caching);
+  io.str(f.repair.policy_name);
+  io.boolean(f.repair.damping);
+  io.sim_time(f.repair.settle_time);
+  io.sim_time(f.repair.abort_cooldown);
+  io.f64(f.repair.load_improvement);
+  io.boolean(f.repair.use_plan);
+  io.boolean(f.repair.preemption);
+  io.f64(f.repair.preempt_factor);
+  io.boolean(f.gauge_costs.caching);
   io.sim_time(f.gauge_costs.report_period);
   io.sim_time(f.gauge_costs.create_cost);
   io.sim_time(f.gauge_costs.destroy_cost);
@@ -126,13 +123,13 @@ void fields(Io& io, T& f) {
   io.sim_time(f.check_period);
   io.sim_time(f.first_check);
   fields(io, f.fault);
-  io.i64(f.retry.max_attempts);
-  io.sim_time(f.retry.backoff_base);
-  io.f64(f.retry.backoff_multiplier);
-  io.sim_time(f.retry.backoff_max);
-  io.f64(f.retry.jitter);
-  io.u64(f.retry.jitter_seed);
-  io.sim_time(f.retry.op_timeout);
+  io.i64(f.repair.retry.max_attempts);
+  io.sim_time(f.repair.retry.backoff_base);
+  io.f64(f.repair.retry.backoff_multiplier);
+  io.sim_time(f.repair.retry.backoff_max);
+  io.f64(f.repair.retry.jitter);
+  io.u64(f.repair.retry.jitter_seed);
+  io.sim_time(f.repair.retry.op_timeout);
   io.enumeration(f.verify, VerifyMode::Off, VerifyMode::Error, "VerifyMode");
   io.str(f.durability.dir);
   io.sim_time(f.durability.snapshot_period);
@@ -242,11 +239,7 @@ RecoveryResult run_with_recovery(const RecoveryOptions& options) {
   manifest.scenario = options.scenario;
   manifest.config = options.config;
   manifest.framework = options.framework;
-  // Mirror the experiment runner: the scenario's fault profile rides into
-  // the framework unless the caller set one explicitly.
-  if (!manifest.framework.fault.enabled && manifest.config.fault.enabled) {
-    manifest.framework.fault = manifest.config.fault;
-  }
+  adopt_scenario_fault(manifest.framework, manifest.config);
   manifest.framework.durability.dir = options.dir;
   write_manifest(options.dir, manifest);
 

@@ -36,11 +36,11 @@ namespace arcadia::core {
 /// What a durable run was built from — enough to re-execute it from t=0.
 /// Written once when the run is first created; read by restore_run. One
 /// `fields` description per config struct (recovery.cpp) drives both the
-/// writer and the reader. Sub-configs it does not describe (env_costs,
-/// conventions, remos_config) stay at their defaults, and a restore always
-/// assembles the default FrameworkParts: a restore of a run that customized
-/// either diverges in catchup verification (a loud RecoveryError), never
-/// silently.
+/// writer and the reader. It records every ScenarioConfig field and every
+/// FrameworkConfig field except `conventions`, which a restore leaves at
+/// its defaults, and a restore always assembles the default FrameworkParts:
+/// a restore of a run that customized either diverges in catchup
+/// verification (a loud RecoveryError), never silently.
 struct Manifest {
   std::string scenario;  ///< scenario catalog name
   sim::ScenarioConfig config;

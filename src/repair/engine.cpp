@@ -1,6 +1,7 @@
 #include "repair/engine.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "model/types.hpp"
 #include "monitor/topics.hpp"
@@ -32,14 +33,17 @@ RepairEngine::RepairEngine(sim::Simulator& sim, model::System& root,
                            const acme::Script& script, RuntimeQueries* queries,
                            Translator* translator,
                            monitor::GaugeManager* gauges,
-                           RepairEngineConfig config)
+                           RepairEngineConfig config,
+                           const task::PerformanceProfile& profile,
+                           StyleConventions conventions)
     : sim_(sim),
       root_(root),
       script_(script),
       queries_(queries),
       translator_(translator),
       gauges_(gauges),
-      config_(config),
+      config_(std::move(config)),
+      conventions_(std::move(conventions)),
       interpreter_(root, script),
       chooser_(violation_chooser(config_.policy_name)),
       executor_(sim, translator, gauges) {
@@ -51,19 +55,11 @@ RepairEngine::RepairEngine(sim::Simulator& sim, model::System& root,
   }
   executor_.set_retry_policy(config_.retry);
   OperatorThresholds op_th;
-  op_th.min_bandwidth = config_.min_bandwidth;
+  op_th.min_bandwidth = profile.min_bandwidth;
   op_th.load_improvement = config_.load_improvement;
-  register_client_server_ops(interpreter_, root_, queries_,
-                             config_.conventions, op_th);
-  interpreter_.bind_global("maxServerLoad",
-                           acme::EvalValue(config_.max_server_load));
-  interpreter_.bind_global("minBandwidth",
-                           acme::EvalValue(config_.min_bandwidth.as_bps()));
-  interpreter_.bind_global("minUtilization",
-                           acme::EvalValue(config_.min_utilization));
-  interpreter_.bind_global(
-      "minReplicas",
-      acme::EvalValue(static_cast<double>(config_.min_replicas)));
+  register_client_server_ops(interpreter_, root_, queries_, conventions_,
+                             op_th);
+  task::bind_task_globals(interpreter_, profile);
 }
 
 bool RepairEngine::suppressed(util::Symbol element) const {
@@ -128,7 +124,7 @@ void RepairEngine::execute(const Violation& violation) {
   record.element = violation.element;
   record.strategy = violation.constraint->handler;
   record.started = sim_.now();
-  record.decision_cost = config_.decision_cost;
+  record.decision_cost = kDecisionCost;
 
   ARC_INFO << "[" << sim_.now().as_seconds() << "s] repair: " << record.strategy
            << "(" << record.element << ") triggered by "
@@ -173,7 +169,7 @@ void RepairEngine::execute(const Violation& violation) {
     // optimized DAG, or the paper's strictly sequential chain.
     AdaptationPlan plan;
     if (config_.use_plan) {
-      plan = build_plan(op_records, config_.conventions, translator_, gauges_);
+      plan = build_plan(op_records, conventions_, translator_, gauges_);
       const PlanOptimizerStats opt = optimize_plan(plan, &effect_table_);
       stats_.plan_steps_merged += opt.moves_merged + opt.gauges_batched;
       record.plan_steps_merged =

@@ -48,6 +48,7 @@
 #include "repair/runtime_queries.hpp"
 #include "repair/style_ops.hpp"
 #include "sim/simulator.hpp"
+#include "task/task.hpp"
 #include "util/symbol.hpp"
 
 namespace arcadia::repair {
@@ -64,11 +65,15 @@ using ViolationChooser =
 /// other name.
 ViolationChooser violation_chooser(const std::string& name);
 
+/// Strategy-evaluation cost charged before runtime ops.
+inline constexpr SimTime kDecisionCost = SimTime::millis(100);
+
+/// The engine's own knobs. The task thresholds and style conventions it
+/// also reads are constructor inputs, not copies.
 struct RepairEngineConfig {
-  /// Violation policy, resolved through violation_chooser().
+  /// Violation policy, resolved through violation_chooser(): "first-reported"
+  /// or "worst-first".
   std::string policy_name = "first-reported";
-  /// Strategy-evaluation cost charged before runtime ops.
-  SimTime decision_cost = SimTime::millis(100);
   /// Per-element suppression after a repair completes.
   SimTime settle_time = SimTime::seconds(30);
   /// Per-constraint suppression after an aborted repair.
@@ -81,7 +86,8 @@ struct RepairEngineConfig {
   /// for bench_paper's Figure 11 gate. Both enact through the PlanExecutor.
   bool use_plan = true;
   /// Allow a strictly worse violation to abort a plan in flight (remaining
-  /// steps skipped, enacted steps compensated) and start its own repair.
+  /// steps skipped, enacted steps compensated) and start its own repair —
+  /// pair with the churn-mid-repair scenario.
   bool preemption = false;
   /// "Strictly worse": the challenger's observed value must exceed the
   /// active repair's by this factor. Observed values are compared raw and
@@ -100,16 +106,9 @@ struct RepairEngineConfig {
   /// abort path above. The defaults retry; set max_attempts = 1 to make
   /// every op fault terminal (the pre-fault-plane behaviour).
   RetryPolicy retry;
-
-  // Task-layer thresholds, mirrored into script globals and the style
-  // operators.
-  double max_server_load = 6.0;
-  Bandwidth min_bandwidth = Bandwidth::kbps(10);
-  double min_utilization = 0.2;
-  std::int64_t min_replicas = 2;
+  /// Queue-length advantage a load-balancing move must gain
+  /// (OperatorThresholds::load_improvement).
   double load_improvement = 2.0;
-
-  StyleConventions conventions;
 };
 
 struct RepairRecord {
@@ -174,11 +173,15 @@ struct RepairStats {
 class RepairEngine {
  public:
   /// `queries`, `translator`, and `gauges` may be null for model-only use
-  /// (unit tests); costs they would contribute are then zero.
+  /// (unit tests); costs they would contribute are then zero. `profile`
+  /// supplies the script globals (bind_task_globals) and the operators'
+  /// bandwidth floor; `conventions` the style's element naming.
   RepairEngine(sim::Simulator& sim, model::System& root,
                const acme::Script& script, RuntimeQueries* queries,
                Translator* translator, monitor::GaugeManager* gauges,
-               RepairEngineConfig config);
+               RepairEngineConfig config,
+               const task::PerformanceProfile& profile = {},
+               StyleConventions conventions = {});
 
   /// Optional bus for plan lifecycle notifications (topics::kRepairPlan);
   /// the framework wires the gauge bus here so tools can observe repairs
@@ -269,6 +272,7 @@ class RepairEngine {
   Translator* translator_;
   monitor::GaugeManager* gauges_;
   RepairEngineConfig config_;
+  StyleConventions conventions_;
   acme::Interpreter interpreter_;
   /// Static operator footprints for the plan optimizer's effect-deps pass.
   acme::EffectTable effect_table_ = acme::make_client_server_effects();

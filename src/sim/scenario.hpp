@@ -17,14 +17,11 @@
 
 namespace arcadia::sim {
 
-/// Architectural thresholds from the paper's task-layer profile.
+/// The scenario's latency bound. The paper's other task-layer thresholds
+/// (server load, bandwidth floor, utilization) have one home,
+/// task::PerformanceProfile, which the framework reads.
 struct Thresholds {
   SimTime max_latency = SimTime::seconds(2.0);  ///< 2 s latency bound
-  double max_server_load = 6.0;                 ///< > 6 queued => overloaded
-  Bandwidth min_bandwidth = Bandwidth::kbps(10.0);  ///< < 10 Kbps => starved
-  /// Utilization below which a dynamically-recruited server may be released
-  /// (the paper's third, unshown repair).
-  double min_utilization = 0.2;
 };
 
 /// Scaled grid-NxM topology knobs (used by the "grid-NxM" scenarios).

@@ -288,14 +288,14 @@ std::vector<ScenarioSpec> builtin_scenarios() {
     // Same builder as server-churn, with the outages packed tightly enough
     // that the next fault lands while the previous repair's plan is still
     // enacting (repairs take ~30 s with cold gauges). Run it with
-    // FrameworkConfig::plan_preemption to let the strictly worse follow-on
+    // FrameworkConfig::repair.preemption to let the strictly worse follow-on
     // violation abort the in-flight plan.
     ScenarioSpec spec;
     spec.name = "churn-mid-repair";
     spec.description =
         "server-churn with outages packed so each new fault lands while "
         "the previous repair's plan is still enacting; pair with "
-        "FrameworkConfig::plan_preemption (factor ~1.2 for same-kind "
+        "FrameworkConfig::repair.preemption (factor ~1.2 for same-kind "
         "latency violations)";
     spec.defaults.horizon = SimTime::seconds(900);
     spec.defaults.normal_rate_hz = 1.5;

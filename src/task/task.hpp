@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "acme/evaluator.hpp"
 #include "model/system.hpp"
 #include "util/units.hpp"
 
@@ -25,6 +26,21 @@ struct PerformanceProfile {
 /// Writes the profile's per-element thresholds into the model (maxLatency
 /// on every ClientT component).
 void apply_profile(model::System& system, const PerformanceProfile& profile);
+
+/// Binds the profile's fleet-wide thresholds as script globals —
+/// maxServerLoad, minBandwidth (bps), minUtilization, minReplicas — on any
+/// scope with bind_global(name, acme::EvalValue): the constraint checker
+/// and the strategy interpreter alike.
+template <class Scope>
+void bind_task_globals(Scope& scope, const PerformanceProfile& profile) {
+  scope.bind_global("maxServerLoad", acme::EvalValue(profile.max_server_load));
+  scope.bind_global("minBandwidth",
+                    acme::EvalValue(profile.min_bandwidth.as_bps()));
+  scope.bind_global("minUtilization",
+                    acme::EvalValue(profile.min_utilization));
+  scope.bind_global("minReplicas",
+                    acme::EvalValue(static_cast<double>(profile.min_replicas)));
+}
 
 // ---- design-time performance analysis (M/M/c) ----
 

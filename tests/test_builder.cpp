@@ -58,12 +58,12 @@ TEST(FrameworkPartsTest, ScriptAndPolicySelection) {
   sim::Simulator sim;
   sim::Testbed tb = sim::build_scenario(sim, "paper-fig6");
   FrameworkConfig cfg;
-  cfg.policy_name = "worst-first";
+  cfg.repair.policy_name = "worst-first";
   cfg.script_source =
       "invariant r : averageLatency <= maxLatency !-> fixLatency(r);\n"
       "strategy fixLatency(c : ClientT) = { abort Nope; }\n";
   Framework fw(sim, tb, cfg);
-  EXPECT_EQ(fw.config().policy_name, "worst-first");
+  EXPECT_EQ(fw.config().repair.policy_name, "worst-first");
   EXPECT_EQ(fw.script().strategies.size(), 1u);
 }
 
@@ -71,7 +71,7 @@ TEST(FrameworkPartsTest, UnknownPolicyThrowsAtConfigurationTime) {
   sim::Simulator sim;
   sim::Testbed tb = sim::build_scenario(sim, "paper-fig6");
   FrameworkConfig cfg;
-  cfg.policy_name = "no-such-policy";
+  cfg.repair.policy_name = "no-such-policy";
   EXPECT_THROW(Framework(sim, tb, cfg), Error);
 }
 

@@ -112,7 +112,7 @@ TEST(DeterminismTest, PaperFig6GoldenPin) {
 }
 
 // Golden pin for the paper's strictly sequential repair shape
-// (`plan_pipeline = false`): the paper-fig6 adaptive run, seed 42, to the
+// (`repair.use_plan = false`): the paper-fig6 adaptive run, seed 42, to the
 // full 1800 s. Every committed repair's timeline is pinned in integer µs, so
 // a change to how the sequential shape enacts (translate the whole journal,
 // then re-deploy each disturbed element's gauges one after another) shows
@@ -123,7 +123,7 @@ TEST(DeterminismTest, PaperFig6SequentialGoldenPin) {
   config.seed = 42;
   sim::Testbed testbed = sim::build_scenario(sim, "paper-fig6", config);
   core::FrameworkConfig fc;
-  fc.plan_pipeline = false;
+  fc.repair.use_plan = false;
   core::Framework framework(sim, testbed, fc);
   framework.start();
   testbed.start();

@@ -37,6 +37,11 @@ namespace {
 
 namespace topics = monitor::topics;
 
+/// The hand-built FleetManager rigs drive their sweeps by hand: the
+/// periodic sweep's first run lies far past every horizon.
+constexpr SimTime kCheckPeriod = SimTime::seconds(5);
+constexpr SimTime kManualSweeps = SimTime::seconds(1e6);
+
 // ---- retry policy --------------------------------------------------------
 
 TEST(RetryPolicyTest, BackoffIsDeterministicPerSeed) {
@@ -485,11 +490,10 @@ TEST(FleetHealthTest, SilenceWalksHealthyToQuarantinedAndBack) {
   HealthRig rig;
   core::FleetManagerConfig cfg;
   cfg.coalesce_window = SimTime::zero();
-  cfg.first_check = SimTime::seconds(1e6);  // sweeps driven manually
   cfg.degraded_after = SimTime::seconds(10);
   cfg.quarantine_after = SimTime::seconds(30);
   cfg.recovery_observation = SimTime::seconds(10);
-  core::FleetManager fleet(rig.sim, cfg);
+  core::FleetManager fleet(rig.sim, kCheckPeriod, kManualSweeps, cfg);
   fleet.add_shard("t1", *rig.manager, rig.bus);
   fleet.start();
 
@@ -543,11 +547,10 @@ TEST(FleetHealthTest, RecoveringShardRelapsesOnRenewedSilence) {
   HealthRig rig;
   core::FleetManagerConfig cfg;
   cfg.coalesce_window = SimTime::zero();
-  cfg.first_check = SimTime::seconds(1e6);
   cfg.degraded_after = SimTime::seconds(10);
   cfg.quarantine_after = SimTime::seconds(30);
   cfg.recovery_observation = SimTime::seconds(20);
-  core::FleetManager fleet(rig.sim, cfg);
+  core::FleetManager fleet(rig.sim, kCheckPeriod, kManualSweeps, cfg);
   fleet.add_shard("t1", *rig.manager, rig.bus);
   fleet.start();
 
@@ -583,14 +586,14 @@ events::Notification gauge_lifecycle(const std::string& element,
 core::FleetManagerConfig hold_test_config() {
   core::FleetManagerConfig cfg;
   cfg.coalesce_window = SimTime::zero();
-  cfg.first_check = SimTime::seconds(1e6);  // sweeps driven manually
   cfg.health_tracking = false;
   return cfg;
 }
 
 TEST(FleetHealthTest, SuspectMarkDirtiesCleanShard) {
   HealthRig rig;
-  core::FleetManager fleet(rig.sim, hold_test_config());
+  core::FleetManager fleet(rig.sim, kCheckPeriod, kManualSweeps,
+                           hold_test_config());
   fleet.add_shard("t1", *rig.manager, rig.bus);
   fleet.start();
 
@@ -621,7 +624,8 @@ TEST(FleetHealthTest, SuspectMarkDirtiesCleanShard) {
 
 TEST(FleetHealthTest, ClearedMarkDirtiesCleanShard) {
   HealthRig rig;
-  core::FleetManager fleet(rig.sim, hold_test_config());
+  core::FleetManager fleet(rig.sim, kCheckPeriod, kManualSweeps,
+                           hold_test_config());
   fleet.add_shard("t1", *rig.manager, rig.bus);
   fleet.start();
 

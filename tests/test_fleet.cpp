@@ -28,6 +28,11 @@
 namespace arcadia {
 namespace {
 
+/// The hand-built FleetManager rigs drive their sweeps by hand: the
+/// periodic sweep's first run lies far past every horizon.
+constexpr SimTime kCheckPeriod = SimTime::seconds(5);
+constexpr SimTime kManualSweeps = SimTime::seconds(1e6);
+
 events::Notification gauge_report(const std::string& element,
                                   const std::string& property, double value) {
   events::Notification n(monitor::topics::kGaugeReport);
@@ -67,8 +72,7 @@ TEST(FleetManagerTest, CoalescesReportsWithinWindow) {
   ShardRig rig(sim, "User1");
   core::FleetManagerConfig cfg;
   cfg.coalesce_window = SimTime::millis(500);
-  cfg.first_check = SimTime::seconds(1e6);  // sweeps driven manually
-  core::FleetManager fleet(sim, cfg);
+  core::FleetManager fleet(sim, kCheckPeriod, kManualSweeps, cfg);
   fleet.add_shard("t1", *rig.manager, rig.bus);
   fleet.start();
 
@@ -97,8 +101,7 @@ TEST(FleetManagerTest, ZeroWindowAppliesOnDelivery) {
   ShardRig rig(sim, "User1");
   core::FleetManagerConfig cfg;
   cfg.coalesce_window = SimTime::zero();
-  cfg.first_check = SimTime::seconds(1e6);
-  core::FleetManager fleet(sim, cfg);
+  core::FleetManager fleet(sim, kCheckPeriod, kManualSweeps, cfg);
   fleet.add_shard("t1", *rig.manager, rig.bus);
   fleet.start();
 
@@ -119,9 +122,8 @@ TEST(FleetManagerTest, DeadBandKeepsQuietShardsClean) {
   ShardRig rig(sim, "User1");
   core::FleetManagerConfig cfg;
   cfg.coalesce_window = SimTime::millis(100);
-  cfg.first_check = SimTime::seconds(1e6);
   cfg.sweep_threads = 1;
-  core::FleetManager fleet(sim, cfg);
+  core::FleetManager fleet(sim, kCheckPeriod, kManualSweeps, cfg);
   fleet.add_shard("t1", *rig.manager, rig.bus);
   fleet.start();
 
@@ -157,9 +159,8 @@ TEST(FleetManagerTest, SkipsCleanShardsAndKeepsCachedVerdicts) {
   ShardRig cold(sim, "User2");
   core::FleetManagerConfig cfg;
   cfg.coalesce_window = SimTime::millis(100);
-  cfg.first_check = SimTime::seconds(1e6);
   cfg.sweep_threads = 1;
-  core::FleetManager fleet(sim, cfg);
+  core::FleetManager fleet(sim, kCheckPeriod, kManualSweeps, cfg);
   fleet.add_shard("hot", *hot.manager, hot.bus);
   fleet.add_shard("cold", *cold.manager, cold.bus);
   fleet.start();
@@ -326,6 +327,24 @@ TEST(FleetTest, UncoordinatedTenantsKeepTheirPrivateLoops) {
     EXPECT_GT(loop->shard_stats(0).sweeps, 0u);
     EXPECT_EQ(tenant.framework->manager().stats().checks,
               loop->shard_stats(0).sweeps);
+  }
+}
+
+TEST(FleetTest, RejectsAPerTenantJournal) {
+  // A fleet journals every tenant into one shared plane
+  // (FleetOptions::durability); a per-tenant framework journal is refused,
+  // not silently dropped.
+  sim::Simulator sim;
+  core::FleetOptions opt;
+  opt.tenants = 1;
+  opt.framework.durability.dir = "fleet-tenant-journal.durable";
+  try {
+    core::Fleet fleet(sim, opt);
+    ADD_FAILURE() << "Fleet accepted framework.durability";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("FleetOptions::durability"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -161,6 +161,24 @@ TEST(FrameworkTest, ManagerRejectsMalformedElementAddresses) {
   EXPECT_FALSE(rig.fw->system().component("User1").has_property("load"));
 }
 
+TEST(FrameworkTest, GaugeCachingRelocatesOnRedeploy) {
+  // gauge_costs.caching is the one switch for Section 5.3's cached gauges:
+  // the framework hands it to the gauge manager as set.
+  sim::Simulator sim;
+  sim::Testbed tb = sim::build_testbed(sim, sim::ScenarioConfig{});
+  FrameworkConfig cfg;
+  cfg.gauge_costs.caching = true;
+  Framework fw(sim, tb, cfg);
+  fw.start();
+  sim.run_until(SimTime::seconds(20));  // every gauge is live
+  ASSERT_TRUE(fw.gauges().is_live("latency:User1"));
+  fw.gauges().redeploy_element("User1");
+  sim.run_until(SimTime::seconds(40));
+  EXPECT_TRUE(fw.gauges().config().caching);
+  EXPECT_GT(fw.gauges().stats().relocated, 0u);
+  EXPECT_EQ(fw.gauges().stats().destroyed, 0u);
+}
+
 TEST(FrameworkTest, CustomScriptSourceUsed) {
   sim::Simulator sim;
   sim::ScenarioConfig scenario;

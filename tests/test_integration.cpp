@@ -96,7 +96,7 @@ TEST(IntegrationTest, RepairsTakeAboutThirtySeconds) {
   // (see PlanPipelineShortensRepairs below and bench_paper's Figure 11 gate).
   ExperimentOptions opt = short_options();
   opt.adaptation = true;
-  opt.framework.plan_pipeline = false;
+  opt.framework.repair.use_plan = false;
   ExperimentResult r = run_experiment(opt);
   int counted = 0;
   for (const auto& rec : r.repairs) {
@@ -131,7 +131,7 @@ TEST(IntegrationTest, PlanPipelineShortensRepairs) {
   const double plan_mean = mean_repair(r);
   EXPECT_GT(plan_mean, 0.0);
 
-  opt.framework.plan_pipeline = false;
+  opt.framework.repair.use_plan = false;
   const double legacy_mean = mean_repair(run_experiment(opt));
   // Move repairs disturb two gauge elements and halve (15 s vs 30 s);
   // single-element repairs keep their per-element command channel, so the
@@ -143,7 +143,7 @@ TEST(IntegrationTest, PlanPipelineShortensRepairs) {
 TEST(IntegrationTest, GaugeCachingShortensRepairs) {
   ExperimentOptions opt = short_options();
   opt.adaptation = true;
-  opt.framework.gauge_caching = true;
+  opt.framework.gauge_costs.caching = true;
   ExperimentResult r = run_experiment(opt);
   int counted = 0;
   for (const auto& rec : r.repairs) {
@@ -223,7 +223,7 @@ TEST(IntegrationTest, MonitoringQosDoesNotBreakLoop) {
 TEST(IntegrationTest, WorstFirstPolicyRuns) {
   ExperimentOptions opt = short_options();
   opt.adaptation = true;
-  opt.framework.policy_name = "worst-first";
+  opt.framework.repair.policy_name = "worst-first";
   ExperimentResult r = run_experiment(opt);
   EXPECT_FALSE(r.repairs.empty());
   EXPECT_LT(r.mean_fraction_above(), 0.35);

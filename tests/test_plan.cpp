@@ -697,8 +697,8 @@ TEST(PlanEngineTest, ChurnMidRepairScenarioPreempts) {
   // plan was fully compensated.
   core::ExperimentOptions opt = core::options_for("churn-mid-repair");
   opt.adaptation = true;
-  opt.framework.plan_preemption = true;
-  opt.framework.plan_preempt_factor = 1.2;
+  opt.framework.repair.preemption = true;
+  opt.framework.repair.preempt_factor = 1.2;
   core::ExperimentResult r = core::run_experiment(opt);
   EXPECT_GE(r.repair_stats.plans_preempted, 1u);
   EXPECT_GE(r.repair_stats.committed, 1u);

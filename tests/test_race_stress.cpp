@@ -31,6 +31,11 @@
 namespace arcadia {
 namespace {
 
+/// The hand-built FleetManager rigs drive their sweeps by hand: the
+/// periodic sweep's first run lies far past every horizon.
+constexpr SimTime kCheckPeriod = SimTime::seconds(5);
+constexpr SimTime kManualSweeps = SimTime::seconds(1e6);
+
 // ---- Symbol interning: concurrent intern of overlapping name sets --------
 
 TEST(RaceStressTest, ConcurrentInterningIsConsistent) {
@@ -182,11 +187,10 @@ TEST(RaceStressTest, FleetParallelSweepUnderReportLoad) {
   }
 
   core::FleetManagerConfig cfg;
-  cfg.first_check = SimTime::seconds(1e6);  // sweeps driven manually below
   cfg.coalesce_window = SimTime::millis(500);
   cfg.sweep_threads = 4;  // force the pool even on a 1-core host
   cfg.skip_clean_shards = false;
-  core::FleetManager fleet(sim, cfg);
+  core::FleetManager fleet(sim, kCheckPeriod, kManualSweeps, cfg);
   for (int s = 0; s < kShards; ++s) {
     fleet.add_shard("tenant" + std::to_string(s), *rigs[s]->manager,
                     rigs[s]->bus);

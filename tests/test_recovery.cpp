@@ -46,7 +46,7 @@ RecoveryOptions compressed_options(const std::string& profile,
     // Pull the churn outages forward so both land inside a 500 s run.
     base.scenario.horizon = SimTime::seconds(500);
     base.scenario.churn.first_outage = SimTime::seconds(100);
-    base.framework.plan_preemption = true;  // the profile's intended pairing
+    base.framework.repair.preemption = true;  // the profile's intended pairing
   } else {
     // lossy-grid / grid-4x16: the fault_smoke compression.
     base.scenario.horizon = SimTime::seconds(500);
@@ -72,7 +72,7 @@ TEST(ManifestTest, RoundTripsScenarioFrameworkAndDurabilityKnobs) {
   in.config.horizon = SimTime::seconds(456);
   in.config.fault.monitoring.report_loss = 0.07;
   in.framework.check_period = SimTime::millis(750);
-  in.framework.plan_preemption = true;
+  in.framework.repair.preemption = true;
   in.framework.durability.dir = "elsewhere";  // rebound on restore
   in.framework.durability.snapshot_period = SimTime::seconds(77);
   in.framework.durability.retention = 9;
@@ -84,7 +84,7 @@ TEST(ManifestTest, RoundTripsScenarioFrameworkAndDurabilityKnobs) {
   EXPECT_EQ(out.config.horizon, SimTime::seconds(456));
   EXPECT_DOUBLE_EQ(out.config.fault.monitoring.report_loss, 0.07);
   EXPECT_EQ(out.framework.check_period, SimTime::millis(750));
-  EXPECT_TRUE(out.framework.plan_preemption);
+  EXPECT_TRUE(out.framework.repair.preemption);
   EXPECT_EQ(out.framework.durability.snapshot_period, SimTime::seconds(77));
   EXPECT_EQ(out.framework.durability.retention, 9u);
   EXPECT_EQ(out.framework.durability.sync_interval, SimTime::seconds(11));
@@ -197,9 +197,6 @@ Manifest every_field_set() {
   c.comp_sg2_final_mbps = 0.75;
   c.comp_bidirectional = true;
   c.thresholds.max_latency = SimTime::millis(2100);
-  c.thresholds.max_server_load = 6.5;
-  c.thresholds.min_bandwidth = Bandwidth::kbps(11.0);
-  c.thresholds.min_utilization = 0.21;
   fault::FaultProfile& f = c.fault;
   f.enabled = true;
   f.seed = 0xBEEF;
@@ -235,15 +232,15 @@ Manifest every_field_set() {
   w.profile.min_utilization = 0.22;
   w.profile.min_replicas = 3;
   w.script_source = "tactic t() : boolean = { return true; }";
-  w.policy_name = "worst-first";
-  w.damping = false;
-  w.settle_time = SimTime::seconds(31);
-  w.abort_cooldown = SimTime::seconds(61);
-  w.load_improvement = 2.5;
-  w.plan_pipeline = false;
-  w.plan_preemption = true;
-  w.plan_preempt_factor = 2.5;
-  w.gauge_caching = true;
+  w.repair.policy_name = "worst-first";
+  w.repair.damping = false;
+  w.repair.settle_time = SimTime::seconds(31);
+  w.repair.abort_cooldown = SimTime::seconds(61);
+  w.repair.load_improvement = 2.5;
+  w.repair.use_plan = false;
+  w.repair.preemption = true;
+  w.repair.preempt_factor = 2.5;
+  w.gauge_costs.caching = true;
   w.gauge_costs.report_period = SimTime::seconds(6);
   w.gauge_costs.create_cost = SimTime::seconds(13);
   w.gauge_costs.destroy_cost = SimTime::seconds(4);
@@ -259,13 +256,13 @@ Manifest every_field_set() {
   w.first_check = SimTime::seconds(16);
   w.fault = f;
   w.fault.seed = 0xCAFE;
-  w.retry.max_attempts = 5;
-  w.retry.backoff_base = SimTime::seconds(3);
-  w.retry.backoff_multiplier = 2.5;
-  w.retry.backoff_max = SimTime::seconds(65);
-  w.retry.jitter = 0.3;
-  w.retry.jitter_seed = 0x5EED;
-  w.retry.op_timeout = SimTime::seconds(45);
+  w.repair.retry.max_attempts = 5;
+  w.repair.retry.backoff_base = SimTime::seconds(3);
+  w.repair.retry.backoff_multiplier = 2.5;
+  w.repair.retry.backoff_max = SimTime::seconds(65);
+  w.repair.retry.jitter = 0.3;
+  w.repair.retry.jitter_seed = 0x5EED;
+  w.repair.retry.op_timeout = SimTime::seconds(45);
   w.verify = VerifyMode::Error;
   w.durability.dir = "format-pin";
   w.durability.snapshot_period = SimTime::seconds(121);
@@ -280,8 +277,8 @@ TEST(DurabilityFormatTest, ManifestIsPinned) {
   write_manifest(dir, every_field_set());
   const std::vector<std::uint8_t> bytes =
       durability::read_file(dir + "/" + kManifestFile);
-  EXPECT_EQ(bytes.size(), 996u);
-  EXPECT_EQ(durability::fnv1a(bytes), 0x32485bef06c09c0cull)
+  EXPECT_EQ(bytes.size(), 972u);
+  EXPECT_EQ(durability::fnv1a(bytes), 0xe59c36f71f49470cull)
       << std::hex << "0x" << durability::fnv1a(bytes);
 
   // Decoding restores every field: re-encoding what was read reproduces

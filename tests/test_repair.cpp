@@ -343,9 +343,7 @@ TEST(RepairEngineTest, BusyEngineDefersNewRepairs) {
 }
 
 TEST(RepairEngineTest, RepairDurationIncludesCosts) {
-  RepairEngineConfig cfg;
-  cfg.decision_cost = SimTime::millis(100);
-  EngineRig rig(cfg);
+  EngineRig rig;
   rig.queries.per_query_cost = SimTime::millis(200);
   rig.translator.cost = SimTime::seconds(1);
   rig.violate("User1", 5.0);
@@ -357,6 +355,8 @@ TEST(RepairEngineTest, RepairDurationIncludesCosts) {
   rig.sim.run_until(SimTime::seconds(30));
   const RepairRecord& rec = rig.engine->records()[0];
   // decision 0.1 + query 0.2 + ops 1.0 (no gauges in this rig).
+  EXPECT_EQ(rec.decision_cost, kDecisionCost);
+  EXPECT_EQ(kDecisionCost, SimTime::millis(100));
   EXPECT_NEAR(rec.duration().as_seconds(), 1.3, 1e-6);
   EXPECT_EQ(rec.query_cost, SimTime::millis(200));
   EXPECT_EQ(rec.op_cost, SimTime::seconds(1));

@@ -21,7 +21,9 @@ TEST(ScenarioRegistryTest, CatalogHasTheBuiltinLibrary) {
     EXPECT_FALSE(spec.description.empty()) << spec.name;
     EXPECT_NE(spec.build, nullptr) << spec.name;
     // Strictly ascending: sorted, and every name unique.
-    if (i > 0) EXPECT_LT(catalog[i - 1].name, spec.name);
+    if (i > 0) {
+      EXPECT_LT(catalog[i - 1].name, spec.name);
+    }
     EXPECT_EQ(find_scenario(spec.name), &spec);
     EXPECT_EQ(&scenario_spec(spec.name), &spec);
   }

@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
           sim::build_scenario(simulator, name, opts.scenario);
       core::FrameworkConfig config = opts.framework;
       config.verify = core::VerifyMode::Off;
-      if (opts.scenario.fault.enabled) config.fault = opts.scenario.fault;
+      core::adopt_scenario_fault(config, opts.scenario);
       core::Framework framework(simulator, testbed, config);
       framework.start();
       for (const AnalysisIssue& issue : core::verify_framework(framework)) {
