@@ -1,8 +1,8 @@
 // Microbenchmarks for the paths the paper's loop runs most: model property
 // reads, transactions, Armani expression evaluation and constraint sweeps
-// (gauge -> model -> checker), the event kernel and the max-min allocator
-// (the simulated testbed), and zero-delay and delayed bus delivery (probe
-// -> gauge).
+// (gauge -> model -> checker), the event kernel, the max-min allocator and
+// the warm pair lookups of Remos and the topology (the simulated testbed),
+// and zero-delay and delayed bus delivery (probe -> gauge).
 //
 // Each path runs once. Its wall time per operation goes to the JSON as a
 // record and is never gated: it depends on the host. Pass or fail rests on
@@ -14,6 +14,8 @@
 //     with no allocation per evaluation;
 //   - a reserved Simulator schedules, cancels and fires events with no
 //     allocation and no pool or heap growth at steady state;
+//   - a Remos query and a topology path lookup of an already-warm pair
+//     allocate nothing, and every such Remos query is a cache hit;
 //   - a steady-state publish allocates nothing, with or without delivery
 //     delay, every publish reaches exactly the subscribers its filters
 //     select, and a keyed publish checks the filter of only the one
@@ -39,6 +41,7 @@
 #include "model/transaction.hpp"
 #include "model/types.hpp"
 #include "monitor/topics.hpp"
+#include "remos/remos.hpp"
 #include "repair/constraint.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -431,6 +434,64 @@ void bench_maxmin(Report& report) {
   }
 }
 
+/// Warm-pair lookups on the request and probe paths: Topology::path, called
+/// per transfer, and RemosService::get_flow, called per client per
+/// bandwidth-probe tick. A fleet-tenant-shaped star: 4 group hosts and 64
+/// clients on one router, every group -> client pair warmed first.
+void bench_pair_lookups(Report& report) {
+  constexpr int kGroups = 4;
+  constexpr int kClients = 64;
+  constexpr std::uint64_t kLookups = 100'000;
+  sim::Topology topo;
+  const auto router = topo.add_node("r", sim::NodeKind::Router);
+  std::vector<sim::NodeId> groups;
+  std::vector<sim::NodeId> clients;
+  for (int g = 0; g < kGroups; ++g) {
+    groups.push_back(
+        topo.add_node("g" + std::to_string(g), sim::NodeKind::Host));
+    topo.add_link(groups.back(), router, Bandwidth::mbps(100));
+  }
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(
+        topo.add_node("c" + std::to_string(c), sim::NodeKind::Host));
+    topo.add_link(clients.back(), router, Bandwidth::mbps(10));
+  }
+  topo.compute_routes();
+  sim::Simulator sim;
+  sim::FlowNetwork net(sim, topo);
+  remos::RemosService remos(sim, net);
+  for (sim::NodeId g : groups) {
+    for (sim::NodeId c : clients) {
+      topo.path(g, c);
+      remos.get_flow(g, c);
+    }
+  }
+  auto src = [&](std::uint64_t i) { return groups[i % kGroups]; };
+  auto dst = [&](std::uint64_t i) { return clients[i / kGroups % kClients]; };
+
+  double acc = 0.0;
+  Path path = measure("topology_path_hit", kLookups, [&] {
+    for (std::uint64_t i = 0; i < kLookups; ++i) {
+      acc += static_cast<double>(topo.path(src(i), dst(i)).size());
+    }
+  });
+  const std::uint64_t hits_before = remos.stats().cache_hits;
+  Path flow = measure("remos_warm_get_flow", kLookups, [&] {
+    for (std::uint64_t i = 0; i < kLookups; ++i) {
+      acc += remos.get_flow(src(i), dst(i)).as_bps();
+    }
+  });
+  g_sink = acc;
+  const std::uint64_t hits = remos.stats().cache_hits - hits_before;
+  path.counts = {{"materialized_paths", topo.materialized_paths()}};
+  flow.counts = {{"cache_hits", hits}};
+  report.add(path);
+  report.add(flow);
+  report.gate("topology_path_hit.allocations", path.allocations, 0);
+  report.gate("remos_warm_get_flow.allocations", flow.allocations, 0);
+  report.gate("remos_warm_get_flow.cache_hits", hits, kLookups);
+}
+
 // ---- events: keyed publish and delayed sim-bus delivery -------------------
 
 void bench_keyed_publish(Report& report) {
@@ -550,9 +611,10 @@ int main(int argc, char** argv) {
   bench_expression_eval(report);
   std::cout << "bench_micro: constraint sweep\n";
   bench_constraint_sweep(report);
-  std::cout << "bench_micro: simulator and max-min allocator\n";
+  std::cout << "bench_micro: simulator, max-min allocator, pair lookups\n";
   bench_simulator(report);
   bench_maxmin(report);
+  bench_pair_lookups(report);
   std::cout << "bench_micro: event bus\n";
   bench_keyed_publish(report);
   bench_sim_bus(report);

@@ -68,11 +68,11 @@ namespace {
 /// magnitudes (bandwidths in bps).
 bool within_noise_floor(const model::Element& el, util::Symbol property,
                         const events::Value& value) {
-  if (!el.has_property(property)) return false;
-  const events::Value& current = el.property(property);
-  if (current == value) return true;
-  if (current.is_numeric() && value.is_numeric()) {
-    const double a = current.as_double();
+  const events::Value* current = el.find_property(property);
+  if (current == nullptr) return false;
+  if (*current == value) return true;
+  if (current->is_numeric() && value.is_numeric()) {
+    const double a = current->as_double();
     const double b = value.as_double();
     return std::abs(a - b) <=
            std::max(1e-5, 1e-9 * std::max(std::abs(a), std::abs(b)));
@@ -92,14 +92,11 @@ ArchitectureManager::GaugeApply ArchitectureManager::apply_gauge_value(
     const events::Value& value) {
   model::Element* target = nullptr;
   if (role.empty()) {
-    if (!system_.has_component(element)) return GaugeApply::NoTarget;
-    target = &system_.component(element);
-  } else {
-    if (!system_.has_connector(element)) return GaugeApply::NoTarget;
-    model::Connector& conn = system_.connector(element);
-    if (!conn.has_role(role)) return GaugeApply::NoTarget;
-    target = &conn.role(role);
+    target = system_.find_component(element);
+  } else if (model::Connector* conn = system_.find_connector(element)) {
+    target = conn->find_role(role);
   }
+  if (target == nullptr) return GaugeApply::NoTarget;
   if (within_noise_floor(*target, property, value)) {
     return GaugeApply::Unchanged;
   }
@@ -126,7 +123,7 @@ bool ArchitectureManager::dispatch(
   if (violations.empty()) return false;
   const auto t0 = std::chrono::steady_clock::now();
   const bool started = engine_.handle_violations(violations);
-  stats_.check_wall_s += seconds_since(t0);
+  stats_.dispatch_wall_s += seconds_since(t0);
   return started;
 }
 

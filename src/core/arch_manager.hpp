@@ -26,9 +26,12 @@ struct ArchManagerStats {
   /// element across its gauges).
   std::uint64_t elements_suspected = 0;
   std::uint64_t elements_cleared = 0;
-  /// Real (host) wall-clock spent in detect() + dispatch(). Not simulated
-  /// time.
+  /// Real (host) wall-clock spent in detect(): constraint evaluation. Not
+  /// simulated time.
   double check_wall_s = 0.0;
+  /// Real (host) wall-clock spent in dispatch(): strategy selection and
+  /// execution (RepairEngine::handle_violations).
+  double dispatch_wall_s = 0.0;
 };
 
 class ArchitectureManager {

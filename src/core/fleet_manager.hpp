@@ -111,7 +111,8 @@ struct FleetStats {
   std::uint64_t shards_quarantined = 0;  ///< quarantine entries, fleet-wide
   /// Real (host) wall-clock spent inside run_sweep — flush, health
   /// bookkeeping, parallel detect, ordered dispatch. Each shard's own
-  /// detect() + dispatch() share is its ArchManagerStats::check_wall_s.
+  /// detect() share is its ArchManagerStats::check_wall_s, and its
+  /// dispatch() share its ArchManagerStats::dispatch_wall_s.
   double sweep_wall_s = 0.0;
 };
 

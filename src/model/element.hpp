@@ -52,6 +52,10 @@ class Element {
   bool has_property(std::string_view prop) const {
     return has_property(util::Symbol::intern(prop));
   }
+  /// nullptr when absent.
+  const PropertyValue* find_property(util::Symbol prop) const {
+    return properties_.find(prop);
+  }
   /// Throws ModelError when absent.
   const PropertyValue& property(util::Symbol prop) const;
   const PropertyValue& property(std::string_view prop) const {
@@ -171,6 +175,11 @@ class Connector : public Element {
   bool has_role(util::Symbol name) const { return roles_.contains(name); }
   bool has_role(std::string_view name) const {
     return has_role(util::Symbol::intern(name));
+  }
+  /// nullptr when absent.
+  Role* find_role(util::Symbol name) {
+    std::unique_ptr<Role>* found = roles_.find(name);
+    return found ? found->get() : nullptr;
   }
   Role& role(util::Symbol name);
   const Role& role(util::Symbol name) const;

@@ -69,6 +69,15 @@ class System {
   bool has_connector(std::string_view name) const {
     return has_connector(util::Symbol::intern(name));
   }
+  /// nullptr when absent: one lookup where has_X() + X() would take two.
+  Component* find_component(util::Symbol name) {
+    std::unique_ptr<Component>* found = components_.find(name);
+    return found ? found->get() : nullptr;
+  }
+  Connector* find_connector(util::Symbol name) {
+    std::unique_ptr<Connector>* found = connectors_.find(name);
+    return found ? found->get() : nullptr;
+  }
   Component& component(util::Symbol name);
   const Component& component(util::Symbol name) const;
   Component& component(std::string_view name) {

@@ -4,47 +4,64 @@ namespace arcadia::remos {
 
 RemosService::RemosService(sim::Simulator& sim, const sim::FlowNetwork& net,
                            RemosConfig config)
-    : sim_(sim), net_(net), config_(config) {}
+    : sim_(sim),
+      net_(net),
+      config_(config),
+      rows_(net.topology().node_count()) {}
+
+RemosService::Entry* RemosService::slot(sim::NodeId src, sim::NodeId dst) {
+  const std::size_t n = rows_.size();
+  if (static_cast<std::size_t>(src) >= n ||
+      static_cast<std::size_t>(dst) >= n) {
+    return nullptr;
+  }
+  std::vector<Entry>& row = rows_[src];
+  if (row.empty()) row.resize(n);
+  return &row[dst];
+}
 
 Bandwidth RemosService::get_flow(sim::NodeId src, sim::NodeId dst) {
   ++stats_.queries;
-  const auto key = std::make_pair(src, dst);
   const SimTime now = sim_.now();
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
-    // Cold: Remos must collect and analyze data for this pair.
+  Entry* entry = slot(src, dst);
+  if (entry == nullptr || !entry->warm) {
+    // Cold: Remos must collect and analyze data for this pair. (A pair
+    // with an id outside the topology has no slot and is never cached.)
     ++stats_.cold_queries;
     last_cost_ = config_.first_query_cost;
     Bandwidth value = net_.available_bandwidth(src, dst);
-    cache_[key] = Entry{value, now};
+    if (entry != nullptr) *entry = Entry{value, now, true};
     return value;
   }
-  if (now - it->second.measured_at > config_.cache_ttl) {
+  if (now - entry->measured_at > config_.cache_ttl) {
     ++stats_.refreshes;
     last_cost_ = config_.cached_query_cost;
-    it->second.value = net_.available_bandwidth(src, dst);
-    it->second.measured_at = now;
-    return it->second.value;
+    entry->value = net_.available_bandwidth(src, dst);
+    entry->measured_at = now;
+    return entry->value;
   }
   ++stats_.cache_hits;
   last_cost_ = config_.cached_query_cost;
-  return it->second.value;
+  return entry->value;
 }
 
 bool RemosService::is_warm(sim::NodeId src, sim::NodeId dst) const {
-  return cache_.count(std::make_pair(src, dst)) > 0;
+  if (static_cast<std::size_t>(src) >= rows_.size()) return false;
+  const std::vector<Entry>& row = rows_[src];
+  return static_cast<std::size_t>(dst) < row.size() && row[dst].warm;
 }
 
 SimTime RemosService::prequery(
     const std::vector<std::pair<sim::NodeId, sim::NodeId>>& pairs) {
   bool any_cold = false;
   for (const auto& [src, dst] : pairs) {
-    const auto key = std::make_pair(src, dst);
-    if (cache_.count(key)) continue;
+    Entry* entry = slot(src, dst);
+    if (entry != nullptr && entry->warm) continue;
     any_cold = true;
     ++stats_.queries;
     ++stats_.cold_queries;
-    cache_[key] = Entry{net_.available_bandwidth(src, dst), sim_.now()};
+    const Bandwidth value = net_.available_bandwidth(src, dst);
+    if (entry != nullptr) *entry = Entry{value, sim_.now(), true};
   }
   return any_cold ? config_.first_query_cost : SimTime::zero();
 }

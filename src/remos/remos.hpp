@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -68,11 +67,20 @@ class RemosService {
   struct Entry {
     Bandwidth value;
     SimTime measured_at;
+    bool warm = false;  ///< collected at least once
   };
+  /// The cache slot for (src, dst), allocating src's row on first use;
+  /// nullptr when either id is outside the topology.
+  Entry* slot(sim::NodeId src, sim::NodeId dst);
+
   sim::Simulator& sim_;
   const sim::FlowNetwork& net_;
   RemosConfig config_;
-  std::map<std::pair<sim::NodeId, sim::NodeId>, Entry> cache_;
+  // The cache: one row per source node, allocated on first use and indexed
+  // by destination, so a lookup is two array indexings. The probes query
+  // from a few group nodes, so only a few rows of node_count() entries
+  // exist.
+  std::vector<std::vector<Entry>> rows_;
   SimTime last_cost_;
   RemosStats stats_;
 };

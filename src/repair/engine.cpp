@@ -54,11 +54,8 @@ RepairEngine::RepairEngine(sim::Simulator& sim, model::System& root,
     throw Error("RepairEngine: preempt_factor must be >= 1 with preemption on");
   }
   executor_.set_retry_policy(config_.retry);
-  OperatorThresholds op_th;
-  op_th.min_bandwidth = profile.min_bandwidth;
-  op_th.load_improvement = config_.load_improvement;
   register_client_server_ops(interpreter_, root_, queries_, conventions_,
-                             op_th);
+                             profile.min_bandwidth, config_.load_improvement);
   task::bind_task_globals(interpreter_, profile);
 }
 

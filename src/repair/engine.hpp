@@ -107,7 +107,7 @@ struct RepairEngineConfig {
   /// every op fault terminal (the pre-fault-plane behaviour).
   RetryPolicy retry;
   /// Queue-length advantage a load-balancing move must gain
-  /// (OperatorThresholds::load_improvement).
+  /// (findLessLoadedSGrp's threshold).
   double load_improvement = 2.0;
 };
 

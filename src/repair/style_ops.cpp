@@ -111,24 +111,25 @@ ElementRef group_ref(const model::System& system, const std::string& name) {
 void register_client_server_ops(acme::Interpreter& interp,
                                 const model::System& system,
                                 RuntimeQueries* queries,
-                                StyleConventions conventions,
-                                OperatorThresholds thresholds) {
+                                const StyleConventions& conventions,
+                                Bandwidth min_bandwidth,
+                                double load_improvement) {
   const StyleConventions conv = conventions;
-  const OperatorThresholds th = thresholds;
   const model::System* sys = &system;
 
   // --- operators (element methods) ---
 
   interp.register_operator(
       "addServer",
-      [sys, queries, conv, th](const ElementRef& target,
-                               std::vector<EvalValue>& args,
-                               model::Transaction& txn) -> EvalValue {
+      [sys, queries, conv, min_bandwidth](const ElementRef& target,
+                                          std::vector<EvalValue>& args,
+                                          model::Transaction& txn)
+          -> EvalValue {
         if (!args.empty()) throw ScriptError("addServer() takes no arguments");
         const std::string group = target.name();
         std::string server;
         if (queries) {
-          auto found = queries->find_spare_server(group, th.min_bandwidth);
+          auto found = queries->find_spare_server(group, min_bandwidth);
           if (!found) {
             ARC_DEBUG << "addServer(" << group << "): no spare server";
             return EvalValue(false);
@@ -225,8 +226,8 @@ void register_client_server_ops(acme::Interpreter& interp,
 
   interp.register_function(
       "findLessLoadedSGrp",
-      [sys, queries, conv, th](std::vector<EvalValue>& args,
-                               acme::EvalContext&) -> EvalValue {
+      [sys, queries, conv, min_bandwidth, load_improvement](
+          std::vector<EvalValue>& args, acme::EvalContext&) -> EvalValue {
         if (args.size() != 2) {
           throw ScriptError(
               "findLessLoadedSGrp(client, excludeGroup) takes two arguments");
@@ -235,7 +236,7 @@ void register_client_server_ops(acme::Interpreter& interp,
         const std::string exclude = args[1].as_element().name();
         if (queries) {
           auto found = queries->find_less_loaded_sgrp(
-              client, exclude, th.min_bandwidth, th.load_improvement);
+              client, exclude, min_bandwidth, load_improvement);
           if (!found || !sys->has_component(*found)) return EvalValue::nil();
           return EvalValue(group_ref(*sys, *found));
         }
@@ -245,7 +246,7 @@ void register_client_server_ops(acme::Interpreter& interp,
             ex.property_or(model::cs::kPropLoad, model::PropertyValue(0.0))
                 .as_double();
         const model::Component* best = nullptr;
-        double best_load = ex_load - th.load_improvement;
+        double best_load = ex_load - load_improvement;
         for (const model::Component* c : sys->components()) {
           if (c->type_name() != model::cs::kServerGroupT || c->name() == exclude) {
             continue;

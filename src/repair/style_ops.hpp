@@ -26,20 +26,19 @@ struct StyleConventions {
   std::string dynamic_prop = "dynamic";
 };
 
-struct OperatorThresholds {
-  Bandwidth min_bandwidth = Bandwidth::kbps(10);
-  /// Queue-length advantage required before a load-balancing move.
-  double load_improvement = 2.0;
-};
-
 /// Register the style's operators and query functions on an interpreter.
 /// `queries` may be null (model-only mode: addServer synthesizes names and
-/// findGoodSGrp falls back to role-bandwidth properties).
+/// findGoodSGrp falls back to role-bandwidth properties). `min_bandwidth`
+/// is the task layer's threshold (task::PerformanceProfile::min_bandwidth)
+/// a recruited server must offer; `load_improvement` is the queue-length
+/// advantage a load-balancing move must gain
+/// (RepairEngineConfig::load_improvement).
 void register_client_server_ops(acme::Interpreter& interp,
                                 const model::System& system,
                                 RuntimeQueries* queries,
-                                StyleConventions conventions = {},
-                                OperatorThresholds thresholds = {});
+                                const StyleConventions& conventions,
+                                Bandwidth min_bandwidth,
+                                double load_improvement);
 
 // ---- model navigation helpers shared by the operators and the
 //      architecture manager ----

@@ -47,7 +47,7 @@ void Topology::compute_routes() {
   const std::size_t n = nodes_.size();
   parent_node_.assign(n * n, kNoNode);
   parent_link_.assign(n * n, -1);
-  reachable_.assign(n * n, false);
+  path_rows_.assign(n, {});
   // BFS from every source; deterministic neighbor order = insertion order.
   // Only the predecessor matrices are kept; channel sequences materialize
   // on demand in path().
@@ -68,34 +68,40 @@ void Topology::compute_routes() {
         frontier.push_back(v);
       }
     }
-    for (NodeId dst = 0; dst < static_cast<NodeId>(n); ++dst) {
-      if (seen[dst]) reachable_[src * n + dst] = true;
-    }
   }
   routes_ready_ = true;
 }
 
 const std::vector<ChannelId>& Topology::path(NodeId src, NodeId dst) const {
+  // Hot path: a materialized pair is two indexings. Out-of-range ids (and
+  // every id before compute_routes, when there are no rows) miss here.
+  if (static_cast<std::size_t>(src) < path_rows_.size()) {
+    const std::vector<std::int32_t>& row = path_rows_[src];
+    if (static_cast<std::size_t>(dst) < row.size() && row[dst] >= 0) {
+      return path_arena_[row[dst]];
+    }
+  }
+  return materialize(src, dst);
+}
+
+const std::vector<ChannelId>& Topology::materialize(NodeId src,
+                                                     NodeId dst) const {
   if (!routes_ready_) throw SimError("Topology::path before compute_routes");
   const std::size_t n = nodes_.size();
   if (src < 0 || dst < 0 || src >= static_cast<NodeId>(n) ||
       dst >= static_cast<NodeId>(n)) {
     throw SimError("path: bad node id");
   }
-  if (!reachable_[src * n + dst]) {
-    throw SimError("no route " + node_name(src) + " -> " + node_name(dst));
-  }
   if (src == dst) return empty_path_;
-  const std::uint64_t key = static_cast<std::uint64_t>(src) * n + dst;
-  auto it = path_cache_.find(key);
-  if (it != path_cache_.end()) return it->second;
-  // Materialize by backtracking the predecessor chain dst -> src; identical
-  // construction (and therefore identical channel sequence) to the eager
-  // all-pairs table this replaced.
   const NodeId* prev_node =
       parent_node_.data() + static_cast<std::size_t>(src) * n;
   const LinkId* prev_link =
       parent_link_.data() + static_cast<std::size_t>(src) * n;
+  if (prev_node[dst] == kNoNode) {
+    throw SimError("no route " + node_name(src) + " -> " + node_name(dst));
+  }
+  // Backtrack the predecessor chain dst -> src; identical construction (and
+  // therefore identical channel sequence) to an eager all-pairs table.
   std::vector<ChannelId> rev;
   for (NodeId cur = dst; cur != src; cur = prev_node[cur]) {
     LinkId link = prev_link[cur];
@@ -105,7 +111,10 @@ const std::vector<ChannelId>& Topology::path(NodeId src, NodeId dst) const {
     rev.push_back(chan);
   }
   std::reverse(rev.begin(), rev.end());
-  return path_cache_.emplace(key, std::move(rev)).first->second;
+  std::vector<std::int32_t>& row = path_rows_[src];
+  if (row.empty()) row.assign(n, -1);
+  row[dst] = static_cast<std::int32_t>(path_arena_.size());
+  return path_arena_.emplace_back(std::move(rev));
 }
 
 FlowNetwork::FlowNetwork(Simulator& sim, const Topology& topo)

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -56,10 +57,11 @@ class Topology {
   /// matrices (predecessor node + link per source). Must be called after
   /// the last add_*; path() throws before this, and a repeat call is a
   /// no-op (it must not free paths a FlowNetwork holds). Channel sequences are
-  /// materialized lazily per (src, dst) pair on first use — a fleet of 64
-  /// tenant topologies only ever asks for the pairs its workload actually
-  /// exercises, so the O(n^2) eager path table this replaces (hundreds of
-  /// MB at fleet-64x256 scale) never gets built.
+  /// materialized lazily per (src, dst) pair on first use, and only sources
+  /// that are used get a row of the path table — a fleet of 64 tenant
+  /// topologies only ever asks for the pairs its workload actually
+  /// exercises, so an eager O(n^2) path table (hundreds of MB at
+  /// fleet-64x256 scale) never gets built.
   void compute_routes();
   bool routes_ready() const { return routes_ready_; }
 
@@ -70,7 +72,7 @@ class Topology {
   const std::vector<ChannelId>& path(NodeId src, NodeId dst) const;
 
   /// Number of (src, dst) channel sequences materialized so far.
-  std::size_t materialized_paths() const { return path_cache_.size(); }
+  std::size_t materialized_paths() const { return path_arena_.size(); }
 
  private:
   struct Node {
@@ -84,6 +86,10 @@ class Topology {
     Bandwidth capacity;
   };
 
+  /// path()'s miss path: validates the pair, then builds and files its
+  /// channel sequence (or returns the empty path when src == dst).
+  const std::vector<ChannelId>& materialize(NodeId src, NodeId dst) const;
+
   std::vector<Node> nodes_;
   std::vector<Link> links_;
   // Ordered map: only build-time lookups, and keeping it ordered means no
@@ -95,10 +101,13 @@ class Topology {
   // on the shortest path from `src`, and the link taken into `v`.
   std::vector<NodeId> parent_node_;
   std::vector<LinkId> parent_link_;
-  std::vector<bool> reachable_;
-  // Lazily materialized channel sequences, keyed src * N + dst. std::map
-  // node stability is what makes path()'s returned reference stable.
-  mutable std::map<std::uint64_t, std::vector<ChannelId>> path_cache_;
+  // Lazily materialized channel sequences. path_rows_[src] is empty until
+  // src is first used, then holds one index into path_arena_ per
+  // destination (-1 = not yet materialized). A deque never moves its
+  // elements on push_back, which is what makes path()'s returned reference
+  // stable.
+  mutable std::vector<std::vector<std::int32_t>> path_rows_;
+  mutable std::deque<std::vector<ChannelId>> path_arena_;
   const std::vector<ChannelId> empty_path_{};
 };
 

@@ -105,6 +105,27 @@ TEST(FrameworkTest, SoloLoopChecksOncePerPeriod) {
   EXPECT_EQ(loop->shard_stats(0).batches, 0u);  // applied on delivery
 }
 
+TEST(FrameworkTest, DispatchTimeIsKeptApartFromCheckTime) {
+  // check_wall_s times constraint evaluation (detect) and dispatch_wall_s
+  // strategy execution (dispatch); a sweep with no violation dispatches
+  // nothing and adds no dispatch time.
+  sim::Simulator sim;
+  sim::Testbed tb = sim::build_scenario(sim, "grid-4x16");
+  FrameworkConfig cfg;
+  Framework fw(sim, tb, cfg);
+  fw.start();
+  tb.start();
+  sim.run_until(cfg.first_check);
+  ASSERT_EQ(fw.manager().stats().checks, 1u);
+  EXPECT_GT(fw.manager().stats().check_wall_s, 0.0);
+  EXPECT_EQ(fw.manager().stats().dispatch_wall_s, 0.0);
+  EXPECT_EQ(fw.engine().stats().committed + fw.engine().stats().aborted, 0u);
+
+  sim.run_until(SimTime::seconds(700));  // past the first load-driven repairs
+  ASSERT_GT(fw.engine().stats().committed, 0u);
+  EXPECT_GT(fw.manager().stats().dispatch_wall_s, 0.0);
+}
+
 /// Publish `n` on the started framework's gauge bus and run past its
 /// delivery, before any gauge's first report. Returns how many reports the
 /// detection loop ignored on the way.

@@ -6,7 +6,9 @@
 #include "acme/interpreter.hpp"
 #include "acme/script.hpp"
 #include "model/types.hpp"
+#include "repair/engine.hpp"
 #include "repair/style_ops.hpp"
+#include "task/task.hpp"
 
 namespace arcadia::acme {
 namespace {
@@ -41,7 +43,10 @@ struct Rig {
 
   explicit Rig(const std::string& source) : script(parse_script(source)) {
     interp = std::make_unique<Interpreter>(sys, script);
-    repair::register_client_server_ops(*interp, sys, nullptr);
+    repair::register_client_server_ops(
+        *interp, sys, nullptr, repair::StyleConventions{},
+        task::PerformanceProfile{}.min_bandwidth,
+        repair::RepairEngineConfig{}.load_improvement);
     interp->bind_global("maxServerLoad", EvalValue(6.0));
   }
 

@@ -103,6 +103,63 @@ TEST(TopologyTest, RepeatComputeRoutesKeepsPathsAlive) {
   EXPECT_NEAR(done.as_seconds(), 8.0 * 1024 * 1024 / 1e7, 1e-6);
 }
 
+TEST(TopologyTest, FirstPathSurvivesArenaGrowth) {
+  // A 6x8 grid (48 nodes): 2,256 non-self pairs, enough to grow the path
+  // arena many times over after the first path is handed out.
+  constexpr int kRows = 6;
+  constexpr int kCols = 8;
+  Topology topo;
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < kRows * kCols; ++i) {
+    nodes.push_back(topo.add_node("n" + std::to_string(i), NodeKind::Router));
+  }
+  for (int r = 0; r < kRows; ++r) {
+    for (int c = 0; c < kCols; ++c) {
+      const NodeId here = nodes[r * kCols + c];
+      if (c + 1 < kCols) topo.add_link(here, here + 1, Bandwidth::mbps(10));
+      if (r + 1 < kRows) topo.add_link(here, here + kCols, Bandwidth::mbps(10));
+    }
+  }
+  topo.compute_routes();
+  const NodeId far = nodes.back();
+  const std::vector<ChannelId>& first = topo.path(nodes[0], far);
+  const std::vector<ChannelId> first_copy = first;
+  ASSERT_EQ(first.size(), static_cast<std::size_t>(kRows - 1 + kCols - 1));
+  const std::size_t n = nodes.size();
+  for (NodeId src : nodes) {
+    for (NodeId dst : nodes) {
+      const auto& p = topo.path(src, dst);
+      EXPECT_EQ(p.empty(), src == dst);
+    }
+  }
+  EXPECT_EQ(topo.materialized_paths(), n * (n - 1));
+  EXPECT_EQ(&topo.path(nodes[0], far), &first);
+  EXPECT_EQ(first, first_copy);
+}
+
+TEST(TopologyTest, BadNodeIdThrows) {
+  Dumbbell db;
+  const NodeId n = static_cast<NodeId>(db.topo.node_count());
+  EXPECT_THROW(db.topo.path(db.a, n), SimError);
+  EXPECT_THROW(db.topo.path(n, db.a), SimError);
+  EXPECT_THROW(db.topo.path(db.a, -1), SimError);
+  EXPECT_THROW(db.topo.path(-1, db.a), SimError);
+  EXPECT_THROW(db.topo.path(kNoNode, kNoNode), SimError);
+  // A bad id never materializes a path; a good pair still works.
+  EXPECT_EQ(db.topo.materialized_paths(), 0u);
+  db.topo.path(db.a, db.b);
+  EXPECT_THROW(db.topo.path(db.a, n), SimError);
+  EXPECT_EQ(db.topo.materialized_paths(), 1u);
+}
+
+TEST(TopologyTest, PathBeforeComputeRoutesThrows) {
+  Topology topo;
+  const NodeId x = topo.add_node("x", NodeKind::Host);
+  const NodeId y = topo.add_node("y", NodeKind::Host);
+  topo.add_link(x, y, Bandwidth::mbps(1));
+  EXPECT_THROW(topo.path(x, y), SimError);
+}
+
 TEST(FlowNetworkTest, SingleTransferTakesNominalTime) {
   Simulator sim;
   Dumbbell db;

@@ -6,8 +6,10 @@
 #include "acme/interpreter.hpp"
 #include "acme/script.hpp"
 #include "model/types.hpp"
+#include "repair/engine.hpp"
 #include "repair/scripts.hpp"
 #include "repair/style_ops.hpp"
+#include "task/task.hpp"
 
 namespace arcadia::acme {
 namespace {
@@ -87,7 +89,10 @@ struct ScriptRig {
     sys.attach({"ServerGrp1", "provide", "Conn_User3", "serverSide"});
 
     interp = std::make_unique<Interpreter>(sys, script);
-    repair::register_client_server_ops(*interp, sys, /*queries=*/nullptr);
+    repair::register_client_server_ops(
+        *interp, sys, /*queries=*/nullptr, repair::StyleConventions{},
+        task::PerformanceProfile{}.min_bandwidth,
+        repair::RepairEngineConfig{}.load_improvement);
     interp->bind_global("maxServerLoad", EvalValue(6.0));
     interp->bind_global("minBandwidth", EvalValue(1e4));
     interp->bind_global("minUtilization", EvalValue(0.2));
