@@ -30,7 +30,7 @@ std::string join(const std::set<std::string>& names) {
 /// property). Disjunctions contribute each disjunct's directions (any
 /// branch becoming true discharges the violation); anything else is
 /// Unknown (every influence counts as potentially helpful).
-void desired_directions(const Expr& cond, const EffectTable& table,
+void desired_directions(const Expr& cond, const Vocabulary& table,
                         const std::set<std::string>& bound,
                         std::map<std::string, EffectDirection>& out) {
   const auto* binary = dynamic_cast<const BinaryExpr*>(&cond);
@@ -58,20 +58,10 @@ void desired_directions(const Expr& cond, const EffectTable& table,
                                       ? EffectDirection::Increase
                                       : EffectDirection::Decrease;
   for (const std::string& p : free_properties(*binary->lhs, table, bound)) {
-    auto it = out.find(p);
-    if (it == out.end()) {
-      out.emplace(p, lhs_dir);
-    } else if (it->second != lhs_dir) {
-      it->second = EffectDirection::Unknown;
-    }
+    merge_direction(out, p, lhs_dir);
   }
   for (const std::string& p : free_properties(*binary->rhs, table, bound)) {
-    auto it = out.find(p);
-    if (it == out.end()) {
-      out.emplace(p, rhs_dir);
-    } else if (it->second != rhs_dir) {
-      it->second = EffectDirection::Unknown;
-    }
+    merge_direction(out, p, rhs_dir);
   }
 }
 
@@ -99,7 +89,7 @@ std::vector<std::string> rule_ids() {
 }
 
 std::vector<AnalysisIssue> analyze_script(const Script& script,
-                                          const EffectTable& table) {
+                                          const Vocabulary& table) {
   std::vector<AnalysisIssue> out;
   const ScriptEffects effects = infer_effects(script, table);
 
@@ -111,7 +101,7 @@ std::vector<AnalysisIssue> analyze_script(const Script& script,
     if (!fx) continue;
     for (const OperatorUse& use : fx->operators) {
       if (use.tactic != tactic.name) continue;  // inlined from a callee
-      if (table.find(use.op)) continue;
+      if (table.find_operator(use.op)) continue;
       report(out, "unknown-operator-effect", Severity::Warning, use.line,
              use.column,
              "operator '" + use.op +
@@ -151,12 +141,7 @@ std::vector<AnalysisIssue> analyze_script(const Script& script,
       const TacticEffects* fx = effects.find(arm.tactic);
       if (!fx) continue;  // undefined tactic: checker reports it
       for (const auto& [prop, dir] : fx->influences) {
-        auto it = profile.influences.find(prop);
-        if (it == profile.influences.end()) {
-          profile.influences.emplace(prop, dir);
-        } else if (it->second != dir) {
-          it->second = EffectDirection::Unknown;
-        }
+        merge_direction(profile.influences, prop, dir);
       }
       bool can_help = false;
       for (const std::string& prop : profile.support) {

@@ -17,7 +17,7 @@
 //                                   invariant support push the same
 //                                   property in opposite directions.
 //   unknown-operator-effect (warning) an operator call with no entry in
-//                                   the effect table (its writes are
+//                                   the vocabulary (its writes are
 //                                   invisible to every other rule).
 //
 // Deployment rules (verify_deployment):
@@ -66,7 +66,7 @@ std::vector<std::string> rule_ids();
 /// Run every script rule. Severity-error issues indicate a repair that
 /// cannot work; warnings indicate blind spots.
 std::vector<AnalysisIssue> analyze_script(const Script& script,
-                                          const EffectTable& table);
+                                          const Vocabulary& table);
 
 // ---------------------------------------------------------------------------
 // Cross-artifact verification. The view is deliberately plain data so the

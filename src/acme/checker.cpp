@@ -1,5 +1,7 @@
 #include "acme/checker.hpp"
 
+#include "acme/evaluator.hpp"
+
 namespace arcadia::acme {
 
 namespace {
@@ -23,36 +25,9 @@ void issue(std::vector<CheckIssue>& out, int line, int column,
 
 }  // namespace
 
-ScriptChecker::ScriptChecker(const model::Style& style) : style_(style) {
-  // Expression-language builtins.
-  declare_function("size", 1, 1, "number");
-  declare_function("empty", 1, 1, "boolean");
-  declare_function("contains", 2, 2, "boolean");
-  declare_function("connected", 2, 2, "boolean");
-  declare_function("attached", 2, 2, "boolean");
-  declare_function("abs", 1, 1, "number");
-  declare_function("min", 2, 2, "number");
-  declare_function("max", 2, 2, "number");
-  declare_function("hasProperty", 2, 2, "boolean");
-}
-
-void ScriptChecker::declare_global(const std::string& name, std::string type) {
-  globals_[name] = std::move(type);
-}
-
-void ScriptChecker::declare_function(const std::string& name,
-                                     std::size_t min_args,
-                                     std::size_t max_args,
-                                     std::string result_type) {
-  functions_[name] = FunctionSig{min_args, max_args, std::move(result_type)};
-}
-
-void ScriptChecker::declare_operator(const std::string& name,
-                                     std::string target_type, std::size_t args,
-                                     std::string result_type) {
-  operators_[name] =
-      OperatorSig{std::move(target_type), args, std::move(result_type)};
-}
+ScriptChecker::ScriptChecker(const model::Style& style,
+                             const Vocabulary& vocabulary)
+    : style_(style), vocabulary_(vocabulary) {}
 
 const std::string* ScriptChecker::lookup(const std::vector<Scope>& scopes,
                                          const std::string& name) const {
@@ -109,8 +84,7 @@ std::string ScriptChecker::infer(const Expr& expr, std::vector<Scope>& scopes,
   if (const auto* name = dynamic_cast<const NameExpr*>(&expr)) {
     if (name->name == "self") return "System";
     if (const std::string* type = lookup(scopes, name->name)) return *type;
-    auto global = globals_.find(name->name);
-    if (global != globals_.end()) return global->second;
+    if (vocabulary_.is_global(name->name)) return "number";
     // Unqualified property reference against the context element.
     if (!context_type.empty()) {
       if (const model::ElementTypeDef* def = style_.find(context_type)) {
@@ -136,25 +110,25 @@ std::string ScriptChecker::infer(const Expr& expr, std::vector<Scope>& scopes,
     if (const auto* target = dynamic_cast<const MemberExpr*>(call->callee.get())) {
       std::string object = infer(*target->object, scopes, context_type, out);
       for (const ExprPtr& a : call->args) infer(*a, scopes, context_type, out);
-      auto op = operators_.find(target->member);
-      if (op == operators_.end()) {
+      const OperatorEffect* op = vocabulary_.find_operator(target->member);
+      if (!op) {
         issue(out, call->line, call->column,
               "unknown style operator '" + target->member + "'");
         return "";
       }
-      if (!op->second.target_type.empty() && !object.empty() &&
-          object != op->second.target_type) {
+      if (!op->target_type.empty() && !object.empty() &&
+          object != op->target_type) {
         issue(out, call->line, call->column, "operator '" + target->member +
-                                   "' applies to " + op->second.target_type +
+                                   "' applies to " + op->target_type +
                                    ", not " + object);
       }
-      if (call->args.size() != op->second.args) {
+      if (call->args.size() != op->args) {
         issue(out, call->line, call->column,
               "operator '" + target->member + "' takes " +
-                  std::to_string(op->second.args) + " argument(s), got " +
+                  std::to_string(op->args) + " argument(s), got " +
                   std::to_string(call->args.size()));
       }
-      return op->second.result_type;
+      return "boolean";  // operators report whether they acted
     }
     const auto* callee = dynamic_cast<const NameExpr*>(call->callee.get());
     if (!callee) {
@@ -174,22 +148,20 @@ std::string ScriptChecker::infer(const Expr& expr, std::vector<Scope>& scopes,
         return tactic->return_type.empty() ? "" : tactic->return_type;
       }
     }
-    auto fn = functions_.find(callee->name);
-    if (fn == functions_.end()) {
+    const FunctionSig* fn = vocabulary_.find_function(callee->name);
+    const Builtin* builtin =
+        fn ? nullptr : find_builtin(util::Symbol::intern(callee->name));
+    if (!fn && !builtin) {
       issue(out, call->line, call->column, "unknown function '" + callee->name + "'");
       return "";
     }
-    if (call->args.size() < fn->second.min_args ||
-        call->args.size() > fn->second.max_args) {
+    const std::size_t arity = fn ? fn->args : builtin->args;
+    if (call->args.size() != arity) {
       issue(out, call->line, call->column,
-            "function '" + callee->name + "' takes " +
-                std::to_string(fn->second.min_args) +
-                (fn->second.max_args != fn->second.min_args
-                     ? ".." + std::to_string(fn->second.max_args)
-                     : "") +
+            "function '" + callee->name + "' takes " + std::to_string(arity) +
                 " argument(s), got " + std::to_string(call->args.size()));
     }
-    return fn->second.result_type;
+    return fn ? fn->result_type : builtin->result_type;
   }
   if (const auto* unary = dynamic_cast<const UnaryExpr*>(&expr)) {
     std::string operand = infer(*unary->operand, scopes, context_type, out);
@@ -425,23 +397,6 @@ std::vector<CheckIssue> ScriptChecker::check_expression(
   std::vector<Scope> scopes(1);
   infer(expr, scopes, context_type, out);
   return out;
-}
-
-ScriptChecker make_client_server_checker(const model::Style& style) {
-  ScriptChecker checker(style);
-  checker.declare_global("maxServerLoad");
-  checker.declare_global("minBandwidth");
-  checker.declare_global("minUtilization");
-  checker.declare_global("minReplicas");
-  checker.declare_operator("addServer", model::cs::kServerGroupT, 0);
-  checker.declare_operator("removeServer", model::cs::kServerGroupT, 0);
-  checker.declare_operator("move", model::cs::kClientT, 1);
-  checker.declare_function("roleOf", 1, 1, model::cs::kClientRoleT);
-  checker.declare_function("groupOf", 1, 1, model::cs::kServerGroupT);
-  checker.declare_function("findGoodSGrp", 2, 2, model::cs::kServerGroupT);
-  checker.declare_function("findLessLoadedSGrp", 2, 2,
-                           model::cs::kServerGroupT);
-  return checker;
 }
 
 }  // namespace arcadia::acme

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "acme/ast.hpp"
+#include "acme/effects.hpp"
 #include "model/types.hpp"
 
 namespace arcadia::acme {
@@ -42,17 +43,10 @@ struct CheckIssue {
 /// checks involving it are skipped rather than reported).
 class ScriptChecker {
  public:
-  explicit ScriptChecker(const model::Style& style);
-
-  /// Task-layer globals visible to scripts (maxServerLoad, ...).
-  void declare_global(const std::string& name, std::string type = "number");
-  /// Free functions: arity range and (optional) result type.
-  void declare_function(const std::string& name, std::size_t min_args,
-                        std::size_t max_args, std::string result_type = "");
-  /// Style operators (element methods): the element type they apply to
-  /// ("" = any) and their argument count.
-  void declare_operator(const std::string& name, std::string target_type,
-                        std::size_t args, std::string result_type = "boolean");
+  /// Checks scripts against `style`'s types and `vocabulary`'s operators,
+  /// functions and globals, plus the expression builtins. Both must
+  /// outlive the checker.
+  ScriptChecker(const model::Style& style, const Vocabulary& vocabulary);
 
   /// Check a whole script: every invariant, strategy, and tactic.
   std::vector<CheckIssue> check_script(const Script& script);
@@ -63,16 +57,6 @@ class ScriptChecker {
                                            const std::string& context_type);
 
  private:
-  struct FunctionSig {
-    std::size_t min_args;
-    std::size_t max_args;
-    std::string result_type;
-  };
-  struct OperatorSig {
-    std::string target_type;
-    std::size_t args;
-    std::string result_type;
-  };
   struct Scope {
     std::map<std::string, std::string> names;  // name -> type
   };
@@ -96,19 +80,11 @@ class ScriptChecker {
   }
 
   const model::Style& style_;
-  std::map<std::string, std::string> globals_;
-  std::map<std::string, FunctionSig> functions_;
-  std::map<std::string, OperatorSig> operators_;
+  const Vocabulary& vocabulary_;
   const Script* script_ = nullptr;  // for tactic-call resolution
   /// Invariant conditions resolve names against an element chosen only at
   /// instantiation time; unknown names there are not errors.
   bool lenient_names_ = false;
 };
-
-/// A checker preloaded with the client-server style's operators
-/// (addServer/move/removeServer), the runtime query functions
-/// (findGoodSGrp, findServer-family), the expression builtins, and the
-/// standard task-layer globals — ready to check the shipped scripts.
-ScriptChecker make_client_server_checker(const model::Style& style);
 
 }  // namespace arcadia::acme

@@ -1,7 +1,5 @@
 #include "acme/effects.hpp"
 
-#include "model/types.hpp"
-
 namespace arcadia::acme {
 
 const char* to_string(EffectDirection d) {
@@ -13,17 +11,24 @@ const char* to_string(EffectDirection d) {
   return "unknown";
 }
 
-void EffectTable::declare(OperatorEffect effect) {
-  operators_[effect.name] = std::move(effect);
+void merge_direction(std::map<std::string, EffectDirection>& directions,
+                     const std::string& prop, EffectDirection dir) {
+  auto [it, fresh] = directions.emplace(prop, dir);
+  if (!fresh && it->second != dir) it->second = EffectDirection::Unknown;
 }
 
-void EffectTable::declare_global(const std::string& name) {
-  globals_.insert(name);
+const OperatorEffect* Vocabulary::find_operator(const std::string& name) const {
+  for (const OperatorEffect& op : operators) {
+    if (op.name == name) return &op;
+  }
+  return nullptr;
 }
 
-const OperatorEffect* EffectTable::find(const std::string& name) const {
-  auto it = operators_.find(name);
-  return it == operators_.end() ? nullptr : &it->second;
+const FunctionSig* Vocabulary::find_function(const std::string& name) const {
+  for (const FunctionSig& fn : functions) {
+    if (fn.name == name) return &fn;
+  }
+  return nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -122,7 +127,7 @@ bool is_structural_member(const std::string& member) {
          member == "Connectors" || member == "Representation";
 }
 
-void collect_free(const Expr& expr, const EffectTable& table,
+void collect_free(const Expr& expr, const Vocabulary& table,
                   std::set<std::string>& bound, std::set<std::string>& out) {
   if (const auto* name = dynamic_cast<const NameExpr*>(&expr)) {
     if (name->name == "self" || table.is_global(name->name)) return;
@@ -176,7 +181,7 @@ void collect_free(const Expr& expr, const EffectTable& table,
 }  // namespace
 
 std::set<std::string> free_properties(const Expr& expr,
-                                      const EffectTable& table,
+                                      const Vocabulary& table,
                                       const std::set<std::string>& bound) {
   std::set<std::string> names = bound;
   std::set<std::string> out;
@@ -194,7 +199,7 @@ namespace {
 
 class EffectWalker {
  public:
-  EffectWalker(const Script& script, const EffectTable& table)
+  EffectWalker(const Script& script, const Vocabulary& table)
       : script_(script), table_(table) {}
 
   TacticEffects summarize(const TacticDecl& tactic) {
@@ -217,20 +222,21 @@ class EffectWalker {
     fx.reads.insert(reads.begin(), reads.end());
   }
 
+  /// Folds an operator's or a callee tactic's footprint into `fx`.
+  template <class Footprint>
+  static void fold(const Footprint& src, TacticEffects& fx) {
+    fx.writes.insert(src.writes.begin(), src.writes.end());
+    for (const auto& [prop, dir] : src.influences) {
+      merge_direction(fx.influences, prop, dir);
+    }
+    fx.adds_element = fx.adds_element || src.adds_element;
+    fx.removes_element = fx.removes_element || src.removes_element;
+    fx.rewires = fx.rewires || src.rewires;
+  }
+
   void apply_operator(const OperatorEffect& op, const CallExpr& call,
                       const std::string& tactic, TacticEffects& fx) {
-    fx.writes.insert(op.writes.begin(), op.writes.end());
-    for (const auto& [prop, dir] : op.influences) {
-      auto it = fx.influences.find(prop);
-      if (it == fx.influences.end()) {
-        fx.influences.emplace(prop, dir);
-      } else if (it->second != dir) {
-        it->second = EffectDirection::Unknown;
-      }
-    }
-    fx.adds_element = fx.adds_element || op.adds_element;
-    fx.removes_element = fx.removes_element || op.removes_element;
-    fx.rewires = fx.rewires || op.rewires;
+    fold(op, fx);
     fx.operators.push_back(OperatorUse{op.name, tactic, call.line,
                                        call.column});
   }
@@ -247,7 +253,7 @@ class EffectWalker {
     if (const auto* call = dynamic_cast<const CallExpr*>(&expr)) {
       if (const auto* target =
               dynamic_cast<const MemberExpr*>(call->callee.get())) {
-        if (const OperatorEffect* op = table_.find(target->member)) {
+        if (const OperatorEffect* op = table_.find_operator(target->member)) {
           apply_operator(*op, *call, tactic, fx);
         } else if (!is_structural_member(target->member)) {
           // Unknown operator — record the call site with an empty effect
@@ -300,22 +306,11 @@ class EffectWalker {
     TacticEffects sub = summarize(callee);
     in_progress_.erase(callee.name);
     fx.reads.insert(sub.reads.begin(), sub.reads.end());
-    fx.writes.insert(sub.writes.begin(), sub.writes.end());
-    for (const auto& [prop, dir] : sub.influences) {
-      auto it = fx.influences.find(prop);
-      if (it == fx.influences.end()) {
-        fx.influences.emplace(prop, dir);
-      } else if (it->second != dir) {
-        it->second = EffectDirection::Unknown;
-      }
-    }
+    fold(sub, fx);
     for (OperatorUse use : sub.operators) {
       use.tactic = caller;
       fx.operators.push_back(use);
     }
-    fx.adds_element = fx.adds_element || sub.adds_element;
-    fx.removes_element = fx.removes_element || sub.removes_element;
-    fx.rewires = fx.rewires || sub.rewires;
   }
 
   void walk_stmt(const Stmt& stmt, const std::string& tactic,
@@ -359,71 +354,19 @@ class EffectWalker {
   }
 
   const Script& script_;
-  const EffectTable& table_;
+  const Vocabulary& table_;
   std::set<std::string> in_progress_;
 };
 
 }  // namespace
 
-ScriptEffects infer_effects(const Script& script, const EffectTable& table) {
+ScriptEffects infer_effects(const Script& script, const Vocabulary& table) {
   ScriptEffects out;
   EffectWalker walker(script, table);
   for (const TacticDecl& tactic : script.tactics) {
     out.tactics.emplace(tactic.name, walker.summarize(tactic));
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Client-server style table.
-
-EffectTable make_client_server_effects() {
-  EffectTable table;
-  table.declare_global("maxServerLoad");
-  table.declare_global("minBandwidth");
-  table.declare_global("minUtilization");
-  table.declare_global("minReplicas");
-
-  using D = EffectDirection;
-  // Footprints mirror repair/style_ops.cpp exactly: these `writes` are the
-  // properties the operators journal via SetProperty. `influences` add the
-  // environment-mediated predictions the paper's Table 1 implies.
-  OperatorEffect add;
-  add.name = "addServer";
-  add.target_type = model::cs::kServerGroupT;
-  add.writes = {model::cs::kPropReplication};
-  add.influences = {{model::cs::kPropReplication, D::Increase},
-                    {model::cs::kPropLoad, D::Decrease},
-                    {model::cs::kPropUtilization, D::Decrease},
-                    {model::cs::kPropAvgLatency, D::Decrease}};
-  add.adds_element = true;
-  add.element_type = model::cs::kServerT;
-  table.declare(std::move(add));
-
-  OperatorEffect remove;
-  remove.name = "removeServer";
-  remove.target_type = model::cs::kServerGroupT;
-  remove.writes = {model::cs::kPropReplication};
-  remove.influences = {{model::cs::kPropReplication, D::Decrease},
-                       {model::cs::kPropLoad, D::Increase},
-                       {model::cs::kPropUtilization, D::Increase}};
-  remove.removes_element = true;
-  remove.element_type = model::cs::kServerT;
-  table.declare(std::move(remove));
-
-  OperatorEffect move;
-  move.name = "move";
-  move.target_type = model::cs::kClientT;
-  move.writes = {"boundTo"};
-  move.influences = {{model::cs::kPropAvgLatency, D::Decrease},
-                     {model::cs::kPropMaxLatency, D::Decrease},
-                     {model::cs::kPropBandwidth, D::Increase},
-                     {model::cs::kPropLoad, D::Unknown},
-                     {model::cs::kPropUtilization, D::Unknown}};
-  move.rewires = true;
-  table.declare(std::move(move));
-
-  return table;
 }
 
 }  // namespace arcadia::acme

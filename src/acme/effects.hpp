@@ -10,11 +10,13 @@
 // optimizer uses the per-operator write footprints as dependency edges; and
 // the test-suite soundness oracle checks every journaled OpRecord of a
 // committed repair against the inferred write set of the tactic that
-// produced it.
+// produced it. Both read a style's Vocabulary, defined here: its
+// operators' signatures and footprints, its query functions, its globals.
 #pragma once
 
 #include <map>
 #include <set>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -27,10 +29,17 @@ enum class EffectDirection { Increase, Decrease, Unknown };
 
 const char* to_string(EffectDirection d);
 
-/// Static model of one style operator's runtime footprint.
+/// Records that something pushes `prop` in `dir`; a direction that
+/// disagrees with one already recorded collapses to Unknown.
+void merge_direction(std::map<std::string, EffectDirection>& directions,
+                     const std::string& prop, EffectDirection dir);
+
+/// Static model of one style operator: its script signature and its
+/// runtime footprint.
 struct OperatorEffect {
-  std::string name;         ///< operator name ("addServer")
+  std::string name;         ///< operator name, as scripts call it
   std::string target_type;  ///< element type it applies to ("" = any)
+  std::size_t args = 0;     ///< argument count
   /// Properties the operator's journal footprint sets directly
   /// (SetProperty OpRecords) — the *write set* proper.
   std::set<std::string> writes;
@@ -41,24 +50,31 @@ struct OperatorEffect {
   bool adds_element = false;     ///< journals AddComponent
   bool removes_element = false;  ///< journals RemoveComponent
   bool rewires = false;          ///< journals Attach/Detach
-  std::string element_type;      ///< type added/removed ("" if none)
 };
 
-/// Registry of operator effects for one style, plus the task-layer globals
+/// A style query function scripts call as name(args).
+struct FunctionSig {
+  std::string name;
+  std::size_t args = 0;
+  std::string result_type;  ///< checker type of the result ("" = unknown)
+};
+
+/// A style's script vocabulary, as plain data: the operators scripts call
+/// on elements, the query functions they call, and the task-layer globals
 /// (threshold names that are *parameters*, not model properties — they are
-/// excluded from read/support sets).
-class EffectTable {
- public:
-  void declare(OperatorEffect effect);
-  void declare_global(const std::string& name);
+/// excluded from read/support sets, and the checker types them as
+/// numbers). The style declares it (repair/style_ops.hpp); the checker and
+/// the analyses read it.
+struct Vocabulary {
+  std::vector<OperatorEffect> operators;
+  std::vector<FunctionSig> functions;
+  std::set<std::string> globals;
 
-  const OperatorEffect* find(const std::string& name) const;
-  bool is_global(const std::string& name) const { return globals_.count(name) != 0; }
-  const std::set<std::string>& globals() const { return globals_; }
-
- private:
-  std::map<std::string, OperatorEffect> operators_;
-  std::set<std::string> globals_;
+  const OperatorEffect* find_operator(const std::string& name) const;
+  const FunctionSig* find_function(const std::string& name) const;
+  bool is_global(const std::string& name) const {
+    return globals.count(name) != 0;
+  }
 };
 
 /// One operator call site inside a tactic body.
@@ -105,22 +121,17 @@ struct ScriptEffects {
 /// Walk every tactic body and compute its effect summary. Unknown
 /// operator calls contribute nothing to the write set (analysis.hpp
 /// reports them separately as `unknown-operator-effect`).
-ScriptEffects infer_effects(const Script& script, const EffectTable& table);
+ScriptEffects infer_effects(const Script& script, const Vocabulary& table);
 
 /// Free property names of an expression: unqualified/member property
-/// reads, minus `table` globals, `self`, and `bound` names. This is the
-/// *support* of an invariant — the properties whose values decide it.
+/// reads, minus the vocabulary's globals, `self`, and `bound` names. This is
+/// the *support* of an invariant — the properties whose values decide it.
 std::set<std::string> free_properties(const Expr& expr,
-                                      const EffectTable& table,
+                                      const Vocabulary& table,
                                       const std::set<std::string>& bound = {});
 
 /// Canonical single-line rendering of an expression (for guard comparison
 /// and diagnostics).
 std::string render_expr(const Expr& expr);
-
-/// The effect table for the client-server style: addServer / removeServer
-/// / move footprints matching repair/style_ops.cpp journal behaviour, and
-/// the four task-layer threshold globals.
-EffectTable make_client_server_effects();
 
 }  // namespace arcadia::acme

@@ -153,80 +153,106 @@ const ElementRef* EvalContext::context_element() const {
 
 // ---------------------------------------------------------------------------
 
-Evaluator::Evaluator() {
-  builtins_[util::Symbol::intern("size")] = [](std::vector<EvalValue>& args,
-                         EvalContext&) -> EvalValue {
-    if (args.size() != 1) throw ScriptError("size() takes one argument");
-    return EvalValue(static_cast<double>(args[0].as_set().size()));
-  };
-  builtins_[util::Symbol::intern("empty")] = [](std::vector<EvalValue>& args,
-                          EvalContext&) -> EvalValue {
-    if (args.size() != 1) throw ScriptError("empty() takes one argument");
-    return EvalValue(args[0].as_set().empty());
-  };
-  builtins_[util::Symbol::intern("contains")] = [](std::vector<EvalValue>& args,
-                             EvalContext&) -> EvalValue {
-    if (args.size() != 2) throw ScriptError("contains(set, x) takes two arguments");
-    for (const EvalValue& v : args[0].as_set()) {
-      if (v.equals(args[1])) return EvalValue(true);
-    }
-    return EvalValue(false);
-  };
-  builtins_[util::Symbol::intern("connected")] = [](std::vector<EvalValue>& args,
-                              EvalContext& ctx) -> EvalValue {
-    if (args.size() != 2) {
-      throw ScriptError("connected(a, b) takes two arguments");
-    }
-    const ElementRef& a = args[0].as_element();
-    const ElementRef& b = args[1].as_element();
-    const model::System& sys = a.system ? *a.system : ctx.self();
-    return EvalValue(sys.connected(a.name(), b.name()));
-  };
-  builtins_[util::Symbol::intern("attached")] = [](std::vector<EvalValue>& args,
-                             EvalContext& ctx) -> EvalValue {
-    if (args.size() != 2) {
-      throw ScriptError("attached(x, y) takes two arguments");
-    }
-    ElementRef a = args[0].as_element();
-    ElementRef b = args[1].as_element();
-    // Normalize to (port-ish, role).
-    if (a.kind == model::ElementKind::Role) std::swap(a, b);
-    if (b.kind != model::ElementKind::Role) {
-      throw ScriptError("attached(): one argument must be a role");
-    }
-    const model::System& sys = b.system ? *b.system : ctx.self();
-    for (const model::Attachment& att : sys.attachments()) {
-      if (att.connector != b.owner || att.role != b.name()) continue;
-      if (a.kind == model::ElementKind::Port) {
-        if (att.component == a.owner && att.port == a.name()) return EvalValue(true);
-      } else if (a.kind == model::ElementKind::Component) {
-        if (att.component == a.name()) return EvalValue(true);
-      }
-    }
-    return EvalValue(false);
-  };
-  builtins_[util::Symbol::intern("abs")] = [](std::vector<EvalValue>& args, EvalContext&) -> EvalValue {
-    if (args.size() != 1) throw ScriptError("abs() takes one argument");
-    return EvalValue(std::fabs(args[0].as_number()));
-  };
-  builtins_[util::Symbol::intern("min")] = [](std::vector<EvalValue>& args, EvalContext&) -> EvalValue {
-    if (args.size() != 2) throw ScriptError("min() takes two arguments");
-    return EvalValue(std::min(args[0].as_number(), args[1].as_number()));
-  };
-  builtins_[util::Symbol::intern("max")] = [](std::vector<EvalValue>& args, EvalContext&) -> EvalValue {
-    if (args.size() != 2) throw ScriptError("max() takes two arguments");
-    return EvalValue(std::max(args[0].as_number(), args[1].as_number()));
-  };
-  builtins_[util::Symbol::intern("hasProperty")] = [](std::vector<EvalValue>& args,
-                                EvalContext&) -> EvalValue {
-    if (args.size() != 2) {
-      throw ScriptError("hasProperty(element, name) takes two arguments");
-    }
-    const ElementRef& e = args[0].as_element();
-    if (!e.element) return EvalValue(false);
-    return EvalValue(e.element->has_property(args[1].as_string()));
-  };
+void check_arity(const char* name, const char* params, std::size_t want,
+                 std::size_t got) {
+  if (got == want) return;
+  const char* const counts[] = {"no arguments", "one argument",
+                                "two arguments"};
+  throw ScriptError(
+      std::string(name) + "(" + params + ") takes " +
+      (want < 3 ? counts[want] : std::to_string(want) + " arguments"));
 }
+
+namespace {
+
+using Args = std::vector<EvalValue>;
+
+/// The expression-language builtins, declared once: the checker reads
+/// their arity and result type, eval_call dispatches to them.
+const Builtin kBuiltins[] = {
+    {"size", 1, "number", "",
+     [](Args& args, EvalContext&) -> EvalValue {
+       return EvalValue(static_cast<double>(args[0].as_set().size()));
+     }},
+    {"empty", 1, "boolean", "",
+     [](Args& args, EvalContext&) -> EvalValue {
+       return EvalValue(args[0].as_set().empty());
+     }},
+    {"contains", 2, "boolean", "set, x",
+     [](Args& args, EvalContext&) -> EvalValue {
+       for (const EvalValue& v : args[0].as_set()) {
+         if (v.equals(args[1])) return EvalValue(true);
+       }
+       return EvalValue(false);
+     }},
+    {"connected", 2, "boolean", "a, b",
+     [](Args& args, EvalContext& ctx) -> EvalValue {
+       const ElementRef& a = args[0].as_element();
+       const ElementRef& b = args[1].as_element();
+       const model::System& sys = a.system ? *a.system : ctx.self();
+       return EvalValue(sys.connected(a.name(), b.name()));
+     }},
+    {"attached", 2, "boolean", "x, y",
+     [](Args& args, EvalContext& ctx) -> EvalValue {
+       ElementRef a = args[0].as_element();
+       ElementRef b = args[1].as_element();
+       // Normalize to (port-ish, role).
+       if (a.kind == model::ElementKind::Role) std::swap(a, b);
+       if (b.kind != model::ElementKind::Role) {
+         throw ScriptError("attached(): one argument must be a role");
+       }
+       const model::System& sys = b.system ? *b.system : ctx.self();
+       for (const model::Attachment& att : sys.attachments()) {
+         if (att.connector != b.owner || att.role != b.name()) continue;
+         if (a.kind == model::ElementKind::Port) {
+           if (att.component == a.owner && att.port == a.name()) {
+             return EvalValue(true);
+           }
+         } else if (a.kind == model::ElementKind::Component) {
+           if (att.component == a.name()) return EvalValue(true);
+         }
+       }
+       return EvalValue(false);
+     }},
+    {"abs", 1, "number", "",
+     [](Args& args, EvalContext&) -> EvalValue {
+       return EvalValue(std::fabs(args[0].as_number()));
+     }},
+    {"min", 2, "number", "",
+     [](Args& args, EvalContext&) -> EvalValue {
+       return EvalValue(std::min(args[0].as_number(), args[1].as_number()));
+     }},
+    {"max", 2, "number", "",
+     [](Args& args, EvalContext&) -> EvalValue {
+       return EvalValue(std::max(args[0].as_number(), args[1].as_number()));
+     }},
+    {"hasProperty", 2, "boolean", "element, name",
+     [](Args& args, EvalContext&) -> EvalValue {
+       const ElementRef& e = args[0].as_element();
+       if (!e.element) return EvalValue(false);
+       return EvalValue(e.element->has_property(args[1].as_string()));
+     }},
+};
+
+/// kBuiltins keyed by interned name, built once for every evaluator.
+const util::SymbolMap<Builtin>& builtin_index() {
+  static const util::SymbolMap<Builtin> index = [] {
+    util::SymbolMap<Builtin> map;
+    for (const Builtin& b : kBuiltins) {
+      map.insert_or_assign(util::Symbol::intern(b.name), b);
+    }
+    return map;
+  }();
+  return index;
+}
+
+}  // namespace
+
+const Builtin* find_builtin(util::Symbol name) {
+  return builtin_index().find(name);
+}
+
+Evaluator::Evaluator() : builtins_(&builtin_index()) {}
 
 EvalValue Evaluator::evaluate(const Expr& expr, EvalContext& ctx) const {
   if (const auto* lit = dynamic_cast<const LiteralExpr*>(&expr)) {
@@ -376,8 +402,9 @@ EvalValue Evaluator::eval_call(const CallExpr& c, EvalContext& ctx) const {
   if (const ExprFn* fn = ctx.find_function(callee)) {
     return (*fn)(args, ctx);
   }
-  if (const ExprFn* builtin = builtins_.find(callee)) {
-    return (*builtin)(args, ctx);
+  if (const Builtin* builtin = builtins_->find(callee)) {
+    check_arity(builtin->name, builtin->params, builtin->args, args.size());
+    return builtin->fn(args, ctx);
   }
   fail(c.line, "unknown function '" + name->name + "'");
 }

@@ -155,6 +155,25 @@ class EvalContext {
   bool has_context_element_ = false;
 };
 
+/// An expression-language builtin (size, contains, abs, ...): its checker
+/// signature and its implementation.
+struct Builtin {
+  const char* name;
+  std::size_t args;         ///< argument count, checked at dispatch
+  const char* result_type;  ///< checker type of the result
+  const char* params;       ///< parameter names, as the arity error shows them
+  EvalValue (*fn)(std::vector<EvalValue>& args, EvalContext& ctx);
+};
+
+/// The builtin called `name`, or null.
+const Builtin* find_builtin(util::Symbol name);
+
+/// Throws ScriptError("name(params) takes one argument", ...) unless `got`
+/// equals `want`: the one arity check of builtins and style operators and
+/// functions at dispatch.
+void check_arity(const char* name, const char* params, std::size_t want,
+                 std::size_t got);
+
 /// True for the ordering operators `<`, `<=`, `>` and `>=`.
 bool is_ordering(BinaryExpr::Op op);
 
@@ -184,7 +203,7 @@ class Evaluator {
   EvalValue member_of_element(const ElementRef& ref, util::Symbol member,
                               int line) const;
 
-  util::SymbolMap<ExprFn> builtins_;
+  const util::SymbolMap<Builtin>* builtins_;  ///< shared, built once
 };
 
 }  // namespace arcadia::acme

@@ -36,7 +36,9 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
   // with the live model (misspelled properties, bad arities, ...).
   {
     static const model::Style style = model::client_server_style();
-    acme::ScriptChecker checker = acme::make_client_server_checker(style);
+    const acme::Vocabulary vocabulary =
+        repair::client_server_vocabulary(config_.conventions);
+    acme::ScriptChecker checker(style, vocabulary);
     for (const acme::CheckIssue& problem : checker.check_script(script_)) {
       ARC_WARN << "repair script: " << problem.to_string();
     }

@@ -5,6 +5,8 @@
 #include "acme/effects.hpp"
 #include "acme/flow.hpp"
 #include "core/framework.hpp"
+#include "repair/style_ops.hpp"
+#include "runtime/translator.hpp"
 #include "sim/scenario_registry.hpp"
 
 namespace arcadia::core {
@@ -12,19 +14,6 @@ namespace arcadia::core {
 namespace {
 
 using acme::analysis::AnalysisIssue;
-
-/// Cost of one style operator under the translator's Table-1 mapping
-/// (runtime/translator.cpp): addServer -> connect + activate, move ->
-/// moveClient, removeServer -> deactivate.
-double operator_cost_s(const std::string& op,
-                       const rt::EnvironmentCosts& costs) {
-  const double rmi = costs.rmi_call.as_seconds();
-  if (op == "addServer") {
-    return rmi + (rmi + costs.activate_extra.as_seconds());
-  }
-  if (op == "move" || op == "removeServer") return rmi;
-  return 0.0;
-}
 
 void config_issue(std::vector<AnalysisIssue>& out, std::string message) {
   out.push_back(AnalysisIssue{"scenario-config", acme::Severity::Error, 0, 0,
@@ -52,7 +41,8 @@ void check_window(std::vector<AnalysisIssue>& out, SimTime lo, SimTime hi,
 
 acme::analysis::DeploymentView make_deployment_view(Framework& fw) {
   acme::analysis::DeploymentView view;
-  const acme::EffectTable table = acme::make_client_server_effects();
+  const acme::Vocabulary table =
+      repair::client_server_vocabulary(fw.config().conventions);
 
   for (const repair::Constraint& c : fw.manager().checker().constraints()) {
     acme::analysis::ConstraintView cv;
@@ -70,8 +60,9 @@ acme::analysis::DeploymentView make_deployment_view(Framework& fw) {
   }
 
   const rt::EnvironmentCosts& costs = fw.environment().costs();
-  for (const char* op : {"addServer", "move", "removeServer"}) {
-    view.operator_costs_s[op] = operator_cost_s(op, costs);
+  for (const acme::OperatorEffect& op : table.operators) {
+    view.operator_costs_s[op.name] =
+        rt::op_class_cost(repair::operator_class(op.name), costs).as_seconds();
   }
 
   // Operator call sites reachable from an installed invariant's handler
@@ -99,7 +90,8 @@ acme::analysis::DeploymentView make_deployment_view(Framework& fw) {
 }
 
 std::vector<AnalysisIssue> verify_framework(Framework& fw) {
-  const acme::EffectTable table = acme::make_client_server_effects();
+  const acme::Vocabulary table =
+      repair::client_server_vocabulary(fw.config().conventions);
   std::vector<AnalysisIssue> issues =
       acme::analysis::analyze_script(fw.script(), table);
   std::vector<AnalysisIssue> deployment =

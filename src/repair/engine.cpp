@@ -167,7 +167,7 @@ void RepairEngine::execute(const Violation& violation) {
     AdaptationPlan plan;
     if (config_.use_plan) {
       plan = build_plan(op_records, conventions_, translator_, gauges_);
-      const PlanOptimizerStats opt = optimize_plan(plan, &effect_table_);
+      const PlanOptimizerStats opt = optimize_plan(plan, &vocabulary_);
       stats_.plan_steps_merged += opt.moves_merged + opt.gauges_batched;
       record.plan_steps_merged =
           static_cast<int>(opt.moves_merged + opt.gauges_batched);
@@ -223,22 +223,15 @@ void RepairEngine::execute(const Violation& violation) {
 }
 
 void RepairEngine::summarize_ops(const std::vector<model::OpRecord>& op_records,
-                                 RepairRecord& record) {
+                                 RepairRecord& record) const {
   bool moved = false;
   for (const model::OpRecord& op : op_records) {
     record.ops.push_back(op.describe());
-    switch (op.kind) {
-      case model::OpKind::AddComponent:
-        if (!op.scope.empty()) ++record.servers_added;
-        break;
-      case model::OpKind::RemoveComponent:
-        if (!op.scope.empty()) ++record.servers_removed;
-        break;
-      case model::OpKind::Attach:
-        moved = true;
-        break;
-      default:
-        break;
+    switch (op_class_of(op, conventions_)) {
+      case OpClass::Recruit: ++record.servers_added; break;
+      case OpClass::Release: ++record.servers_removed; break;
+      case OpClass::Move: moved = true; break;
+      case OpClass::Replay: break;
     }
   }
   if (moved) ++record.moves;

@@ -262,8 +262,8 @@ class RepairEngine {
   void publish_plan_event(util::Symbol phase, std::size_t idx,
                           std::size_t steps);
   bool touched_by_active(util::Symbol element) const;
-  static void summarize_ops(const std::vector<model::OpRecord>& op_records,
-                            RepairRecord& record);
+  void summarize_ops(const std::vector<model::OpRecord>& op_records,
+                     RepairRecord& record) const;
 
   sim::Simulator& sim_;
   model::System& root_;
@@ -275,7 +275,7 @@ class RepairEngine {
   StyleConventions conventions_;
   acme::Interpreter interpreter_;
   /// Static operator footprints for the plan optimizer's effect-deps pass.
-  acme::EffectTable effect_table_ = acme::make_client_server_effects();
+  acme::Vocabulary vocabulary_ = client_server_vocabulary(conventions_);
   ViolationChooser chooser_;
   events::EventBus* bus_ = nullptr;
   durability::JournalSink* journal_sink_ = nullptr;

@@ -19,8 +19,7 @@ void collect_touched(const model::OpRecord& op, const StyleConventions& conv,
     if (!op.attachment.component.empty()) out.insert(op.attachment.component);
     if (!op.attachment.connector.empty()) out.insert(op.attachment.connector);
   }
-  if (op.kind == model::OpKind::SetProperty &&
-      op.property == conv.bound_to_prop && op.value.is_string()) {
+  if (op_class_of(op, conv) == OpClass::Move) {
     out.insert(op.value.as_string());
   }
 }
@@ -36,21 +35,6 @@ bool intersects(const std::set<std::string>& a,
 }
 
 }  // namespace
-
-bool runtime_effective(const model::OpRecord& op,
-                       const StyleConventions& conv) {
-  switch (op.kind) {
-    case model::OpKind::AddComponent:
-    case model::OpKind::RemoveComponent:
-      // Server recruit/release inside a group representation; root-scope
-      // structure has no runtime counterpart.
-      return !op.scope.empty();
-    case model::OpKind::SetProperty:
-      return op.property == conv.bound_to_prop && op.value.is_string();
-    default:
-      return false;
-  }
-}
 
 std::vector<std::string> affected_gauge_elements(
     const std::vector<model::OpRecord>& records,
@@ -135,7 +119,9 @@ AdaptationPlan build_plan(const std::vector<model::OpRecord>& records,
   // ---- segment the journal into runtime steps, one per effective op ----
   std::vector<std::size_t> effective;
   for (std::size_t i = 0; i < records.size(); ++i) {
-    if (runtime_effective(records[i], conv)) effective.push_back(i);
+    if (op_class_of(records[i], conv) != OpClass::Replay) {
+      effective.push_back(i);
+    }
   }
 
   // record index -> owning step index.
@@ -200,16 +186,7 @@ AdaptationPlan build_plan(const std::vector<model::OpRecord>& records,
     if (!effective.empty()) {
       const model::OpRecord& eff = records[effective[s]];
       step.subject = eff.element;
-      switch (eff.kind) {
-        case model::OpKind::AddComponent:
-          step.op_class = PlanStep::OpClass::Recruit;
-          break;
-        case model::OpKind::RemoveComponent:
-          step.op_class = PlanStep::OpClass::Release;
-          break;
-        default:
-          step.op_class = PlanStep::OpClass::Move;
-      }
+      step.op_class = op_class_of(eff, conv);
     }
     step.label = effective.empty() ? "replay"
                                    : records[effective[s]].describe();

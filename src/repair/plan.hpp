@@ -52,15 +52,10 @@ struct PlanStep {
     GaugeRedeploy,  ///< re-deploy the gauges of `elements` (batched)
   };
   Kind kind = Kind::RuntimeOps;
-  /// What the step's effective op does at the runtime layer — set by the
-  /// planner so optimizer passes reason about steps without re-deriving
-  /// translator rules.
-  enum class OpClass {
-    Replay,   ///< no runtime-effective op (model-only bookkeeping)
-    Move,     ///< re-bind `subject` (a client) to another group
-    Recruit,  ///< connect + activate `subject` (a server) in a group
-    Release,  ///< deactivate `subject`
-  };
+  /// What the step's effective op does at the runtime layer (op_class_of
+  /// of it; Replay when the step has none) — set by the planner so
+  /// optimizer passes reason about steps without re-deriving the rule.
+  using OpClass = repair::OpClass;
   OpClass op_class = OpClass::Replay;
   /// The element the effective op acts on (moved client, recruited server).
   std::string subject;
@@ -100,13 +95,6 @@ struct AdaptationPlan {
   SimTime estimated_serial_cost() const;
 };
 
-/// True when the translator's rule table maps this record to at least one
-/// runtime operation (server recruit/release inside a group scope, or a
-/// boundTo client move). The planner uses this to segment the journal into
-/// runtime steps; structural halves (attach/detach) and bookkeeping
-/// properties ride along with their adjacent effective record.
-bool runtime_effective(const model::OpRecord& op, const StyleConventions& conv);
-
 /// Gauge-carrying element names disturbed by `records`: components touched
 /// directly, plus connector-role elements ("Conn_User3.clientSide") of
 /// re-wired connectors. With no gauge manager, falls back to the touched
@@ -116,11 +104,11 @@ std::vector<std::string> affected_gauge_elements(
     const monitor::GaugeManager* gauges);
 
 /// Lift a committed journal into a plan: segment records into runtime steps
-/// around the runtime-effective ops, wire dependencies between steps that
-/// touch overlapping elements, and append one gauge-redeploy step per
-/// affected element (depending on every runtime step that disturbs it).
-/// `translator` and `gauges` supply cost estimates and the gauge catalog;
-/// either may be null.
+/// around the runtime-effective ops (op_class_of not Replay), wire
+/// dependencies between steps that touch overlapping elements, and append
+/// one gauge-redeploy step per affected element (depending on every runtime
+/// step that disturbs it). `translator` and `gauges` supply cost estimates
+/// and the gauge catalog; either may be null.
 AdaptationPlan build_plan(const std::vector<model::OpRecord>& records,
                           const StyleConventions& conv,
                           const Translator* translator,

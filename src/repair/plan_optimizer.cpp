@@ -128,16 +128,15 @@ std::uint64_t pass_batch_gauges(AdaptationPlan& plan) {
   return folded;
 }
 
-/// Operator name behind a runtime step's OpClass (the effect table is
-/// keyed by style-operator name).
-const char* step_operator(const PlanStep& step) {
-  switch (step.op_class) {
-    case PlanStep::OpClass::Move: return "move";
-    case PlanStep::OpClass::Recruit: return "addServer";
-    case PlanStep::OpClass::Release: return "removeServer";
-    case PlanStep::OpClass::Replay: return "";
+/// The vocabulary's entry for the style operator a runtime step enacts;
+/// null for Replay steps.
+const acme::OperatorEffect* step_effect(const PlanStep& step,
+                                        const acme::Vocabulary& vocabulary) {
+  if (step.op_class == OpClass::Replay) return nullptr;
+  for (const acme::OperatorEffect& op : vocabulary.operators) {
+    if (operator_class(op.name) == step.op_class) return &op;
   }
-  return "";
+  return nullptr;
 }
 
 /// Server groups whose observed properties a runtime step influences: the
@@ -179,7 +178,7 @@ bool reaches(const AdaptationPlan& plan, std::size_t from, std::size_t to) {
 }
 
 std::uint64_t pass_effect_deps(AdaptationPlan& plan,
-                               const acme::EffectTable& table) {
+                               const acme::Vocabulary& vocabulary) {
   struct StepFx {
     std::set<std::string> groups;
     const acme::OperatorEffect* effect = nullptr;
@@ -188,9 +187,7 @@ std::uint64_t pass_effect_deps(AdaptationPlan& plan,
   for (std::size_t i = 0; i < plan.steps.size(); ++i) {
     PlanStep& step = plan.steps[i];
     if (step.kind != PlanStep::Kind::RuntimeOps) continue;
-    const char* op = step_operator(step);
-    if (*op == '\0') continue;
-    fx[i].effect = table.find(op);
+    fx[i].effect = step_effect(step, vocabulary);
     if (fx[i].effect) fx[i].groups = step_groups(step);
   }
   std::uint64_t added = 0;
@@ -226,7 +223,7 @@ std::uint64_t pass_effect_deps(AdaptationPlan& plan,
 }  // namespace
 
 PlanOptimizerStats optimize_plan(AdaptationPlan& plan,
-                                 const acme::EffectTable* effects) {
+                                 const acme::Vocabulary* effects) {
   PlanOptimizerStats stats;
   if (effects) stats.effect_edges = pass_effect_deps(plan, *effects);
   stats.moves_merged = pass_merge_moves(plan);

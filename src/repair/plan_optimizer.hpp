@@ -14,7 +14,7 @@
 //                       slowest element instead of the sum. This is the
 //                       pass that attacks the paper's "~30 s, dominated by
 //                       gauge create/delete" repair time.
-//   0. effect-deps    — (runs first, when an effect table is supplied)
+//   0. effect-deps    — (runs first, when a vocabulary is supplied)
 //                       adds ordering edges between runtime steps whose
 //                       statically inferred operator influences collide on
 //                       the same server group (e.g. two load-shedding
@@ -42,9 +42,10 @@ struct PlanOptimizerStats {
 
 /// Run all passes in place. Deterministic: a given plan always optimizes to
 /// the same result (the fleet determinism contract depends on this).
-/// `effects` enables the effect-deps pass; pass nullptr to skip it.
+/// `effects` (the style's vocabulary) enables the effect-deps pass; pass
+/// nullptr to skip it.
 PlanOptimizerStats optimize_plan(AdaptationPlan& plan,
-                                 const acme::EffectTable* effects);
+                                 const acme::Vocabulary* effects);
 
 inline PlanOptimizerStats optimize_plan(AdaptationPlan& plan) {
   return optimize_plan(plan, nullptr);

@@ -8,55 +8,47 @@ SimTranslator::SimTranslator(SimEnvironmentManager& env,
                              repair::StyleConventions conventions)
     : env_(env), conv_(conventions) {}
 
+SimTime op_class_cost(repair::OpClass cls, const EnvironmentCosts& costs) {
+  switch (cls) {
+    case repair::OpClass::Recruit:
+      // connectServer + activateServer (process start-up included).
+      return costs.rmi_call + costs.rmi_call + costs.activate_extra;
+    case repair::OpClass::Move:     // moveClient
+    case repair::OpClass::Release:  // deactivateServer
+      return costs.rmi_call;
+    case repair::OpClass::Replay:
+      break;
+  }
+  return SimTime::zero();
+}
+
 SimTime SimTranslator::apply(const std::vector<model::OpRecord>& records) {
   SimTime cost = SimTime::zero();
   for (const model::OpRecord& op : records) {
     ++stats_.records_seen;
-    switch (op.kind) {
-      case model::OpKind::AddComponent: {
-        if (op.scope.empty()) {
-          ++stats_.ignored;
-          break;
-        }
+    switch (repair::op_class_of(op, conv_)) {
+      case repair::OpClass::Recruit:
         // A server component appeared inside a group's representation:
         // recruit the matching runtime server into the group's queue.
-        const std::string& group = op.scope.front();
-        env_.connectServer(op.element, group);
+        env_.connectServer(op.element, op.scope.front());
         cost += env_.last_op_cost();
         env_.activateServer(op.element);
         cost += env_.last_op_cost();
         env_.note_recruited(op.element);
         stats_.runtime_ops += 2;
         break;
-      }
-      case model::OpKind::RemoveComponent: {
-        if (op.scope.empty()) {
-          ++stats_.ignored;
-          break;
-        }
+      case repair::OpClass::Release:
         env_.deactivateServer(op.element);
         cost += env_.last_op_cost();
         env_.note_released(op.element);
         ++stats_.runtime_ops;
         break;
-      }
-      case model::OpKind::SetProperty: {
-        if (op.property == conv_.bound_to_prop && op.value.is_string()) {
-          env_.moveClient(op.element, op.value.as_string());
-          cost += env_.last_op_cost();
-          ++stats_.runtime_ops;
-        } else {
-          ++stats_.ignored;
-        }
+      case repair::OpClass::Move:
+        env_.moveClient(op.element, op.value.as_string());
+        cost += env_.last_op_cost();
+        ++stats_.runtime_ops;
         break;
-      }
-      case model::OpKind::Attach:
-      case model::OpKind::Detach:
-        // Structural halves of move(); the boundTo property carries the
-        // runtime action.
-        ++stats_.ignored;
-        break;
-      default:
+      case repair::OpClass::Replay:
         ++stats_.ignored;
         break;
     }
@@ -68,27 +60,9 @@ SimTime SimTranslator::apply(const std::vector<model::OpRecord>& records) {
 
 SimTime SimTranslator::estimate(
     const std::vector<model::OpRecord>& records) const {
-  const EnvironmentCosts& costs = env_.costs();
   SimTime cost = SimTime::zero();
   for (const model::OpRecord& op : records) {
-    switch (op.kind) {
-      case model::OpKind::AddComponent:
-        if (!op.scope.empty()) {
-          // connectServer + activateServer (process start-up included).
-          cost += costs.rmi_call + costs.rmi_call + costs.activate_extra;
-        }
-        break;
-      case model::OpKind::RemoveComponent:
-        if (!op.scope.empty()) cost += costs.rmi_call;  // deactivateServer
-        break;
-      case model::OpKind::SetProperty:
-        if (op.property == conv_.bound_to_prop && op.value.is_string()) {
-          cost += costs.rmi_call;  // moveClient
-        }
-        break;
-      default:
-        break;
-    }
+    cost += op_class_cost(repair::op_class_of(op, conv_), env_.costs());
   }
   return cost;
 }

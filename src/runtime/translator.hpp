@@ -1,7 +1,8 @@
 // The translator (Figure 1, item 5): interprets committed model-layer
 // changes as operations on the running system. The correspondence is the
 // "hand-tailored support for translating APIs in the Model Layer to ones
-// in the Runtime Layer" of Section 4 — here made explicit as a rule table:
+// in the Runtime Layer" of Section 4 — here made explicit as a rule table,
+// written once as repair::op_class_of and priced by op_class_cost:
 //
 //   model op                                   -> runtime operations
 //   ------------------------------------------------------------------
@@ -27,6 +28,11 @@ struct TranslatorStats {
   std::uint64_t ignored = 0;
 };
 
+/// Table-1 price of one op of class `cls`: what apply() charges for it and
+/// estimate() predicts (arcverify's deployment view prices operators by it
+/// too).
+SimTime op_class_cost(repair::OpClass cls, const EnvironmentCosts& costs);
+
 class SimTranslator : public repair::Translator {
  public:
   SimTranslator(SimEnvironmentManager& env,
@@ -34,8 +40,8 @@ class SimTranslator : public repair::Translator {
 
   SimTime apply(const std::vector<model::OpRecord>& records) override;
 
-  /// The planner's Table-1 estimate: the same rule table as apply(), priced
-  /// from the environment's cost model without touching the runtime.
+  /// The planner's Table-1 estimate: the same classes as apply(), priced by
+  /// op_class_cost without touching the runtime.
   SimTime estimate(const std::vector<model::OpRecord>& records) const override;
 
   const TranslatorStats& stats() const { return stats_; }

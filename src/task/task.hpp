@@ -7,7 +7,9 @@
 // serve our six clients", Section 5).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <utility>
 
 #include "acme/evaluator.hpp"
 #include "model/system.hpp"
@@ -27,19 +29,27 @@ struct PerformanceProfile {
 /// on every ClientT component).
 void apply_profile(model::System& system, const PerformanceProfile& profile);
 
-/// Binds the profile's fleet-wide thresholds as script globals —
-/// maxServerLoad, minBandwidth (bps), minUtilization, minReplicas — on any
-/// scope with bind_global(name, acme::EvalValue): the constraint checker
-/// and the strategy interpreter alike.
+/// The profile's fleet-wide thresholds as named script globals:
+/// maxServerLoad, minBandwidth (bps), minUtilization, minReplicas. The one
+/// place their names are written — bind_task_globals binds them, and the
+/// style's script vocabulary (repair::client_server_vocabulary) declares
+/// them.
+inline std::array<std::pair<const char*, double>, 4> task_globals(
+    const PerformanceProfile& profile) {
+  return {{{"maxServerLoad", profile.max_server_load},
+           {"minBandwidth", profile.min_bandwidth.as_bps()},
+           {"minUtilization", profile.min_utilization},
+           {"minReplicas", static_cast<double>(profile.min_replicas)}}};
+}
+
+/// Binds task_globals(profile) on any scope with
+/// bind_global(name, acme::EvalValue): the constraint checker and the
+/// strategy interpreter alike.
 template <class Scope>
 void bind_task_globals(Scope& scope, const PerformanceProfile& profile) {
-  scope.bind_global("maxServerLoad", acme::EvalValue(profile.max_server_load));
-  scope.bind_global("minBandwidth",
-                    acme::EvalValue(profile.min_bandwidth.as_bps()));
-  scope.bind_global("minUtilization",
-                    acme::EvalValue(profile.min_utilization));
-  scope.bind_global("minReplicas",
-                    acme::EvalValue(static_cast<double>(profile.min_replicas)));
+  for (const auto& [name, value] : task_globals(profile)) {
+    scope.bind_global(name, acme::EvalValue(value));
+  }
 }
 
 // ---- design-time performance analysis (M/M/c) ----

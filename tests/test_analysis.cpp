@@ -12,6 +12,7 @@
 #include "acme/flow.hpp"
 #include "acme/script.hpp"
 #include "repair/scripts.hpp"
+#include "repair/style_ops.hpp"
 
 namespace arcadia::acme {
 namespace {
@@ -20,7 +21,7 @@ using analysis::AnalysisIssue;
 
 std::vector<AnalysisIssue> analyze(const std::string& source) {
   const Script script = parse_script(source);
-  return analysis::analyze_script(script, make_client_server_effects());
+  return analysis::analyze_script(script, repair::client_server_vocabulary());
 }
 
 std::string dump(const std::vector<AnalysisIssue>& issues) {
@@ -255,7 +256,7 @@ TEST(AnalysisTest, EffectInferenceClosesOverTacticCalls) {
   // fixBandwidth's move comes back through the caller's summary too.
   const Script script = parse_script(figure5_script());
   const ScriptEffects effects =
-      infer_effects(script, make_client_server_effects());
+      infer_effects(script, repair::client_server_vocabulary());
   const TacticEffects* fx = effects.find("fixServerLoad");
   ASSERT_NE(fx, nullptr);
   EXPECT_TRUE(fx->writes.count("replicationCount"));

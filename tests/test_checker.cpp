@@ -5,13 +5,15 @@
 #include "acme/expr_parser.hpp"
 #include "acme/script.hpp"
 #include "repair/scripts.hpp"
+#include "repair/style_ops.hpp"
 
 namespace arcadia::acme {
 namespace {
 
 struct CheckerRig {
   model::Style style = model::client_server_style();
-  ScriptChecker checker = make_client_server_checker(style);
+  Vocabulary vocabulary = repair::client_server_vocabulary();
+  ScriptChecker checker{style, vocabulary};
 
   std::vector<CheckIssue> check(const std::string& script_source) {
     Script script = parse_script(script_source);

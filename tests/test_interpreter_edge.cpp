@@ -3,6 +3,12 @@
 // evaluator's behaviour on degenerate models.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "acme/checker.hpp"
 #include "acme/interpreter.hpp"
 #include "acme/script.hpp"
 #include "model/types.hpp"
@@ -41,10 +47,12 @@ struct Rig {
   Script script;
   std::unique_ptr<Interpreter> interp;
 
-  explicit Rig(const std::string& source) : script(parse_script(source)) {
+  explicit Rig(const std::string& source,
+               const repair::StyleConventions& conventions = {})
+      : script(parse_script(source)) {
     interp = std::make_unique<Interpreter>(sys, script);
     repair::register_client_server_ops(
-        *interp, sys, nullptr, repair::StyleConventions{},
+        *interp, sys, nullptr, conventions,
         task::PerformanceProfile{}.min_bandwidth,
         repair::RepairEngineConfig{}.load_improvement);
     interp->bind_global("maxServerLoad", EvalValue(6.0));
@@ -179,6 +187,154 @@ TEST(InterpreterEdgeTest, EmptyDomainComprehensions) {
       "  else { abort NotEmpty; }\n"
       "}");
   EXPECT_TRUE(rig.run("s").committed);
+}
+
+TEST(InterpreterEdgeTest, BuiltinArityCheckedAtDispatch) {
+  Rig rig(
+      "strategy s(c : ClientT) = {\n"
+      "  if (abs(1, 2) == 1) { commit repair; } else { abort Nope; }\n"
+      "}");
+  try {
+    rig.run("s");
+    FAIL() << "abs(1, 2) ran";
+  } catch (const ScriptError& e) {
+    EXPECT_STREQ(e.what(), "ScriptError: abs() takes one argument");
+  }
+}
+
+// ---- the style's vocabulary table ----
+
+/// A well-typed call of each vocabulary entry inside
+/// `tactic probe(c : ClientT, g : ServerGroupT)` over two_group_system():
+/// c is the client C, g the group G2 it is not on. Operators name their
+/// receiver; functions leave it empty.
+struct SampleCall {
+  std::string receiver;
+  std::vector<std::string> args;
+};
+const std::map<std::string, SampleCall>& sample_calls() {
+  static const std::map<std::string, SampleCall> calls = {
+      {"addServer", {"g", {}}},
+      {"removeServer", {"g", {}}},
+      {"move", {"c", {"g"}}},
+      {"roleOf", {"", {"c"}}},
+      {"groupOf", {"", {"c"}}},
+      {"findGoodSGrp", {"", {"c", "10000"}}},
+      {"findLessLoadedSGrp", {"", {"c", "g"}}},
+  };
+  return calls;
+}
+
+std::string probe_source(const std::string& name, const SampleCall& call,
+                         bool extra_arg) {
+  std::string args;
+  for (const std::string& a : call.args) args += (args.empty() ? "" : ", ") + a;
+  if (extra_arg) args += args.empty() ? "1" : ", 1";
+  const std::string callee =
+      call.receiver.empty() ? name : call.receiver + "." + name;
+  return "tactic probe(c : ClientT, g : ServerGroupT) : boolean = {\n"
+         "  let r = " + callee + "(" + args + ");\n"
+         "  return true;\n"
+         "}";
+}
+
+/// Runs every operator and query function of the vocabulary once with its
+/// declared arity and once with one argument too many, through the checker
+/// and the interpreter.
+void check_vocabulary_arities(
+    const std::vector<std::pair<std::string, std::size_t>>& entries) {
+  const model::Style style = model::client_server_style();
+  const Vocabulary vocabulary = repair::client_server_vocabulary();
+  for (const auto& [name, arity] : entries) {
+    SCOPED_TRACE(name);
+    auto sample = sample_calls().find(name);
+    if (sample == sample_calls().end()) {
+      ADD_FAILURE() << "no sample call for " << name;
+      continue;
+    }
+    EXPECT_EQ(sample->second.args.size(), arity);
+    for (const bool extra : {false, true}) {
+      Rig rig(probe_source(name, sample->second, extra));
+      ScriptChecker checker(style, vocabulary);
+      const std::vector<CheckIssue> issues = checker.check_script(rig.script);
+      model::Transaction txn(rig.sys);
+      const std::vector<EvalValue> args = {
+          EvalValue(ElementRef::of_component(rig.sys, rig.sys.component("C"))),
+          EvalValue(
+              ElementRef::of_component(rig.sys, rig.sys.component("G2")))};
+      if (!extra) {
+        EXPECT_TRUE(issues.empty()) << issues.front().to_string();
+        EXPECT_NO_THROW(rig.interp->run_tactic("probe", args, txn));
+      } else {
+        ASSERT_EQ(issues.size(), 1u);
+        EXPECT_NE(issues[0].message.find("takes " + std::to_string(arity) +
+                                         " argument(s), got " +
+                                         std::to_string(arity + 1)),
+                  std::string::npos)
+            << issues[0].message;
+        try {
+          rig.interp->run_tactic("probe", args, txn);
+          ADD_FAILURE() << "ran with " << arity + 1 << " argument(s)";
+        } catch (const ScriptError& e) {
+          EXPECT_NE(std::string(e.what()).find(name + "("), std::string::npos)
+              << e.what();
+          EXPECT_NE(std::string(e.what()).find(") takes "), std::string::npos)
+              << e.what();
+        }
+      }
+      txn.rollback();
+    }
+  }
+}
+
+TEST(StyleVocabularyTest, EveryOperatorChecksItsArity) {
+  std::vector<std::pair<std::string, std::size_t>> entries;
+  for (const OperatorEffect& op :
+       repair::client_server_vocabulary().operators) {
+    entries.emplace_back(op.name, op.args);
+  }
+  EXPECT_EQ(entries.size(), 3u);
+  check_vocabulary_arities(entries);
+}
+
+TEST(StyleVocabularyTest, EveryQueryFunctionChecksItsArity) {
+  std::vector<std::pair<std::string, std::size_t>> entries;
+  for (const FunctionSig& fn : repair::client_server_vocabulary().functions) {
+    entries.emplace_back(fn.name, fn.args);
+  }
+  EXPECT_EQ(entries.size(), 4u);
+  check_vocabulary_arities(entries);
+}
+
+TEST(StyleVocabularyTest, MoveWritesTheBoundToConvention) {
+  repair::StyleConventions conv;
+  conv.bound_to_prop = "servedBy";
+  const Vocabulary vocabulary = repair::client_server_vocabulary(conv);
+  const OperatorEffect* move = vocabulary.find_operator("move");
+  ASSERT_NE(move, nullptr);
+  EXPECT_EQ(move->writes, std::set<std::string>{"servedBy"});
+}
+
+TEST(StyleVocabularyTest, ModelOnlyRemoveServerFindsServerMarkedByConvention) {
+  // A model-only addServer marks its server with conventions.dynamic_prop;
+  // removeServer must look for the same marker.
+  repair::StyleConventions conv;
+  conv.dynamic_prop = "recruited";
+  Rig rig(
+      "tactic grow(g : ServerGroupT) : boolean = { return g.addServer(); }\n"
+      "tactic shrink(g : ServerGroupT) : boolean = {\n"
+      "  return g.removeServer();\n"
+      "}",
+      conv);
+  const model::Component& g2 = rig.sys.component("G2");
+  const EvalValue group(ElementRef::of_component(rig.sys, g2));
+  model::Transaction txn(rig.sys);
+  ASSERT_TRUE(rig.interp->run_tactic("grow", {group}, txn));
+  ASSERT_EQ(g2.representation_const().components().size(), 1u);
+  EXPECT_TRUE(rig.interp->run_tactic("shrink", {group}, txn));
+  txn.commit();
+  EXPECT_TRUE(g2.representation_const().components().empty());
+  EXPECT_EQ(g2.property("replicationCount").as_int(), 2);
 }
 
 }  // namespace

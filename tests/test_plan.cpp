@@ -119,7 +119,7 @@ class PricingTranslator : public Translator {
   SimTime estimate(const std::vector<model::OpRecord>& records) const override {
     SimTime cost = SimTime::zero();
     for (const model::OpRecord& op : records) {
-      if (runtime_effective(op, {})) cost += SimTime::seconds(1);
+      if (op_class_of(op, {}) != OpClass::Replay) cost += SimTime::seconds(1);
     }
     return cost;
   }

@@ -190,6 +190,81 @@ TEST(TranslatorTest, RemoveComponentDeactivates) {
   EXPECT_TRUE(rig.env->recruited_servers().empty());
 }
 
+/// estimate() must price exactly what apply() charges, and apply() must
+/// count runtime ops and ignored records as its Table-1 rule says: both
+/// classify through repair::op_class_of, and this pins the shared rule.
+TEST(TranslatorTest, EstimatePricesWhatApplyCharges) {
+  auto record = [](model::OpKind kind, std::string element) {
+    model::OpRecord op;
+    op.kind = kind;
+    op.element = std::move(element);
+    return op;
+  };
+  auto in_group = [](model::OpRecord op) {
+    op.scope = {"ServerGrp1"};
+    return op;
+  };
+  auto property = [&](std::string element, std::string name,
+                      model::PropertyValue value) {
+    model::OpRecord op = record(model::OpKind::SetProperty, std::move(element));
+    op.property = std::move(name);
+    op.value = std::move(value);
+    return op;
+  };
+  auto wiring = [](model::OpKind kind, std::string group) {
+    model::OpRecord op;
+    op.kind = kind;
+    op.attachment = {std::move(group), "provide", "Conn_User3", "serverSide"};
+    return op;
+  };
+  const model::OpRecord recruit =
+      in_group(record(model::OpKind::AddComponent, "Server4"));
+  const model::OpRecord release =
+      in_group(record(model::OpKind::RemoveComponent, "Server4"));
+  const model::OpRecord bookkeeping =
+      property("ServerGrp1", "replicationCount", model::PropertyValue(4));
+
+  struct Journal {
+    std::string name;
+    std::vector<model::OpRecord> records;
+    std::uint64_t runtime_ops;
+    std::uint64_t ignored;
+  };
+  const std::vector<Journal> journals = {
+      {"recruit", {recruit, bookkeeping}, 2, 1},
+      {"release", {release, bookkeeping}, 1, 1},
+      {"move",
+       {wiring(model::OpKind::Detach, "ServerGrp1"),
+        wiring(model::OpKind::Attach, "ServerGrp2"),
+        property("User3", "boundTo", model::PropertyValue("ServerGrp2"))},
+       1, 2},
+      {"ignored",
+       {record(model::OpKind::AddComponent, "ServerGrp9"),
+        record(model::OpKind::RemoveComponent, "ServerGrp9"), bookkeeping,
+        property("User3", "boundTo", model::PropertyValue(3)),
+        wiring(model::OpKind::Attach, "ServerGrp2"),
+        wiring(model::OpKind::Detach, "ServerGrp2")},
+       0, 6},
+  };
+  for (const Journal& j : journals) {
+    SCOPED_TRACE(j.name);
+    Rig rig;
+    if (j.name == "release") {
+      rig.env->connectServer("Server4", "ServerGrp1");
+      rig.env->activateServer("Server4");
+      rig.env->note_recruited("Server4");
+    }
+    const SimTime estimated = rig.translator->estimate(j.records);
+    const SimTime charged = rig.translator->apply(j.records);
+    EXPECT_EQ(estimated, charged);
+    EXPECT_EQ(charged > SimTime::zero(), j.runtime_ops > 0);
+    const TranslatorStats& stats = rig.translator->stats();
+    EXPECT_EQ(stats.records_seen, j.records.size());
+    EXPECT_EQ(stats.runtime_ops, j.runtime_ops);
+    EXPECT_EQ(stats.ignored, j.ignored);
+  }
+}
+
 // ---- model builder ----
 
 TEST(ModelBuilderTest, MirrorsTestbed) {

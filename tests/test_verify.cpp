@@ -16,6 +16,7 @@
 #include "core/framework.hpp"
 #include "core/verify.hpp"
 #include "repair/scripts.hpp"
+#include "repair/style_ops.hpp"
 #include "sim/scenario_registry.hpp"
 
 namespace arcadia::core {
@@ -152,7 +153,7 @@ void expect_journal_sound(const std::vector<repair::RepairRecord>& repairs,
                           const char* label) {
   const acme::Script script = acme::parse_script(repair::extended_script());
   const acme::ScriptEffects effects =
-      acme::infer_effects(script, acme::make_client_server_effects());
+      acme::infer_effects(script, repair::client_server_vocabulary());
   std::size_t committed = 0;
   std::size_t checked_ops = 0;
   for (const repair::RepairRecord& rec : repairs) {

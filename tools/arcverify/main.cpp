@@ -21,6 +21,7 @@
 #include "core/framework.hpp"
 #include "core/verify.hpp"
 #include "repair/scripts.hpp"
+#include "repair/style_ops.hpp"
 #include "sim/scenario_registry.hpp"
 
 namespace {
@@ -80,7 +81,7 @@ int main(int argc, char** argv) {
   }
 
   Diagnostics diag;
-  const acme::EffectTable table = acme::make_client_server_effects();
+  const acme::Vocabulary table = arcadia::repair::client_server_vocabulary();
 
   // ---- shipped scripts: effect/flow rules over the source alone ----
   const std::pair<const char*, const char*> scripts[] = {
