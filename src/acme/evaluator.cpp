@@ -49,74 +49,66 @@ const std::string& ElementRef::name() const {
 
 bool EvalValue::as_bool() const {
   if (!is_bool()) throw ScriptError("expected boolean, got " + to_string());
-  return bool_;
+  return scalar()->as_bool();
 }
 
 double EvalValue::as_number() const {
   if (!is_number()) throw ScriptError("expected number, got " + to_string());
-  return number_;
+  return scalar()->as_double();
 }
 
 const std::string& EvalValue::as_string() const {
   if (!is_string()) throw ScriptError("expected string, got " + to_string());
-  return string_;
+  return scalar()->as_string();
 }
 
 const ElementRef& EvalValue::as_element() const {
   if (!is_element()) {
     throw ScriptError("expected element reference, got " + to_string());
   }
-  return element_;
+  return std::get<ElementRef>(v_);
 }
 
 const EvalValue::Set& EvalValue::as_set() const {
   if (!is_set()) throw ScriptError("expected set, got " + to_string());
-  return *set_;
+  return *std::get<std::shared_ptr<const Set>>(v_);
 }
 
 bool EvalValue::truthy() const {
   if (!is_bool()) {
     throw ScriptError("condition is not boolean: " + to_string());
   }
-  return bool_;
+  return scalar()->as_bool();
 }
 
 bool EvalValue::equals(const EvalValue& other) const {
-  if (is_nil() || other.is_nil()) return is_nil() && other.is_nil();
-  if (is_number() && other.is_number()) return number_ == other.number_;
-  if (is_bool() && other.is_bool()) return bool_ == other.bool_;
-  if (is_string() && other.is_string()) return string_ == other.string_;
-  if (is_element() && other.is_element()) return element_ == other.element_;
-  if (is_set() && other.is_set()) {
-    if (set_->size() != other.set_->size()) return false;
-    for (std::size_t i = 0; i < set_->size(); ++i) {
-      if (!(*set_)[i].equals((*other.set_)[i])) return false;
-    }
-    return true;
+  if (v_.index() != other.v_.index()) return false;
+  if (const events::Value* v = scalar()) return *v == *other.scalar();
+  if (is_element()) return as_element() == other.as_element();
+  if (is_set()) {
+    return std::ranges::equal(as_set(), other.as_set(), &EvalValue::equals);
   }
-  return false;
+  return true;  // nil
 }
 
 std::string EvalValue::to_string() const {
-  switch (kind_) {
-    case Kind::Nil: return "nil";
-    case Kind::Bool: return bool_ ? "true" : "false";
-    case Kind::Number: {
-      std::string s = std::to_string(number_);
-      return s;
-    }
-    case Kind::String: return "\"" + string_ + "\"";
-    case Kind::Element: return "<" + element_.name() + ">";
-    case Kind::Set: {
-      std::string s = "{";
-      for (std::size_t i = 0; i < set_->size(); ++i) {
-        if (i) s += ", ";
-        s += (*set_)[i].to_string();
-      }
-      return s + "}";
-    }
+  if (const events::Value* v = scalar()) {
+    // Every number renders as a double (an int property reads "2.000000").
+    if (v->is_numeric()) return std::to_string(v->as_double());
+    if (v->is_string()) return "\"" + v->as_string() + "\"";
+    return v->to_string();
   }
-  return "?";
+  if (is_element()) return "<" + as_element().name() + ">";
+  if (is_set()) {
+    std::string s = "{";
+    const Set& set = as_set();
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      if (i) s += ", ";
+      s += set[i].to_string();
+    }
+    return s + "}";
+  }
+  return "nil";
 }
 
 const EvalValue* EvalContext::lookup(util::Symbol name) const {
@@ -360,10 +352,7 @@ EvalValue Evaluator::member_of_element(const ElementRef& ref,
     fail(line, std::string(to_string(ref.kind)) + " '" + el.name() +
                    "' has no property or member '" + member.str() + "'");
   }
-  const model::PropertyValue& v = el.property(member);
-  if (v.is_bool()) return EvalValue(v.as_bool());
-  if (v.is_numeric()) return EvalValue(v.as_double());
-  return EvalValue(v.as_string());
+  return EvalValue(el.property(member));
 }
 
 EvalValue Evaluator::eval_member(const MemberExpr& m, EvalContext& ctx) const {
@@ -417,15 +406,9 @@ bool is_ordering(BinaryExpr::Op op) {
 bool compare_ordered(BinaryExpr::Op op, const EvalValue& lhs,
                      const EvalValue& rhs, int line) {
   using Op = BinaryExpr::Op;
-  int cmp;
-  if (lhs.is_number() && rhs.is_number()) {
-    double x = lhs.as_number();
-    double y = rhs.as_number();
-    cmp = (x < y) ? -1 : (x > y) ? 1 : 0;
-  } else if (lhs.is_string() && rhs.is_string()) {
-    int c = lhs.as_string().compare(rhs.as_string());
-    cmp = (c < 0) ? -1 : (c > 0) ? 1 : 0;
-  } else {
+  int cmp = 0;
+  if (!lhs.scalar() || !rhs.scalar() ||
+      !events::Value::compare(*lhs.scalar(), *rhs.scalar(), cmp)) {
     fail(line, "cannot order " + lhs.to_string() + " and " + rhs.to_string());
   }
   switch (op) {

@@ -7,9 +7,11 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "acme/ast.hpp"
+#include "events/value.hpp"
 #include "model/system.hpp"
 #include "util/symbol.hpp"
 
@@ -50,30 +52,38 @@ struct ElementRef {
   }
 };
 
-/// Runtime value domain of the expression language.
+/// Runtime value domain of the expression language: nil, a scalar (the
+/// bus's and the model's events::Value, so a property read hands over the
+/// stored value and compares by the same rules), an element reference, or
+/// a shared set.
 class EvalValue {
  public:
-  enum class Kind { Nil, Bool, Number, String, Element, Set };
   using Set = std::vector<EvalValue>;
 
-  EvalValue() : kind_(Kind::Nil) {}
+  EvalValue() = default;
   static EvalValue nil() { return EvalValue(); }
-  EvalValue(bool b) : kind_(Kind::Bool), bool_(b) {}              // NOLINT
-  EvalValue(double n) : kind_(Kind::Number), number_(n) {}        // NOLINT
-  EvalValue(int n) : EvalValue(static_cast<double>(n)) {}         // NOLINT
-  EvalValue(std::string s) : kind_(Kind::String), string_(std::move(s)) {}  // NOLINT
+  EvalValue(events::Value v) : v_(std::move(v)) {}                // NOLINT
+  EvalValue(bool b) : v_(events::Value(b)) {}                     // NOLINT
+  EvalValue(double n) : v_(events::Value(n)) {}                   // NOLINT
+  EvalValue(int n) : v_(events::Value(n)) {}                      // NOLINT
+  EvalValue(std::string s) : v_(events::Value(std::move(s))) {}   // NOLINT
   EvalValue(const char* s) : EvalValue(std::string(s)) {}         // NOLINT
-  EvalValue(ElementRef e) : kind_(Kind::Element), element_(std::move(e)) {}  // NOLINT
+  EvalValue(ElementRef e) : v_(std::move(e)) {}                   // NOLINT
   explicit EvalValue(Set set)
-      : kind_(Kind::Set), set_(std::make_shared<Set>(std::move(set))) {}
+      : v_(std::make_shared<const Set>(std::move(set))) {}
 
-  Kind kind() const { return kind_; }
-  bool is_nil() const { return kind_ == Kind::Nil; }
-  bool is_bool() const { return kind_ == Kind::Bool; }
-  bool is_number() const { return kind_ == Kind::Number; }
-  bool is_string() const { return kind_ == Kind::String; }
-  bool is_element() const { return kind_ == Kind::Element; }
-  bool is_set() const { return kind_ == Kind::Set; }
+  bool is_nil() const { return std::holds_alternative<std::monostate>(v_); }
+  bool is_bool() const { return scalar() && scalar()->is_bool(); }
+  bool is_number() const { return scalar() && scalar()->is_numeric(); }
+  bool is_string() const { return scalar() && scalar()->is_string(); }
+  bool is_element() const { return std::holds_alternative<ElementRef>(v_); }
+  bool is_set() const {
+    return std::holds_alternative<std::shared_ptr<const Set>>(v_);
+  }
+  /// The scalar value, or null for nil, elements and sets.
+  const events::Value* scalar() const {
+    return std::get_if<events::Value>(&v_);
+  }
 
   /// Typed accessors; throw ScriptError on kind mismatch.
   bool as_bool() const;
@@ -85,16 +95,15 @@ class EvalValue {
   /// Truthiness: only booleans are truthy/falsy (no implicit coercion).
   bool truthy() const;
 
+  /// Scalars by events::Value's ==; elements by identity; sets
+  /// elementwise; nil only equals nil.
   bool equals(const EvalValue& other) const;
   std::string to_string() const;
 
  private:
-  Kind kind_;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  ElementRef element_;
-  std::shared_ptr<Set> set_;
+  std::variant<std::monostate, events::Value, ElementRef,
+               std::shared_ptr<const Set>>
+      v_;
 };
 
 class EvalContext;
@@ -177,10 +186,11 @@ void check_arity(const char* name, const char* params, std::size_t want,
 /// True for the ordering operators `<`, `<=`, `>` and `>=`.
 bool is_ordering(BinaryExpr::Op op);
 
-/// `lhs op rhs` for an ordering operator: numbers by value, strings
-/// lexicographically; any other pair throws ScriptError ("cannot order ...",
-/// with `line` when positive). The evaluator's binary operators and the
-/// constraint checker's threshold form both compare through it.
+/// `lhs op rhs` for an ordering operator, ordered by events::Value::compare
+/// (numbers by value, strings lexicographically); any other pair throws
+/// ScriptError ("cannot order ...", with `line` when positive). The
+/// evaluator's binary operators and the constraint checker's threshold form
+/// both compare through it.
 bool compare_ordered(BinaryExpr::Op op, const EvalValue& lhs,
                      const EvalValue& rhs, int line);
 

@@ -57,14 +57,8 @@ void SimEventBus::publish(Notification n) {
   ++stats_.published;
   n.published = sim_.now();
   NotificationPtr shared = payloads_.acquire(std::move(n));
-  bool matched = false;
-  stats_.filter_checks += subs_.for_candidates(
-      *shared, [&](std::uint32_t idx, auto& slot, bool topic_prechecked) {
-        const bool hit = topic_prechecked
-                             ? slot.filter.matches_constraints(*shared)
-                             : slot.filter.matches(*shared);
-        if (!hit) return;
-        matched = true;
+  const std::size_t matched = subs_.for_matches(
+      *shared, [&](std::uint32_t idx, const detail::SubTable::Slot& slot) {
         SimTime delay = delay_(*shared, slot.node);
         ++in_flight_;
         // 32-byte capture: fits the simulator's inline event slot, so a
@@ -73,7 +67,7 @@ void SimEventBus::publish(Notification n) {
           deliver(idx, gen, *shared);
         });
       });
-  if (!matched) ++stats_.dropped_no_match;
+  if (matched == 0) ++stats_.dropped_no_match;
 }
 
 }  // namespace arcadia::events

@@ -11,16 +11,14 @@
 //
 // Hot-path design (the monitoring pipeline pushes millions of notifications
 // per fleet run through the bus — about 5.4M on fleet-scale):
-//   * topic- and key-indexed routing — exact-topic subscriptions live in a
-//     SymbolMap<topic -> bucket>. Within a bucket, a filter with a routing
-//     key (its first symbol-valued Eq constraint, e.g. the gauge filter
-//     "client == User3") is listed under SymbolMap<attribute -> SymbolMap<
-//     value -> slot list>>; the rest sit in an unkeyed list. A publish looks
-//     up its own value for each key attribute in its topic's bucket and
-//     checks only the unkeyed list, the lists under its values, and the
-//     (rare) wildcard/any fallback list — one candidate per publish for
-//     one-gauge-per-client tables, instead of one per client. The index
-//     only rules candidates out: every candidate still runs its filter;
+//   * topic- and key-indexed routing — a filter is an exact topic with at
+//     most one `attr == symbol` key (events::Filter), so subscriptions live
+//     in a SymbolMap<topic -> bucket>, and within a bucket either in an
+//     unkeyed list or under SymbolMap<attribute -> SymbolMap<value -> slot
+//     list>>. A publish looks up its own value for each key attribute in
+//     its topic's bucket; the unkeyed list and the lists under its values
+//     are exactly its matching subscriptions — one per publish for a
+//     one-gauge-per-client table — so no filter runs per delivery;
 //   * slot + generation subscriptions — subscriber state lives in pooled
 //     slots; unsubscribe bumps the slot's generation, which both drops
 //     in-flight deliveries (like messages to a deleted Siena subscription)
@@ -30,10 +28,9 @@
 //   * shared-payload delivery — all matched subscribers of one publish see
 //     the same immutable notification, recycled through a use_count-scanned
 //     pool, so a steady publish stream does not allocate at all.
-// Delivery order is unchanged from the scan design: candidates are merged
-// across the selected bucket lists and the fallback list in subscription
-// order, so per-subscriber FIFO and cross-subscriber determinism hold
-// bit-for-bit.
+// Delivery order is subscription order: the selected lists are merged by
+// subscription id, so per-subscriber FIFO and cross-subscriber determinism
+// hold bit-for-bit.
 #pragma once
 
 #include <algorithm>
@@ -59,9 +56,6 @@ struct BusStats {
   std::uint64_t published = 0;
   std::uint64_t delivered = 0;
   std::uint64_t dropped_no_match = 0;
-  /// Candidate subscriptions whose filter a publish evaluated: the ones the
-  /// index could not rule out.
-  std::uint64_t filter_checks = 0;
 };
 
 class EventBus {
@@ -86,10 +80,9 @@ class EventBus {
 namespace detail {
 
 /// The bus's indexed subscription storage: pooled slots with generations,
-/// an exact-topic index whose buckets are further keyed by each filter's
-/// routing key (Filter::routing_key()), and a fallback list for any/prefix
-/// filters. Every index list holds slots in subscription order (ids are
-/// monotonic), and candidate iteration merges the lists a notification
+/// and a topic index whose buckets are further keyed by each filter's key
+/// (Filter::key()). Every index list holds slots in subscription order (ids
+/// are monotonic), and match iteration merges the lists a notification
 /// selects by id, preserving the delivery order of the linear-scan design
 /// this replaced. Not synchronized: the bus is single-threaded.
 class SubTable {
@@ -149,24 +142,20 @@ class SubTable {
   }
   Slot& slot(std::uint32_t idx) { return slots_[idx]; }
 
-  /// Visit the subscriptions that can match `n` in subscription order, and
-  /// return how many were visited. `fn(slot_index, slot, topic_prechecked)`
-  /// must not modify the table. Candidates from the topic bucket have
-  /// matched on topic, and a keyed one's key can equal `n`'s value; the
-  /// caller still evaluates every candidate's constraints. Fallback
-  /// candidates have not matched on topic.
+  /// Visit the subscriptions matching `n` in subscription order, and
+  /// return how many were visited. `fn(slot_index, slot)` must not modify
+  /// the table.
   template <typename Fn>
-  std::size_t for_candidates(const Notification& n, Fn&& fn) {
+  std::size_t for_matches(const Notification& n, Fn&& fn) {
+    const Bucket* bucket = topics_.find(n.topic);
+    if (!bucket) return 0;
     runs_.clear();
-    if (const Bucket* bucket = exact_.find(n.topic)) {
-      add_run(bucket->unkeyed, true);
-      for (const auto& [attr, by_value] : bucket->keyed) {
-        const std::optional<util::Symbol> value = key_value(n, attr);
-        if (!value) continue;
-        if (const auto* list = by_value.find(*value)) add_run(*list, true);
-      }
+    add_run(bucket->unkeyed);
+    for (const auto& [attr, by_value] : bucket->keyed) {
+      const std::optional<util::Symbol> value = key_value(n, attr);
+      if (!value) continue;
+      if (const auto* list = by_value.find(*value)) add_run(*list);
     }
-    add_run(fallback_, false);
     std::size_t visited = 0;
     while (!runs_.empty()) {
       std::size_t next = 0;
@@ -177,35 +166,31 @@ class SubTable {
       }
       Run& run = runs_[next];
       const std::uint32_t idx = *run.head++;
-      const bool topic_prechecked = run.topic_prechecked;
       if (run.head == run.end) runs_.erase(runs_.begin() + next);
-      fn(idx, slots_[idx], topic_prechecked);
+      fn(idx, slots_[idx]);
       ++visited;
     }
     return visited;
   }
 
  private:
-  /// One exact topic's subscriptions: those without a routing key, and
-  /// the keyed ones by key attribute, then key value.
+  /// One topic's subscriptions: those without a key, and the keyed ones by
+  /// key attribute, then key value.
   struct Bucket {
     std::vector<std::uint32_t> unkeyed;
     util::SymbolMap<util::SymbolMap<std::vector<std::uint32_t>>> keyed;
   };
-  /// The unvisited rest of one index list during a candidate merge.
+  /// The unvisited rest of one index list during a match merge.
   struct Run {
     const std::uint32_t* head;
     const std::uint32_t* end;
-    bool topic_prechecked;
   };
 
   /// The index list `f` lives in (created on first use).
   std::vector<std::uint32_t>& list_for(const Filter& f) {
-    if (f.topic_kind() != Filter::TopicKind::Exact) return fallback_;
-    Bucket& bucket = exact_[f.topic_symbol()];
-    const AttrConstraint* key = f.routing_key();
-    if (!key) return bucket.unkeyed;
-    return bucket.keyed[key->name][key->value.as_symbol()];
+    Bucket& bucket = topics_[f.topic_symbol()];
+    if (!f.key()) return bucket.unkeyed;
+    return bucket.keyed[f.key()->attr][f.key()->value];
   }
 
   /// `n`'s value for a key attribute as a symbol: a symbol value as is, an
@@ -219,15 +204,14 @@ class SubTable {
     return util::Symbol::lookup(v->as_string());
   }
 
-  void add_run(const std::vector<std::uint32_t>& list, bool topic_prechecked) {
+  void add_run(const std::vector<std::uint32_t>& list) {
     if (list.empty()) return;
-    runs_.push_back({list.data(), list.data() + list.size(), topic_prechecked});
+    runs_.push_back({list.data(), list.data() + list.size()});
   }
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
-  util::SymbolMap<Bucket> exact_;
-  std::vector<std::uint32_t> fallback_;  ///< any/prefix-topic filters
+  util::SymbolMap<Bucket> topics_;
   std::vector<Run> runs_;  ///< merge scratch; keeps its capacity
 };
 

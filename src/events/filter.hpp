@@ -1,105 +1,67 @@
-// Content-based subscription filters: a topic pattern plus a conjunction of
-// attribute constraints, following Siena's filter model.
+// Subscription filters: an exact topic, optionally narrowed by one
+// attribute-equality key. That is every subscription the monitoring
+// pipeline makes — a gauge listens to one probe topic for one client or
+// group ("probe.latency" where client == User3), and the fleet's sinks to a
+// whole topic — so the buses can route on the key alone and evaluate no
+// filter per delivery.
 //
-// The topic pattern is classified once at construction — exact (interned
-// symbol, id-compared), prefix ("probe.*"), or any — so the buses can route
-// exact-topic subscriptions through a topic index and only string-compare
-// the wildcard minority. Constraint names are interned; Eq/Ne string
-// constraint values are stored as symbols so the common "client == User3"
-// match is an integer compare against a symbol-valued attribute, and so the
-// buses can index such a filter under that symbol (routing_key()).
+// Topic, key attribute and key value are interned symbols. A notification
+// matches when its topic is the filter's and, for a keyed filter, its value
+// for the key attribute equals the key value by events::Value's == (a
+// symbol by id, an owned string by text, any other value never).
 #pragma once
 
-#include <string>
-#include <vector>
+#include <optional>
+#include <string_view>
 
 #include "events/notification.hpp"
 
 namespace arcadia::events {
 
-enum class Op {
-  Eq,
-  Ne,
-  Lt,
-  Le,
-  Gt,
-  Ge,
-  Exists,    ///< attribute present, value ignored
-  Prefix,    ///< string starts-with
-  Suffix,    ///< string ends-with
-  Contains,  ///< string substring
+/// The one attribute constraint a filter may carry: `attr == value`.
+struct FilterKey {
+  util::Symbol attr;
+  util::Symbol value;
 };
 
-const char* to_string(Op op);
-
-struct AttrConstraint {
-  util::Symbol name;
-  Op op = Op::Exists;
-  Value value;
-};
-
-/// Conjunctive filter. Topic pattern: exact match, "" (all topics), or a
-/// prefix ending in '*' ("gauge.*").
 class Filter {
  public:
-  enum class TopicKind {
-    Any,     ///< "" — every topic
-    Exact,   ///< id-compared against the notification's interned topic
-    Prefix,  ///< pattern ending in '*'
-  };
-
   Filter() = default;
-  static Filter topic(std::string pattern) {
+  static Filter topic(util::Symbol topic) {
     Filter f;
-    f.set_topic(std::move(pattern));
+    f.topic_ = topic;
     return f;
   }
-  static Filter topic(util::Symbol pattern) {
-    // Classified like the string overload, so a '*'-suffixed symbol is a
-    // prefix filter, not an exact match against the literal pattern text.
-    Filter f;
-    f.set_topic(pattern.str());
+  static Filter topic(std::string_view topic) {
+    return Filter::topic(util::Symbol::intern(topic));
+  }
+  /// `topic` notifications whose `attr` equals `value`.
+  static Filter keyed(util::Symbol topic, util::Symbol attr,
+                      util::Symbol value) {
+    Filter f = Filter::topic(topic);
+    f.key_ = FilterKey{attr, value};
     return f;
   }
-  static Filter any() { return Filter(); }
-
-  Filter& where(util::Symbol name, Op op, Value value = Value()) {
-    // Store Eq/Ne string operands interned: equality is textual either way,
-    // and a symbol-vs-symbol compare is one integer op on the match path.
-    if ((op == Op::Eq || op == Op::Ne) && value.is_string()) {
-      value = Value(value.to_symbol());
-    }
-    constraints_.push_back({name, op, std::move(value)});
-    return *this;
-  }
-  Filter& where(std::string_view name, Op op, Value value = Value()) {
-    return where(util::Symbol::intern(name), op, std::move(value));
+  static Filter keyed(std::string_view topic, std::string_view attr,
+                      std::string_view value) {
+    return keyed(util::Symbol::intern(topic), util::Symbol::intern(attr),
+                 util::Symbol::intern(value));
   }
 
-  bool matches(const Notification& n) const;
-  /// The attribute-constraint half of matches(); used by the indexed buses,
-  /// which have already routed on the topic.
-  bool matches_constraints(const Notification& n) const;
+  /// The reference semantics the buses' index reproduces.
+  bool matches(const Notification& n) const {
+    if (n.topic != topic_) return false;
+    if (!key_) return true;
+    const Value* v = n.get_if(key_->attr);
+    return v && *v == Value(key_->value);
+  }
 
-  /// The constraint the buses route this filter by: its first Eq
-  /// constraint with a symbol operand (where() interns Eq string
-  /// operands), or nullptr. A notification can match only if its value
-  /// for the key's attribute equals the key's symbol by text.
-  const AttrConstraint* routing_key() const;
-
-  TopicKind topic_kind() const { return kind_; }
-  /// Interned topic for Exact filters (empty symbol otherwise).
-  util::Symbol topic_symbol() const { return topic_sym_; }
-  const std::string& topic_pattern() const { return topic_; }
-  const std::vector<AttrConstraint>& constraints() const { return constraints_; }
+  util::Symbol topic_symbol() const { return topic_; }
+  const std::optional<FilterKey>& key() const { return key_; }
 
  private:
-  void set_topic(std::string pattern);
-  static bool match_constraint(const AttrConstraint& c, const Notification& n);
-  std::string topic_;
-  util::Symbol topic_sym_;  ///< set for Exact
-  TopicKind kind_ = TopicKind::Any;
-  std::vector<AttrConstraint> constraints_;
+  util::Symbol topic_;
+  std::optional<FilterKey> key_;
 };
 
 }  // namespace arcadia::events

@@ -1,7 +1,8 @@
-// Typed attribute values carried in bus notifications. Siena's data model:
-// notifications are flat sets of named, typed attributes; filters constrain
-// them. Numeric comparisons coerce int<->double, mirroring Siena's
-// behaviour for numeric attribute types.
+// Typed scalar values: bus notification attributes (Siena's data model:
+// notifications are flat sets of named, typed attributes), model
+// properties, and the scalars of the expression language, which all
+// compare by the rules here. Numeric comparisons coerce int<->double,
+// mirroring Siena's behaviour for numeric attribute types.
 //
 // Strings come in two flavours: an owned std::string for arbitrary payload
 // text, and an interned util::Symbol for the names the monitoring stack
@@ -80,9 +81,9 @@ class Value {
   friend bool operator==(const Value& a, const Value& b);
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
 
-  /// Three-way ordering for filter range operators: numerics by value,
-  /// strings lexicographically. Returns false via `ordered` for
-  /// incomparable pairs (bool vs string, etc.).
+  /// Three-way ordering, the one the expression language's `<`, `<=`, `>`
+  /// and `>=` use: numerics by value, strings lexicographically. Returns
+  /// false for incomparable pairs (bool vs string, etc.).
   static bool compare(const Value& a, const Value& b, int& out_cmp);
 
   std::string to_string() const;

@@ -127,10 +127,8 @@ std::unique_ptr<Gauge> make_latency_gauge(sim::Simulator& sim,
   spec.element = util::Symbol::intern(client);
   spec.property = util::Symbol::intern("averageLatency");
   spec.host_node = host;
-  auto filter =
-      events::Filter::topic(topics::kProbeLatencySym)
-          .where(topics::kAttrClientSym, events::Op::Eq,
-                 events::Value(util::Symbol::intern(client)));
+  auto filter = events::Filter::keyed(topics::kProbeLatencySym,
+                                      topics::kAttrClientSym, spec.element);
   return std::make_unique<SlidingWindowGauge>(
       sim, std::move(spec), std::move(filter), topics::kAttrValueSym, window,
       window * 2.0);
@@ -144,9 +142,8 @@ std::unique_ptr<Gauge> make_load_gauge(sim::Simulator& sim,
   spec.element = util::Symbol::intern(group);
   spec.property = util::Symbol::intern("load");
   spec.host_node = host;
-  auto filter = events::Filter::topic(topics::kProbeQueueSym)
-                    .where(topics::kAttrGroupSym, events::Op::Eq,
-                           events::Value(util::Symbol::intern(group)));
+  auto filter = events::Filter::keyed(topics::kProbeQueueSym,
+                                      topics::kAttrGroupSym, spec.element);
   return std::make_unique<SlidingWindowGauge>(
       sim, std::move(spec), std::move(filter), topics::kAttrValueSym, window,
       window * 2.0);
@@ -162,9 +159,8 @@ std::unique_ptr<Gauge> make_bandwidth_gauge(sim::Simulator& sim,
   spec.property = util::Symbol::intern("bandwidth");
   spec.host_node = host;
   auto filter =
-      events::Filter::topic(topics::kProbeBandwidthSym)
-          .where(topics::kAttrClientSym, events::Op::Eq,
-                 events::Value(util::Symbol::intern(client)));
+      events::Filter::keyed(topics::kProbeBandwidthSym, topics::kAttrClientSym,
+                            util::Symbol::intern(client));
   return std::make_unique<LatestValueGauge>(sim, std::move(spec),
                                             std::move(filter),
                                             topics::kAttrValueSym);
@@ -178,9 +174,8 @@ std::unique_ptr<Gauge> make_utilization_gauge(sim::Simulator& sim,
   spec.element = util::Symbol::intern(group);
   spec.property = util::Symbol::intern("utilization");
   spec.host_node = host;
-  auto filter = events::Filter::topic(topics::kProbeUtilizationSym)
-                    .where(topics::kAttrGroupSym, events::Op::Eq,
-                           events::Value(util::Symbol::intern(group)));
+  auto filter = events::Filter::keyed(topics::kProbeUtilizationSym,
+                                      topics::kAttrGroupSym, spec.element);
   return std::make_unique<EwmaGauge>(sim, std::move(spec), std::move(filter),
                                      topics::kAttrValueSym, alpha);
 }

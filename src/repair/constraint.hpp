@@ -82,7 +82,6 @@ class ConstraintChecker {
   /// data that may simply be missing. Clearing resumes normal evaluation.
   void set_element_suspect(util::Symbol element, bool suspect);
   bool element_suspect(util::Symbol element) const;
-  std::size_t suspect_elements() const { return suspect_.size(); }
 
   /// Incremental-evaluation accounting (benches / tests).
   struct CheckStats {

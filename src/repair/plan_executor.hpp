@@ -71,7 +71,6 @@ class PlanExecutor {
   /// Install the retry/backoff/timeout policy (reseeds the jitter stream;
   /// call before run()).
   void set_retry_policy(RetryPolicy policy);
-  const RetryPolicy& retry_policy() const { return retry_; }
   /// Counters for the current (or most recently finished) run.
   const FaultStats& fault_stats() const { return fault_stats_; }
 

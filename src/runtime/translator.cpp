@@ -25,7 +25,6 @@ SimTime op_class_cost(repair::OpClass cls, const EnvironmentCosts& costs) {
 SimTime SimTranslator::apply(const std::vector<model::OpRecord>& records) {
   SimTime cost = SimTime::zero();
   for (const model::OpRecord& op : records) {
-    ++stats_.records_seen;
     switch (repair::op_class_of(op, conv_)) {
       case repair::OpClass::Recruit:
         // A server component appeared inside a group's representation:

@@ -23,7 +23,6 @@
 namespace arcadia::rt {
 
 struct TranslatorStats {
-  std::uint64_t records_seen = 0;
   std::uint64_t runtime_ops = 0;
   std::uint64_t ignored = 0;
 };

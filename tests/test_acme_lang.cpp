@@ -112,6 +112,58 @@ TEST(EvaluatorTest, ComparisonAndLogic) {
   EXPECT_TRUE(rig.eval_bool("\"abc\" < \"abd\""));
   EXPECT_TRUE(rig.eval_bool("nil == nil"));
   EXPECT_FALSE(rig.eval_bool("1 == nil"));
+  EXPECT_TRUE(rig.eval_bool("self.Components == self.Components"));
+  EXPECT_FALSE(rig.eval_bool("self.Components == self.Connectors"));
+  EXPECT_FALSE(rig.eval_bool("self.Components == nil"));
+
+  // Property values compare like literals: an int property against int and
+  // fractional literals, a symbol property against string literals.
+  auto& g1 = rig.sys.component("G1");
+  g1.set_property("replicationCount", model::PropertyValue(2));
+  g1.set_property("host", model::PropertyValue(util::Symbol::intern("Node5")));
+  auto on_g1 = [&](const std::string& source) {
+    auto expr = parse_expression(source);
+    EvalContext ctx(rig.sys);
+    ctx.set_context_element(ElementRef::of_component(rig.sys, g1));
+    return rig.evaluator.evaluate_bool(*expr, ctx);
+  };
+  EXPECT_TRUE(on_g1("replicationCount == 2"));
+  EXPECT_TRUE(on_g1("replicationCount == 2.0"));
+  EXPECT_TRUE(on_g1("replicationCount < 2.5"));
+  EXPECT_FALSE(on_g1("replicationCount < 2"));
+  EXPECT_TRUE(on_g1("host == \"Node5\""));
+  EXPECT_FALSE(on_g1("host == \"Node6\""));
+  EXPECT_TRUE(on_g1("host < \"Node6\""));
+  EXPECT_FALSE(on_g1("host < \"Node5\""));
+  EXPECT_FALSE(on_g1("host == 5"));
+}
+
+TEST(EvaluatorTest, TypeErrorTextsArePinned) {
+  ExprRig rig;
+  rig.sys.component("G1").set_property("replicationCount",
+                                       model::PropertyValue(2));
+  auto error_of = [&](const std::string& source) -> std::string {
+    try {
+      rig.eval(source);
+    } catch (const ScriptError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const std::string g1 =
+      "(select one g : ServerGroupT in self.Components | g.name == \"G1\")";
+  EXPECT_EQ(error_of("\"a\" < 2"),
+            "ScriptError: cannot order \"a\" and 2.000000 (line 1)");
+  // An int property renders like any number.
+  EXPECT_EQ(error_of(g1 + ".replicationCount < \"a\""),
+            "ScriptError: cannot order 2.000000 and \"a\" (line 1)");
+  EXPECT_EQ(error_of("true < false"),
+            "ScriptError: cannot order true and false (line 1)");
+  EXPECT_EQ(error_of("-\"x\""), "ScriptError: expected number, got \"x\"");
+  EXPECT_EQ(error_of("\"x\" * 2"), "ScriptError: expected number, got \"x\"");
+  EXPECT_EQ(error_of("size(1)"), "ScriptError: expected set, got 1.000000");
+  EXPECT_EQ(error_of("nil and true"),
+            "ScriptError: condition is not boolean: nil");
 }
 
 TEST(EvaluatorTest, ShortCircuit) {

@@ -80,69 +80,44 @@ TEST(AttrListTest, MovesCarryExactlyTheLiveAttributes) {
   }
 }
 
-struct FilterCase {
-  Op op;
-  Value attr;
-  Value constraint;
-  bool expect;
-};
-
-class FilterOpTest : public ::testing::TestWithParam<FilterCase> {};
-
-TEST_P(FilterOpTest, Matches) {
-  const FilterCase& c = GetParam();
-  Notification n("t");
-  n.set("k", c.attr);
-  Filter f = Filter::topic("t").where("k", c.op, c.constraint);
-  EXPECT_EQ(f.matches(n), c.expect)
-      << to_string(c.op) << " attr=" << c.attr.to_string()
-      << " constraint=" << c.constraint.to_string();
+TEST(FilterTest, KeyMatchesByValueEquality) {
+  const Filter f = Filter::keyed("t", "k", "User3");
+  struct Case {
+    Value attr;
+    bool expect;
+  };
+  const Case cases[] = {
+      {Value(util::Symbol::intern("User3")), true},
+      {Value(std::string("User3")), true},  // an owned string, by its text
+      {Value(util::Symbol::intern("User4")), false},
+      {Value(std::string("User4")), false},
+      {Value(3), false},
+      {Value(true), false},
+  };
+  for (const Case& c : cases) {
+    Notification n("t");
+    n.set("k", c.attr);
+    EXPECT_EQ(f.matches(n), c.expect) << c.attr.to_string();
+  }
+  Notification other_topic("u");
+  other_topic.set("k", "User3");
+  EXPECT_FALSE(f.matches(other_topic));
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    OpTable, FilterOpTest,
-    ::testing::Values(
-        FilterCase{Op::Eq, Value(5), Value(5.0), true},
-        FilterCase{Op::Eq, Value(5), Value(6), false},
-        FilterCase{Op::Ne, Value("a"), Value("b"), true},
-        FilterCase{Op::Ne, Value("a"), Value("a"), false},
-        FilterCase{Op::Lt, Value(1.5), Value(2), true},
-        FilterCase{Op::Lt, Value(2), Value(2), false},
-        FilterCase{Op::Le, Value(2), Value(2), true},
-        FilterCase{Op::Gt, Value(3), Value(2), true},
-        FilterCase{Op::Ge, Value(2), Value(3), false},
-        FilterCase{Op::Exists, Value(0), Value(0), true},
-        FilterCase{Op::Prefix, Value("User3"), Value("User"), true},
-        FilterCase{Op::Prefix, Value("User3"), Value("Server"), false},
-        FilterCase{Op::Suffix, Value("probe.latency"), Value("latency"), true},
-        FilterCase{Op::Suffix, Value("probe.latency"), Value("queue"), false},
-        FilterCase{Op::Contains, Value("gauge.report"), Value("e.r"), true},
-        FilterCase{Op::Contains, Value("gauge.report"), Value("xyz"), false},
-        FilterCase{Op::Lt, Value("a"), Value(1), false},  // incomparable
-        FilterCase{Op::Prefix, Value(5), Value("5"), false}));
 
 TEST(FilterTest, MissingAttributeNeverMatches) {
   Notification n("t");
-  Filter f = Filter::topic("t").where("absent", Op::Exists);
-  EXPECT_FALSE(f.matches(n));
+  n.set("other", "User3");
+  EXPECT_FALSE(Filter::keyed("t", "absent", "User3").matches(n));
+  EXPECT_TRUE(Filter::topic("t").matches(n));
 }
 
-TEST(FilterTest, TopicExactAndWildcard) {
+TEST(FilterTest, TopicIsExact) {
   Notification n("probe.latency");
   EXPECT_TRUE(Filter::topic("probe.latency").matches(n));
+  EXPECT_TRUE(Filter::topic(util::Symbol::intern("probe.latency")).matches(n));
   EXPECT_FALSE(Filter::topic("probe.queue").matches(n));
-  EXPECT_TRUE(Filter::topic("probe.*").matches(n));
-  EXPECT_FALSE(Filter::topic("gauge.*").matches(n));
-  EXPECT_TRUE(Filter::any().matches(n));
-}
-
-TEST(FilterTest, ConjunctionOfConstraints) {
-  Notification n("t");
-  n.set("a", 1).set("b", "x");
-  Filter both = Filter::topic("t").where("a", Op::Eq, 1).where("b", Op::Eq, "x");
-  EXPECT_TRUE(both.matches(n));
-  Filter bad = Filter::topic("t").where("a", Op::Eq, 1).where("b", Op::Eq, "y");
-  EXPECT_FALSE(bad.matches(n));
+  // '*' is topic text like any other: there are no pattern topics.
+  EXPECT_FALSE(Filter::topic("probe.*").matches(n));
 }
 
 TEST(ZeroDelayBusTest, DeliversToMatchingSubscribers) {
@@ -167,7 +142,7 @@ TEST(ZeroDelayBusTest, UnsubscribeStopsDelivery) {
   test::ZeroDelayBus bus(sim);
   int count = 0;
   SubscriptionId id =
-      bus.subscribe(Filter::any(), [&](const Notification&) { ++count; });
+      bus.subscribe(Filter::topic("t"), [&](const Notification&) { ++count; });
   bus.publish(Notification("t"));
   bus.drain();
   bus.unsubscribe(id);
@@ -195,7 +170,7 @@ TEST(SimEventBusTest, DeliveryIsDelayed) {
   sim::Simulator sim;
   SimEventBus bus(sim, fixed_delay(SimTime::millis(100)));
   SimTime delivered;
-  bus.subscribe(Filter::any(),
+  bus.subscribe(Filter::topic("t"),
                 [&](const Notification&) { delivered = sim.now(); });
   sim.schedule_at(SimTime::seconds(1), [&] { bus.publish(Notification("t")); });
   sim.run_until(SimTime::seconds(2));
@@ -207,7 +182,7 @@ TEST(SimEventBusTest, UnsubscribeDropsInFlight) {
   SimEventBus bus(sim, fixed_delay(SimTime::seconds(1)));
   int count = 0;
   SubscriptionId id =
-      bus.subscribe(Filter::any(), [&](const Notification&) { ++count; });
+      bus.subscribe(Filter::topic("t"), [&](const Notification&) { ++count; });
   bus.publish(Notification("t"));
   EXPECT_EQ(bus.in_flight(), 1u);
   sim.schedule_at(SimTime::millis(500), [&] { bus.unsubscribe(id); });

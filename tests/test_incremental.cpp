@@ -322,6 +322,14 @@ TEST(CheckerEvaluationTest, ObservedIsTheLeftHandValueForEachOrdering) {
     EXPECT_TRUE(checker.check().empty()) << condition;
     EXPECT_TRUE(checker.satisfied("c")) << condition;
   }
+  // An int-valued property observes as its number.
+  sys.component("User1").set_property("replicas", model::PropertyValue(3));
+  ConstraintChecker checker(sys);
+  checker.add_constraint("c", "User1", "replicas < 2.5", "fix");
+  checker.add_constraint("d", "User1", "replicas == 3", "fix");
+  auto violations = checker.check();
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_DOUBLE_EQ(violations[0].observed, 3.0);
 }
 
 TEST(CheckerEvaluationTest, NonThresholdInvariantObservesZero) {

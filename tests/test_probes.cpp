@@ -22,8 +22,14 @@ struct ProbeRig {
   std::vector<events::Notification> seen;
 
   ProbeRig() : tb(sim::build_testbed(sim, cfg)), remos(sim, *tb.net) {
-    bus.subscribe(events::Filter::any(),
-                  [this](const events::Notification& n) { seen.push_back(n); });
+    for (const char* topic :
+         {topics::kProbeLatency, topics::kProbeQueue, topics::kProbeBandwidth,
+          topics::kProbeUtilization, topics::kProbeMethodCall}) {
+      bus.subscribe(events::Filter::topic(topic),
+                    [this](const events::Notification& n) {
+                      seen.push_back(n);
+                    });
+    }
   }
 
   std::size_t count(const char* topic) const {
