@@ -10,6 +10,12 @@ namespace arcadia::core {
 
 namespace {
 
+/// Sampling period for queue-length / bandwidth / utilization series.
+constexpr SimTime kRecordPeriod = SimTime::seconds(2);
+/// Post-hoc windowed-latency parameters (matches the latency gauge).
+constexpr SimTime kLatencyWindow = SimTime::seconds(30);
+constexpr SimTime kLatencySample = SimTime::seconds(5);
+
 /// Cross-check the architectural model against the runtime after a run —
 /// the translator is supposed to have kept them in lockstep.
 std::vector<std::string> check_consistency(const Framework& framework,
@@ -138,7 +144,7 @@ ExperimentResult run_experiment(const ExperimentOptions& options) {
   };
 
   sim::PeriodicTask recorder(
-      sim, options.record_period, options.record_period, [&] {
+      sim, kRecordPeriod, kRecordPeriod, [&] {
         for (sim::GroupIdx g = 0;
              g < static_cast<sim::GroupIdx>(app.group_count()); ++g) {
           result.groups[g].queue_length.append(
@@ -175,7 +181,7 @@ ExperimentResult run_experiment(const ExperimentOptions& options) {
   // ---- post-processing ----
   for (ClientSeries& c : result.clients) {
     c.window_latency = c.raw_latency.windowed_mean(
-        options.latency_window, options.latency_sample, SimTime::zero(),
+        kLatencyWindow, kLatencySample, SimTime::zero(),
         options.scenario.horizon);
     c.window_latency.set_name("wlatency:" + c.name);
   }

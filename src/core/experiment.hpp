@@ -25,11 +25,6 @@ struct ExperimentOptions {
   FrameworkConfig framework;
   /// false = the paper's control run (no adaptation infrastructure at all).
   bool adaptation = true;
-  /// Sampling period for queue-length / bandwidth / utilization series.
-  SimTime record_period = SimTime::seconds(2);
-  /// Post-hoc windowed-latency parameters (matches the latency gauge).
-  SimTime latency_window = SimTime::seconds(30);
-  SimTime latency_sample = SimTime::seconds(5);
 };
 
 struct ClientSeries {

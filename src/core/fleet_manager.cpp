@@ -30,7 +30,6 @@ FleetManager::ShardId FleetManager::add_shard(std::string name,
   if (started_) throw Error("FleetManager: add_shard after start");
   Shard shard;
   shard.name = std::move(name);
-  shard.name_sym = util::Symbol::intern(shard.name);
   shard.manager = &manager;
   shard.bus = &gauge_bus;
   shard.manager_node = manager_node;
@@ -268,30 +267,6 @@ void FleetManager::update_health(ShardId id) {
     case ShardHealth::Recovering:
       break;
   }
-  publish_health(shard);
-}
-
-void FleetManager::publish_health(Shard& shard) {
-  util::Symbol state;
-  switch (shard.health) {
-    case ShardHealth::Healthy:
-      state = monitor::topics::kStateHealthy;
-      break;
-    case ShardHealth::Degraded:
-      state = monitor::topics::kStateDegraded;
-      break;
-    case ShardHealth::Quarantined:
-      state = monitor::topics::kStateQuarantined;
-      break;
-    case ShardHealth::Recovering:
-      state = monitor::topics::kStateRecovering;
-      break;
-  }
-  events::Notification n(monitor::topics::kFleetHealthSym);
-  n.set(monitor::topics::kAttrShardSym, shard.name_sym)
-      .set(monitor::topics::kAttrStateSym, state);
-  n.wire_size = DataSize::bytes(128);
-  shard.bus->publish(std::move(n));
 }
 
 void FleetManager::flush(ShardId id) {
@@ -343,7 +318,7 @@ void FleetManager::run_sweep() {
   std::vector<char> selected(shards_.size(), 0);
   for (ShardId id = 0; id < shards_.size(); ++id) {
     Shard& shard = shards_[id];
-    // Health publishes on the shard's bus; selection reads shard state.
+    // Health and selection touch shard state: enter its lane.
     util::SerialLane in_lane(shard.lane);
     if (config_.health_tracking) update_health(id);
     // Degraded-mode fleet: a quarantined shard is neither swept nor
@@ -359,7 +334,6 @@ void FleetManager::run_sweep() {
                        !shard.manager->repair_active();
     if (clean) {
       ++shard.stats.sweeps_skipped;
-      ++stats_.shard_skips;
     } else {
       selected[id] = 1;
       sweep.push_back(id);
@@ -396,12 +370,10 @@ void FleetManager::run_sweep() {
       shard.swept_once = true;
       shard.dirty = false;
       ++shard.stats.sweeps;
-      ++stats_.shard_sweeps;
     }
     if (shard.last_violations.empty()) continue;
     shard.stats.violations += shard.last_violations.size();
     if (shard.manager->dispatch(shard.last_violations)) {
-      ++shard.stats.repairs_triggered;
       // The repair just mutated this shard's model; whatever it changed must
       // be re-examined next round even if no report arrives meanwhile.
       shard.dirty = true;

@@ -95,7 +95,6 @@ struct FleetShardStats {
   std::uint64_t sweeps = 0;             ///< detections actually run
   std::uint64_t sweeps_skipped = 0;     ///< clean-shard skips
   std::uint64_t violations = 0;         ///< violations dispatched (incl. cached)
-  std::uint64_t repairs_triggered = 0;
   // Health state machine transitions.
   std::uint64_t health_degraded = 0;     ///< entries into Degraded
   std::uint64_t health_quarantined = 0;  ///< entries into Quarantined
@@ -106,8 +105,6 @@ struct FleetShardStats {
 struct FleetStats {
   std::uint64_t sweep_rounds = 0;     ///< periodic sweeps of the whole fleet
   std::uint64_t parallel_rounds = 0;  ///< rounds that used the thread pool
-  std::uint64_t shard_sweeps = 0;     ///< sum of per-shard detections
-  std::uint64_t shard_skips = 0;      ///< sum of per-shard skips
   std::uint64_t shards_quarantined = 0;  ///< quarantine entries, fleet-wide
   /// Real (host) wall-clock spent inside run_sweep — flush, health
   /// bookkeeping, parallel detect, ordered dispatch. Each shard's own
@@ -199,7 +196,6 @@ class FleetManager {
  private:
   struct Shard {
     std::string name;
-    util::Symbol name_sym;
     ArchitectureManager* manager = nullptr;
     events::EventBus* bus = nullptr;
     sim::NodeId manager_node = sim::kNoNode;
@@ -259,7 +255,6 @@ class FleetManager {
   void apply(Shard& shard, const Shard::PendingSlot& slot);
   void note_lifecycle(ShardId id, const events::Notification& n);
   void update_health(ShardId id);
-  void publish_health(Shard& shard);
 
   sim::Simulator& sim_;
   const SimTime check_period_;

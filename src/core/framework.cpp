@@ -114,9 +114,6 @@ Framework::Framework(sim::Simulator& sim, sim::Testbed& testbed,
       sim_, *system_, script_, queries_.get(), engine_translator,
       gauge_manager_.get(), config_.repair, config_.profile,
       config_.conventions);
-  // Plan lifecycle notifications share the gauge bus: tools observe
-  // repairs in flight without new wiring.
-  engine_->set_event_bus(gauge_bus_.get());
 
   manager_ = std::make_unique<ArchitectureManager>(sim_, *system_, *engine_);
 

@@ -5,15 +5,6 @@
 
 namespace arcadia::core {
 
-void print_series(std::ostream& out, const TimeSeries& series, SimTime bucket,
-                  const std::string& unit) {
-  TimeSeries rs = series.resample(bucket);
-  out << "# " << series.name() << " (" << unit << ")\n";
-  for (const auto& [t, v] : rs.points()) {
-    out << std::setw(7) << t.as_seconds() << "  " << v << "\n";
-  }
-}
-
 void print_series_table(std::ostream& out,
                         const std::vector<const TimeSeries*>& series,
                         SimTime bucket) {

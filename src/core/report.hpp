@@ -15,10 +15,6 @@
 
 namespace arcadia::core {
 
-/// Print one series as "t value" rows, bucketed for readability.
-void print_series(std::ostream& out, const TimeSeries& series, SimTime bucket,
-                  const std::string& unit);
-
 /// Print several aligned series as columns.
 void print_series_table(std::ostream& out,
                         const std::vector<const TimeSeries*>& series,

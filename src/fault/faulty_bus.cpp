@@ -8,7 +8,7 @@ bool FaultyBus::faultable_topic(util::Symbol topic) {
   using namespace monitor::topics;
   return topic == kGaugeReportSym || topic == kProbeLatencySym ||
          topic == kProbeQueueSym || topic == kProbeBandwidthSym ||
-         topic == kProbeUtilizationSym || topic == kProbeMethodCallSym;
+         topic == kProbeUtilizationSym;
 }
 
 void FaultyBus::publish(events::Notification n) {

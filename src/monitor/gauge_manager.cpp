@@ -371,12 +371,10 @@ void GaugeManager::redeploy_element(const std::string& element,
   // fires on_done.
   struct Pending {
     std::size_t callbacks;
-    SimTime started;
     std::function<void()> on_done;
   };
   auto pending = std::make_shared<Pending>();
   pending->callbacks = ids.size();
-  pending->started = sim_.now();
   pending->on_done = std::move(on_done);
   // All of the element's gauges stop reporting now; they come back one by
   // one as the (sequential) lifecycle communication completes.
@@ -409,11 +407,7 @@ void GaugeManager::redeploy_element(const std::string& element,
       // back — but the completion contract still holds: on_done fires
       // exactly once per redeploy, or a plan step (and the repair engine
       // behind it) would wait forever.
-      if (--pending->callbacks == 0) {
-        stats_.redeploy_time_total_s +=
-            (sim_.now() - pending->started).as_seconds();
-        if (pending->on_done) pending->on_done();
-      }
+      if (--pending->callbacks == 0 && pending->on_done) pending->on_done();
     });
   }
 }

@@ -77,7 +77,6 @@ struct GaugeManagerStats {
   std::uint64_t reports_suppressed = 0;  ///< channel down: dropped at source
   std::uint64_t suspects_marked = 0;     ///< watchdog staleness trips
   std::uint64_t suspects_cleared = 0;    ///< reports that cleared a suspect
-  double redeploy_time_total_s = 0.0;
   std::uint64_t redeploys = 0;
   std::uint64_t redeploy_batches = 0;  ///< redeploy_elements() calls
 };

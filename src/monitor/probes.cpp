@@ -4,12 +4,6 @@
 
 namespace arcadia::monitor {
 
-namespace {
-// MethodCallProbe's fixed attribute names/values, interned once.
-const util::Symbol kAttrMethod = util::Symbol::intern("method");
-const util::Symbol kMethodEnqueue = util::Symbol::intern("enqueueRequest");
-}  // namespace
-
 LatencyProbe::LatencyProbe(sim::Simulator& sim, sim::GridApp& app,
                            events::EventBus& bus, SimTime stall_check_period,
                            SimTime stall_threshold)
@@ -147,50 +141,6 @@ void BandwidthProbe::start() {
 }
 
 void BandwidthProbe::stop() {
-  running_ = false;
-  task_.reset();
-}
-
-MethodCallProbe::MethodCallProbe(sim::Simulator& sim, sim::GridApp& app,
-                                 events::EventBus& bus, SimTime period)
-    : Probe("probe:method_call"), sim_(sim), app_(app), bus_(bus),
-      period_(period) {}
-
-MethodCallProbe::~MethodCallProbe() { stop(); }
-
-void MethodCallProbe::start() {
-  counts_.assign(app_.group_count(), 0);
-  if (!installed_) {
-    chained_ = app_.on_enqueue;
-    app_.on_enqueue = [this](const sim::Request& req, sim::GroupIdx g) {
-      if (running_ && g >= 0 && g < static_cast<sim::GroupIdx>(counts_.size())) {
-        ++counts_[g];
-      }
-      if (chained_) chained_(req, g);
-    };
-    installed_ = true;
-  }
-  running_ = true;
-  task_ = std::make_unique<sim::PeriodicTask>(
-      sim_, sim_.now() + period_, period_, [this] {
-        for (std::size_t g = 0; g < counts_.size(); ++g) {
-          events::Notification n(topics::kProbeMethodCallSym);
-          n.set(topics::kAttrGroupSym,
-                group_syms_.get(g, app_.group_name(
-                                       static_cast<sim::GroupIdx>(g))))
-              .set(kAttrMethod, kMethodEnqueue)
-              .set(topics::kAttrValueSym,
-                   static_cast<double>(counts_[g]) / period_.as_seconds());
-          n.source_node = app_.queue_node();
-          n.wire_size = DataSize::bytes(128);
-          bus_.publish(std::move(n));
-          counts_[g] = 0;
-        }
-        return true;
-      });
-}
-
-void MethodCallProbe::stop() {
   running_ = false;
   task_.reset();
 }

@@ -2,7 +2,9 @@
 // system. The paper used Remos wrappers for network observations and
 // AIDE-instrumented Java methods for application events; here probes attach
 // to the simulated runtime's instrumentation hooks and publish observations
-// on the probe bus.
+// on the probe bus, whose one consumer is the gauges. LatencyProbe, on the
+// client's response-received hook, is the AIDE analogue; every probe here
+// feeds a gauge the standard deployment creates.
 #pragma once
 
 #include <memory>
@@ -138,29 +140,6 @@ class BandwidthProbe : public Probe {
   std::unique_ptr<sim::PeriodicTask> task_;
   detail::NameCache client_syms_;
   detail::NameCache group_syms_;
-};
-
-/// AIDE-style method-call counter: counts request enqueues per group and
-/// publishes the per-period call rate. Demonstrates the generic
-/// instrumentation path; the adaptation loop does not depend on it.
-class MethodCallProbe : public Probe {
- public:
-  MethodCallProbe(sim::Simulator& sim, sim::GridApp& app,
-                  events::EventBus& bus, SimTime period);
-  ~MethodCallProbe() override;
-  void start() override;
-  void stop() override;
-
- private:
-  sim::Simulator& sim_;
-  sim::GridApp& app_;
-  events::EventBus& bus_;
-  SimTime period_;
-  std::vector<std::uint64_t> counts_;
-  std::function<void(const sim::Request&, sim::GroupIdx)> chained_;
-  std::unique_ptr<sim::PeriodicTask> task_;
-  detail::NameCache group_syms_;
-  bool installed_ = false;
 };
 
 /// Convenience bundle: deploy the full probe set the paper's experiment

@@ -2,12 +2,8 @@
 
 namespace arcadia::remos {
 
-RemosService::RemosService(sim::Simulator& sim, const sim::FlowNetwork& net,
-                           RemosConfig config)
-    : sim_(sim),
-      net_(net),
-      config_(config),
-      rows_(net.topology().node_count()) {}
+RemosService::RemosService(sim::Simulator& sim, const sim::FlowNetwork& net)
+    : sim_(sim), net_(net), rows_(net.topology().node_count()) {}
 
 RemosService::Entry* RemosService::slot(sim::NodeId src, sim::NodeId dst) {
   const std::size_t n = rows_.size();
@@ -28,20 +24,20 @@ Bandwidth RemosService::get_flow(sim::NodeId src, sim::NodeId dst) {
     // Cold: Remos must collect and analyze data for this pair. (A pair
     // with an id outside the topology has no slot and is never cached.)
     ++stats_.cold_queries;
-    last_cost_ = config_.first_query_cost;
+    last_cost_ = kFirstQueryCost;
     Bandwidth value = net_.available_bandwidth(src, dst);
     if (entry != nullptr) *entry = Entry{value, now, true};
     return value;
   }
-  if (now - entry->measured_at > config_.cache_ttl) {
+  if (now - entry->measured_at > kCacheTtl) {
     ++stats_.refreshes;
-    last_cost_ = config_.cached_query_cost;
+    last_cost_ = kCachedQueryCost;
     entry->value = net_.available_bandwidth(src, dst);
     entry->measured_at = now;
     return entry->value;
   }
   ++stats_.cache_hits;
-  last_cost_ = config_.cached_query_cost;
+  last_cost_ = kCachedQueryCost;
   return entry->value;
 }
 
@@ -63,7 +59,7 @@ SimTime RemosService::prequery(
     const Bandwidth value = net_.available_bandwidth(src, dst);
     if (entry != nullptr) *entry = Entry{value, sim_.now(), true};
   }
-  return any_cold ? config_.first_query_cost : SimTime::zero();
+  return any_cold ? kFirstQueryCost : SimTime::zero();
 }
 
 }  // namespace arcadia::remos

@@ -24,16 +24,6 @@
 
 namespace arcadia::remos {
 
-struct RemosConfig {
-  /// Collection cost of the first query for a (src, dst) pair.
-  SimTime first_query_cost = SimTime::seconds(60);
-  /// Cost of queries against an already-collected pair.
-  SimTime cached_query_cost = SimTime::millis(10);
-  /// How long a measurement stays fresh; a stale entry is re-measured at
-  /// cached cost (Remos keeps collecting in the background once started).
-  SimTime cache_ttl = SimTime::seconds(30);
-};
-
 struct RemosStats {
   std::uint64_t queries = 0;
   std::uint64_t cold_queries = 0;
@@ -43,8 +33,15 @@ struct RemosStats {
 
 class RemosService {
  public:
-  RemosService(sim::Simulator& sim, const sim::FlowNetwork& net,
-               RemosConfig config = {});
+  /// Collection cost of the first query for a (src, dst) pair.
+  static constexpr SimTime kFirstQueryCost = SimTime::seconds(60);
+  /// Cost of queries against an already-collected pair.
+  static constexpr SimTime kCachedQueryCost = SimTime::millis(10);
+  /// How long a measurement stays fresh; a stale entry is re-measured at
+  /// cached cost (Remos keeps collecting in the background once started).
+  static constexpr SimTime kCacheTtl = SimTime::seconds(30);
+
+  RemosService(sim::Simulator& sim, const sim::FlowNetwork& net);
 
   /// Predicted available bandwidth from src to dst (Table 1's
   /// remos_get_flow). Reads current simulator state; sets last_query_cost().
@@ -75,7 +72,6 @@ class RemosService {
 
   sim::Simulator& sim_;
   const sim::FlowNetwork& net_;
-  RemosConfig config_;
   // The cache: one row per source node, allocated on first use and indexed
   // by destination, so a lookup is two array indexings. The probes query
   // from a few group nodes, so only a few rows of node_count() entries

@@ -185,7 +185,6 @@ void ConstraintChecker::ensure_memos() const {
 
 std::vector<Violation> ConstraintChecker::check() const {
   ensure_memos();
-  ++check_stats_.sweeps;
 
   const std::uint64_t structure_now = model::structure_clock();
   const std::uint64_t property_now = model::property_clock();

@@ -85,7 +85,6 @@ class ConstraintChecker {
 
   /// Incremental-evaluation accounting (benches / tests).
   struct CheckStats {
-    std::uint64_t sweeps = 0;       ///< check() calls
     std::uint64_t evaluations = 0;  ///< constraints actually re-evaluated
     std::uint64_t cache_hits = 0;   ///< constraints answered from cache
     std::uint64_t full_sweeps = 0;  ///< sweeps forced by structure/globals

@@ -199,7 +199,7 @@ void RepairEngine::execute(const Violation& violation) {
       touched.insert(util::Symbol::intern(el));
     }
     active_->touched.assign(touched.begin(), touched.end());
-    publish_plan_event(monitor::topics::kPhasePlanStarted, idx,
+    journal_plan_event(monitor::topics::kPhasePlanStarted, idx,
                        active_->plan.steps.size());
     active_->pre_event =
         sim_.schedule_in(pre, [this, idx] { start_plan(idx); });
@@ -278,7 +278,7 @@ void RepairEngine::finish_plan(std::size_t idx) {
   if (affected.empty()) {
     affected = affected_gauge_elements(active_->plan.journal, nullptr);
   }
-  publish_plan_event(monitor::topics::kPhasePlanCompleted, idx,
+  journal_plan_event(monitor::topics::kPhasePlanCompleted, idx,
                      active_->plan.steps.size());
   active_.reset();
   record.completed = sim_.now();
@@ -335,7 +335,7 @@ void RepairEngine::fail_plan(std::size_t idx, std::size_t step,
   note_fault_stats(records_[idx]);
   abort_in_flight(idx, std::string("RuntimeFailure: ") + reason,
                   sim_.now() + compensation_cost, /*cooldown=*/true);
-  publish_plan_event(monitor::topics::kPhasePlanFailed, idx,
+  journal_plan_event(monitor::topics::kPhasePlanFailed, idx,
                      active_->plan.steps.size());
   ARC_ERROR << "repair #" << records_[idx].id << " failed at plan step "
             << step << ": " << reason << " — operator attention required";
@@ -363,7 +363,7 @@ void RepairEngine::preempt_active(const std::string& reason) {
   // The challenger's enactment queues behind the inverse ops still
   // clearing the runtime; its decision phase absorbs the wait.
   pending_start_delay_ = aborted.compensation_cost;
-  publish_plan_event(monitor::topics::kPhasePlanPreempted, idx,
+  journal_plan_event(monitor::topics::kPhasePlanPreempted, idx,
                      active_->plan.steps.size());
   ARC_INFO << "[" << sim_.now().as_seconds() << "s] repair #"
            << records_[idx].id << " preempted (" << reason << "): "
@@ -394,19 +394,11 @@ void RepairEngine::revert_model(const std::vector<model::OpRecord>& journal,
   }
 }
 
-void RepairEngine::publish_plan_event(util::Symbol phase, std::size_t idx,
+void RepairEngine::journal_plan_event(util::Symbol phase, std::size_t idx,
                                       std::size_t steps) {
-  if (journal_sink_) {
-    journal_sink_->on_plan_event(journal_shard_, sim_.now(), phase.str(), idx,
-                                 steps);
-  }
-  if (!bus_) return;
-  events::Notification n(monitor::topics::kRepairPlanSym);
-  n.set(monitor::topics::kAttrRepairSym, static_cast<double>(idx))
-      .set(monitor::topics::kAttrPhaseSym, phase)
-      .set(monitor::topics::kAttrStepsSym, static_cast<double>(steps));
-  n.wire_size = DataSize::bytes(256);
-  bus_->publish(std::move(n));
+  if (!journal_sink_) return;
+  journal_sink_->on_plan_event(journal_shard_, sim_.now(), phase.str(), idx,
+                               steps);
 }
 
 }  // namespace arcadia::repair

@@ -27,6 +27,10 @@
 // worse violation somewhere else aborts the running plan: remaining steps
 // are skipped and compensations from the transaction journal bring model
 // and runtime back to their pre-repair state before the new repair starts.
+//
+// Plan lifecycle transitions (started / completed / failed / preempted)
+// are journaled through the durability sink, when one is set; the engine
+// publishes nothing on any bus.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +43,6 @@
 #include "acme/interpreter.hpp"
 #include "acme/script.hpp"
 #include "durability/sink.hpp"
-#include "events/bus.hpp"
 #include "model/transaction.hpp"
 #include "monitor/gauge_manager.hpp"
 #include "repair/constraint.hpp"
@@ -183,11 +186,6 @@ class RepairEngine {
                const task::PerformanceProfile& profile = {},
                StyleConventions conventions = {});
 
-  /// Optional bus for plan lifecycle notifications (topics::kRepairPlan);
-  /// the framework wires the gauge bus here so tools can observe repairs
-  /// in flight.
-  void set_event_bus(events::EventBus* bus) { bus_ = bus; }
-
   /// Optional write-ahead journal sink (durability plane). When set, every
   /// committed transaction (execute commit and compensation revert) and
   /// every plan lifecycle transition is journaled under `shard` before the
@@ -259,7 +257,7 @@ class RepairEngine {
   /// repair whose plan is being compensated (journal tagging).
   void revert_model(const std::vector<model::OpRecord>& journal,
                     std::size_t idx);
-  void publish_plan_event(util::Symbol phase, std::size_t idx,
+  void journal_plan_event(util::Symbol phase, std::size_t idx,
                           std::size_t steps);
   bool touched_by_active(util::Symbol element) const;
   void summarize_ops(const std::vector<model::OpRecord>& op_records,
@@ -277,7 +275,6 @@ class RepairEngine {
   /// Static operator footprints for the plan optimizer's effect-deps pass.
   acme::Vocabulary vocabulary_ = client_server_vocabulary(conventions_);
   ViolationChooser chooser_;
-  events::EventBus* bus_ = nullptr;
   durability::JournalSink* journal_sink_ = nullptr;
   std::uint32_t journal_shard_ = 0;
 

@@ -177,8 +177,8 @@ bool reaches(const AdaptationPlan& plan, std::size_t from, std::size_t to) {
   return false;
 }
 
-std::uint64_t pass_effect_deps(AdaptationPlan& plan,
-                               const acme::Vocabulary& vocabulary) {
+void pass_effect_deps(AdaptationPlan& plan,
+                      const acme::Vocabulary& vocabulary) {
   struct StepFx {
     std::set<std::string> groups;
     const acme::OperatorEffect* effect = nullptr;
@@ -190,7 +190,6 @@ std::uint64_t pass_effect_deps(AdaptationPlan& plan,
     fx[i].effect = step_effect(step, vocabulary);
     if (fx[i].effect) fx[i].groups = step_groups(step);
   }
-  std::uint64_t added = 0;
   for (std::size_t j = 1; j < plan.steps.size(); ++j) {
     if (!fx[j].effect) continue;
     for (std::size_t i = 0; i < j; ++i) {
@@ -214,10 +213,8 @@ std::uint64_t pass_effect_deps(AdaptationPlan& plan,
       if (!shared_influence) continue;
       if (reaches(plan, j, i)) continue;  // already ordered
       plan.steps[j].deps.push_back(i);
-      ++added;
     }
   }
-  return added;
 }
 
 }  // namespace
@@ -225,7 +222,7 @@ std::uint64_t pass_effect_deps(AdaptationPlan& plan,
 PlanOptimizerStats optimize_plan(AdaptationPlan& plan,
                                  const acme::Vocabulary* effects) {
   PlanOptimizerStats stats;
-  if (effects) stats.effect_edges = pass_effect_deps(plan, *effects);
+  if (effects) pass_effect_deps(plan, *effects);
   stats.moves_merged = pass_merge_moves(plan);
   stats.gauges_batched = pass_batch_gauges(plan);
   return stats;

@@ -37,7 +37,6 @@ namespace arcadia::repair {
 struct PlanOptimizerStats {
   std::uint64_t moves_merged = 0;    ///< superseded move steps dropped
   std::uint64_t gauges_batched = 0;  ///< gauge steps folded into batches
-  std::uint64_t effect_edges = 0;    ///< ordering edges from effect overlap
 };
 
 /// Run all passes in place. Deterministic: a given plan always optimizes to

@@ -6,6 +6,11 @@ namespace arcadia::rt {
 
 namespace cs = model::cs;
 
+namespace {
+/// Initial bandwidth property on client roles.
+constexpr Bandwidth kInitialBandwidth = Bandwidth::mbps(10);
+}  // namespace
+
 std::unique_ptr<model::System> build_grid_model(
     const sim::Testbed& testbed, const ModelBuildOptions& options) {
   const sim::GridApp& app = *testbed.app;
@@ -54,7 +59,7 @@ std::unique_ptr<model::System> build_grid_model(
     model::Role& client_role = conn.add_role(conv.client_role, cs::kClientRoleT);
     client_role.set_property(
         cs::kPropBandwidth,
-        model::PropertyValue(options.initial_bandwidth.as_bps()));
+        model::PropertyValue(kInitialBandwidth.as_bps()));
     conn.add_role(conv.server_role, cs::kServerRoleT);
 
     system->attach(model::Attachment{client_name, conv.request_port, conn_name,

@@ -17,8 +17,6 @@ struct ModelBuildOptions {
   repair::StyleConventions conventions;
   /// Initial maxLatency property on every client (task-layer profile).
   SimTime max_latency = SimTime::seconds(2);
-  /// Initial bandwidth property on client roles.
-  Bandwidth initial_bandwidth = Bandwidth::mbps(10);
 };
 
 /// Construct the model for a built testbed. Connector names follow

@@ -7,6 +7,12 @@
 
 namespace arcadia::sim {
 
+namespace {
+/// Control-plane latency for a server to pull a request from the queue
+/// machine (small; the request has already been shipped to the queue).
+constexpr SimTime kPullDelay = SimTime::millis(5);
+}  // namespace
+
 GridApp::GridApp(Simulator& sim, FlowNetwork& net, AppConfig config)
     : sim_(sim), net_(net), config_(config), master_rng_(config.seed) {}
 
@@ -59,7 +65,6 @@ void GridApp::issue_request(ClientIdx c, DataSize request_size,
   req.request_size = request_size;
   req.response_size = response_size;
   req.created = sim_.now();
-  ++client.stats.issued;
   client.outstanding.emplace(req.id, req.created);
   // Ship the request body to the queue machine; group routing happens on
   // arrival, so a move_client issued while the request is in flight applies.
@@ -69,10 +74,8 @@ void GridApp::issue_request(ClientIdx c, DataSize request_size,
 
 void GridApp::arrival_at_queue(Request req) {
   req.enqueued = sim_.now();
-  GroupIdx g = clients_.at(req.client).group;
-  Group& group = groups_.at(g);
-  group.queue.push_back(req);
-  if (on_enqueue) on_enqueue(group.queue.back(), g);
+  const GroupIdx g = clients_.at(req.client).group;
+  groups_.at(g).queue.push_back(req);
   wake_group(g);
 }
 
@@ -93,7 +96,7 @@ void GridApp::try_pull(ServerIdx s) {
   server.busy = true;
   // Pulling the request descriptor from the queue machine costs a small
   // control-plane round trip.
-  sim_.schedule_in(config_.pull_delay,
+  sim_.schedule_in(kPullDelay,
                    [this, s, req]() mutable { begin_service(s, req); });
 }
 

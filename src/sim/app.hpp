@@ -57,15 +57,11 @@ struct AppConfig {
   SimTime service_base = SimTime::millis(50);
   SimTime service_per_kb = SimTime::millis(20);
   double service_sigma = 0.2;
-  /// Control-plane latency for a server to pull a request from the queue
-  /// machine (small; the request has already been shipped to the queue).
-  SimTime pull_delay = SimTime::millis(5);
   std::uint64_t seed = 1;
 };
 
 /// Aggregate counters per client, exposed for tests and reports.
 struct ClientStats {
-  std::uint64_t issued = 0;
   std::uint64_t completed = 0;
   double latency_sum_s = 0.0;
 };
@@ -155,8 +151,6 @@ class GridApp {
   // ---- instrumentation hooks (the probe attachment points) ----
   /// Fired when a response is fully delivered.
   std::function<void(const Request&)> on_response;
-  /// Fired when a request is enqueued (after the queue machine receives it).
-  std::function<void(const Request&, GroupIdx)> on_enqueue;
   /// Fired when a server starts/stops being active.
   std::function<void(ServerIdx, bool active)> on_server_state;
 

@@ -84,9 +84,7 @@ std::uint64_t SimCoordinator::run_until(SimTime horizon) {
     stats_.shard_events = after;
     ran += after - before;
     if (barrier_hook_) barrier_hook_(bound);
-    const std::uint64_t ctl_ran = control_.run_until(bound);
-    stats_.control_events += ctl_ran;
-    ran += ctl_ran;
+    ran += control_.run_until(bound);
     ++stats_.rounds;
   }
   // Leave every clock at the horizon (control_.run_until already clamped).

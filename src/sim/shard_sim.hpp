@@ -82,7 +82,6 @@ struct SimCoordinatorOptions {
 
 struct SimCoordinatorStats {
   std::uint64_t rounds = 0;          ///< windows executed
-  std::uint64_t control_events = 0;  ///< events run on the control simulator
   std::uint64_t shard_events = 0;    ///< sum of per-shard events
 };
 

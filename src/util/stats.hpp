@@ -1,63 +1,7 @@
-// Streaming and batch statistics used by gauges, experiment reports and
-// benches.
+// Streaming statistics used by the gauges.
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
 namespace arcadia {
-
-/// Numerically-stable streaming mean/variance (Welford). O(1) memory; used
-/// by gauges that cannot afford to retain samples.
-class RunningStats {
- public:
-  void add(double x);
-  void clear();
-
-  std::size_t count() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  double mean() const { return count_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
-  /// Merge another accumulator into this one (parallel reduction).
-  void merge(const RunningStats& other);
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-/// Batch summary over retained samples; supports percentiles. Used by the
-/// experiment reports (e.g. p95 latency) and the repair-time breakdown.
-class SampleSet {
- public:
-  void add(double x) { samples_.push_back(x); }
-  void reserve(std::size_t n) { samples_.reserve(n); }
-  std::size_t count() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
-
-  double mean() const;
-  double stddev() const;
-  double min() const;
-  double max() const;
-  /// Linear-interpolated percentile, p in [0, 100].
-  double percentile(double p) const;
-  double median() const { return percentile(50.0); }
-
-  const std::vector<double>& samples() const { return samples_; }
-
- private:
-  std::vector<double> samples_;
-};
 
 /// Exponentially-weighted moving average; the smoothing primitive behind
 /// EWMA gauges.

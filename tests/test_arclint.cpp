@@ -314,7 +314,7 @@ TEST(ArclintTest, OneLoopIgnoresPublishesAndTopicCompares) {
   const std::string src =
       "events::Notification n(topics::kGaugeReportSym);\n"
       "return topic == kGaugeReportSym || topic == kGaugeLifecycleSym;\n"
-      "bus.subscribe(events::Filter::topic(topics::kRepairPlanSym), f);\n";
+      "bus.subscribe(events::Filter::topic(topics::kProbeLatencySym), f);\n";
   EXPECT_FALSE(has_rule(lint_source("src/fault/faulty_bus.cpp", src),
                         "one-loop"));
   // Outside src/ (tests, benches) rigs may subscribe freely.

@@ -497,13 +497,6 @@ TEST(FleetHealthTest, SilenceWalksHealthyToQuarantinedAndBack) {
   fleet.add_shard("t1", *rig.manager, rig.bus);
   fleet.start();
 
-  std::vector<std::string> states;  // lifecycle tape from the shard's bus
-  rig.bus.subscribe(events::Filter().topic(topics::kFleetHealth),
-                    [&](const events::Notification& n) {
-                      states.push_back(
-                          n.get(topics::kAttrStateSym).as_string());
-                    });
-
   auto at = [&](double t, std::function<void()> fn) {
     rig.sim.schedule_at(SimTime::seconds(t), std::move(fn));
   };
@@ -536,11 +529,6 @@ TEST(FleetHealthTest, SilenceWalksHealthyToQuarantinedAndBack) {
   EXPECT_EQ(ss.health_recovered, 1u);
   EXPECT_GE(ss.sweeps_quarantined, 1u);  // the t=45 sweep skipped it
   EXPECT_EQ(fleet.stats().shards_quarantined, 1u);
-  ASSERT_EQ(states.size(), 4u);  // every transition hit the bus, in order
-  EXPECT_EQ(states[0], "degraded");
-  EXPECT_EQ(states[1], "quarantined");
-  EXPECT_EQ(states[2], "recovering");
-  EXPECT_EQ(states[3], "healthy");
 }
 
 TEST(FleetHealthTest, RecoveringShardRelapsesOnRenewedSilence) {

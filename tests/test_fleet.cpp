@@ -571,5 +571,46 @@ TEST(GaugeManagerTest, SoloRunKeepsEveryTick) {
   EXPECT_EQ(core::run_experiment(solo).gauge_stats.reports, 18155u);
 }
 
+// Each bus has one consumer (Figure 4): everything a framework publishes on
+// its gauge bus is a report or lifecycle message the detection loop reads,
+// so no publish finds no subscriber — solo or in a fleet.
+TEST(GaugeBusTest, EveryPublishReachesASubscriber) {
+  {
+    sim::Simulator sim;
+    sim::ScenarioConfig cfg = sim::scenario_defaults("paper-fig6");
+    cfg.seed = 1;
+    sim::Testbed tb = sim::build_scenario(sim, "paper-fig6", cfg);
+    core::Framework fw(sim, tb, core::FrameworkConfig{});
+    fw.start();
+    tb.start();
+    sim.run_until(cfg.horizon);
+    EXPECT_GT(fw.engine().stats().committed, 0u);
+    EXPECT_GT(fw.gauge_bus().stats().published, 0u);
+    EXPECT_EQ(fw.gauge_bus().stats().dropped_no_match, 0u);
+  }
+
+  sim::Simulator sim;
+  core::FleetOptions opt;
+  opt.scenario = "fleet-4x16";
+  opt.tenants = 2;
+  opt.use_scenario_defaults = false;
+  opt.config = sim::scenario_defaults("fleet-4x16");
+  opt.config.stress_start = SimTime::seconds(90);
+  opt.config.stress_end = SimTime::seconds(240);
+  opt.config.stress_rate_hz = 1.1;
+  opt.config.fleet.phase_shift = SimTime::seconds(2);
+  opt.config.fleet.active_duration = SimTime::zero();
+  core::Fleet fleet(sim, opt);
+  fleet.start();
+  fleet.run_until(SimTime::seconds(300));
+  for (std::size_t t = 0; t < fleet.tenant_count(); ++t) {
+    core::FleetTenant& tenant = fleet.tenant(t);
+    util::SerialLane in_lane(tenant.lane());
+    EXPECT_GT(tenant.framework->engine().stats().committed, 0u) << t;
+    EXPECT_EQ(tenant.framework->gauge_bus().stats().dropped_no_match, 0u)
+        << t;
+  }
+}
+
 }  // namespace
 }  // namespace arcadia

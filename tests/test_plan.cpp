@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -10,6 +11,7 @@
 
 #include "acme/script.hpp"
 #include "core/experiment.hpp"
+#include "durability/sink.hpp"
 #include "events/bus.hpp"
 #include "model/types.hpp"
 #include "monitor/gauge.hpp"
@@ -598,26 +600,32 @@ TEST(PlanEngineTest, PreemptFactorBelowOneIsRejected) {
   EXPECT_NO_THROW(make(false, 0.5));  // the factor is unused without it
 }
 
-TEST(PlanEngineTest, PlanEventsOnTheBus) {
-  EngineRig rig;
-  test::ZeroDelayBus bus(rig.sim);
+/// Records the plan phases the engine journals; ignores everything else.
+struct PlanPhaseSink : durability::JournalSink {
   std::vector<std::string> phases;
-  bus.subscribe(events::Filter::topic(monitor::topics::kRepairPlanSym),
-                [&](const events::Notification& n) {
-                  phases.push_back(
-                      n.get_if(monitor::topics::kAttrPhaseSym)->as_string());
-                });
+  void on_ops(std::uint32_t, SimTime, std::uint64_t, bool,
+              const std::vector<model::OpRecord>&) override {}
+  void on_plan_event(std::uint32_t, SimTime, const std::string& phase,
+                     std::uint64_t, std::uint64_t) override {
+    phases.push_back(phase);
+  }
+  void on_gauge_applied(std::uint32_t, SimTime, util::Symbol, util::Symbol,
+                        util::Symbol, const events::Value&) override {}
+};
 
-  rig.engine->set_event_bus(&bus);
+TEST(PlanEngineTest, PlanEventsAreJournaled) {
+  EngineRig rig;
+  PlanPhaseSink sink;
+  rig.engine->set_journal_sink(&sink, 0);
   rig.sys.component("User1").set_property("averageLatency",
                                           model::PropertyValue(9.0));
   rig.sys.component("ServerGrp1").set_property("load",
                                                model::PropertyValue(9.0));
   ASSERT_TRUE(rig.engine->handle_violations(rig.checker.check()));
   rig.sim.run_until(SimTime::seconds(30));
-  ASSERT_EQ(phases.size(), 2u);
-  EXPECT_EQ(phases[0], "plan-started");
-  EXPECT_EQ(phases[1], "plan-completed");
+  ASSERT_EQ(sink.phases.size(), 2u);
+  EXPECT_EQ(sink.phases[0], "plan-started");
+  EXPECT_EQ(sink.phases[1], "plan-completed");
 }
 
 TEST(PlanEngineTest, StrictlyWorseViolationPreempts) {

@@ -24,7 +24,7 @@ struct ProbeRig {
   ProbeRig() : tb(sim::build_testbed(sim, cfg)), remos(sim, *tb.net) {
     for (const char* topic :
          {topics::kProbeLatency, topics::kProbeQueue, topics::kProbeBandwidth,
-          topics::kProbeUtilization, topics::kProbeMethodCall}) {
+          topics::kProbeUtilization}) {
       bus.subscribe(events::Filter::topic(topic),
                     [this](const events::Notification& n) {
                       seen.push_back(n);
@@ -132,25 +132,6 @@ TEST(ProbesTest, BandwidthProbeQueriesRemosPerClient) {
     EXPECT_GT(n.get(topics::kAttrValue).as_double(), 1e6);  // quiet network
   }
   EXPECT_GT(rig.remos.stats().queries, 0u);
-}
-
-TEST(ProbesTest, MethodCallProbeCountsEnqueueRate) {
-  ProbeRig rig;
-  MethodCallProbe probe(rig.sim, *rig.tb.app, rig.bus, SimTime::seconds(5));
-  probe.start();
-  for (int i = 0; i < 10; ++i) {
-    rig.tb.app->issue_request(rig.tb.clients[0], DataSize::bytes(512),
-                              DataSize::kilobytes(5));
-  }
-  rig.sim.run_until(SimTime::seconds(5));
-  double rate = -1.0;
-  for (const auto& n : rig.seen) {
-    if (n.topic == std::string(topics::kProbeMethodCall) &&
-        n.get(topics::kAttrGroup).as_string() == "ServerGrp1") {
-      rate = n.get(topics::kAttrValue).as_double();
-    }
-  }
-  EXPECT_NEAR(rate, 2.0, 0.01);  // 10 calls over a 5 s period
 }
 
 TEST(ProbesTest, StandardSetCoversFourKinds) {

@@ -12,7 +12,7 @@ struct Rig {
   sim::NodeId r, a, b;
   std::unique_ptr<RemosService> remos;
 
-  explicit Rig(RemosConfig cfg = {}) {
+  Rig() {
     r = topo.add_node("r", sim::NodeKind::Router);
     a = topo.add_node("a", sim::NodeKind::Host);
     b = topo.add_node("b", sim::NodeKind::Host);
@@ -20,7 +20,7 @@ struct Rig {
     topo.add_link(b, r, Bandwidth::mbps(10));
     topo.compute_routes();
     net = std::make_unique<sim::FlowNetwork>(sim, topo);
-    remos = std::make_unique<RemosService>(sim, *net, cfg);
+    remos = std::make_unique<RemosService>(sim, *net);
   }
 };
 

@@ -11,70 +11,6 @@
 namespace arcadia {
 namespace {
 
-TEST(RunningStatsTest, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStatsTest, KnownValues) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStatsTest, MergeMatchesSequential) {
-  Rng rng(7);
-  RunningStats whole;
-  RunningStats a;
-  RunningStats b;
-  for (int i = 0; i < 500; ++i) {
-    double x = rng.normal(3.0, 2.0);
-    whole.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), whole.min());
-  EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
-}
-
-TEST(SampleSetTest, Percentiles) {
-  SampleSet s;
-  for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.percentile(95), 95.05, 1e-9);
-}
-
-TEST(SampleSetTest, SingleSample) {
-  SampleSet s;
-  s.add(42.0);
-  EXPECT_DOUBLE_EQ(s.median(), 42.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 42.0);
-  EXPECT_DOUBLE_EQ(s.max(), 42.0);
-}
-
 TEST(EwmaTest, ConvergesToConstant) {
   Ewma e(0.25);
   for (int i = 0; i < 100; ++i) e.add(5.0);
