@@ -26,18 +26,17 @@ bool ArchitectureManager::parse_gauge_lifecycle(const events::Notification& n,
   return true;
 }
 
-bool ArchitectureManager::note_gauge_liveness(util::Symbol element,
+void ArchitectureManager::note_gauge_liveness(util::Symbol element,
                                               bool suspect) {
   int& refs = suspect_refs_[element];
   if (suspect) {
-    if (++refs != 1) return false;
+    if (++refs != 1) return;
     ++stats_.elements_suspected;
   } else {
-    if (refs == 0 || --refs != 0) return false;
+    if (refs == 0 || --refs != 0) return;
     ++stats_.elements_cleared;
   }
   checker_.set_element_suspect(element, suspect);
-  return true;
 }
 
 bool ArchitectureManager::parse_gauge_address(util::Symbol address,
@@ -118,13 +117,12 @@ std::vector<repair::Violation> ArchitectureManager::detect() {
   return violations;
 }
 
-bool ArchitectureManager::dispatch(
+void ArchitectureManager::dispatch(
     const std::vector<repair::Violation>& violations) {
-  if (violations.empty()) return false;
+  if (violations.empty()) return;
   const auto t0 = std::chrono::steady_clock::now();
-  const bool started = engine_.handle_violations(violations);
+  engine_.handle_violations(violations);
   stats_.dispatch_wall_s += seconds_since(t0);
-  return started;
 }
 
 }  // namespace arcadia::core

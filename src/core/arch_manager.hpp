@@ -70,16 +70,15 @@ class ArchitectureManager {
 
   /// Fold one gauge-liveness transition into the checker's verdict holds.
   /// Refcounted per element: an element with several gauges stays suspect
-  /// until every stale gauge has cleared. True when the element's hold
-  /// actually changed (its verdicts may differ at the next detect()).
-  bool note_gauge_liveness(util::Symbol element, bool suspect);
+  /// until every stale gauge has cleared.
+  void note_gauge_liveness(util::Symbol element, bool suspect);
 
   /// Outcome of folding one gauge value into the model.
   enum class GaugeApply {
     Applied,    ///< the property was written (value changed)
     Unchanged,  ///< dead-band: the report repeats the current value, so the
-                ///  model — and every constraint verdict — is untouched; no
-                ///  stamp bump, no re-evaluation, no shard dirtying
+                ///  model is untouched — no stamp bump, so the checker's
+                ///  memo stays valid, and no journal record
     NoTarget,   ///< the element does not exist in this model
   };
 
@@ -101,14 +100,11 @@ class ArchitectureManager {
   /// Read-only on the model; safe to run concurrently with other shards'
   /// detect() — never with anything that mutates this shard.
   std::vector<repair::Violation> detect();
-  /// Hand violations to the repair engine; true when a repair started.
-  /// Mutates the model (must run on the simulation thread, in shard order).
-  /// Detection and dispatch keep running while a plan enacts — the engine
-  /// declines while busy unless a strictly worse violation preempts it.
-  bool dispatch(const std::vector<repair::Violation>& violations);
-
-  /// A repair is in flight on this shard's engine.
-  bool repair_active() const { return engine_.busy(); }
+  /// Hand violations to the repair engine. Mutates the model (must run on
+  /// the simulation thread, in shard order). Detection and dispatch keep
+  /// running while a plan enacts — the engine declines while busy unless a
+  /// strictly worse violation preempts it.
+  void dispatch(const std::vector<repair::Violation>& violations);
 
  private:
   sim::Simulator& sim_;

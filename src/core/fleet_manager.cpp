@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "model/revision.hpp"
 #include "monitor/topics.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -124,12 +123,8 @@ void FleetManager::apply(Shard& shard, const Shard::PendingSlot& slot) {
                                            slot.property, slot.value)) {
     case ArchitectureManager::GaugeApply::Applied:
       ++shard.stats.reports_applied;
-      shard.dirty = true;
       break;
-    case ArchitectureManager::GaugeApply::Unchanged:
-      // The model did not move, so neither could any verdict: the shard
-      // stays clean and a quiet tenant's sweep is skipped outright.
-      ++shard.stats.reports_unchanged;
+    case ArchitectureManager::GaugeApply::Unchanged:  // dead-band repeat
       break;
     case ArchitectureManager::GaugeApply::NoTarget:
       ++shard.stats.reports_ignored;
@@ -144,11 +139,7 @@ void FleetManager::note_lifecycle(ShardId id, const events::Notification& n) {
   shard.serial.check();
   const bool suspect = phase == monitor::topics::kPhaseSuspect;
   if (!suspect && phase != monitor::topics::kPhaseCleared) return;
-  // A hold that changed changes the element's verdicts: the cached ones
-  // are stale, so the next sweep must detect rather than re-dispatch them.
-  if (shard.manager->note_gauge_liveness(element, suspect)) {
-    shard.dirty = true;
-  }
+  shard.manager->note_gauge_liveness(element, suspect);
 }
 
 void FleetManager::enqueue(ShardId id, const events::Notification& n) {
@@ -306,36 +297,20 @@ void FleetManager::run_sweep() {
   // re-enters each shard's lane itself.
   for (ShardId id = 0; id < shards_.size(); ++id) flush(id);
 
-  // Any structural edit since the last round (repairs are the only in-run
-  // source) re-sweeps every shard: the clock is process-global, so we
-  // cannot attribute it to one shard — spurious detection for the
-  // untouched ones, never a stale verdict.
-  const std::uint64_t structure_now = model::structure_clock();
-  const bool structure_moved = structure_now != structure_seen_;
-
   std::vector<ShardId> sweep;
   sweep.reserve(shards_.size());
-  std::vector<char> selected(shards_.size(), 0);
   for (ShardId id = 0; id < shards_.size(); ++id) {
     Shard& shard = shards_[id];
-    // Health and selection touch shard state: enter its lane.
+    // Health touches shard state: enter its lane.
     util::SerialLane in_lane(shard.lane);
     if (config_.health_tracking) update_health(id);
     // Degraded-mode fleet: a quarantined shard is neither swept nor
-    // dispatched this round — its cached verdicts are held, not acted on,
-    // until the monitoring substrate returns.
+    // dispatched this round — its verdicts are held, not acted on, until
+    // the monitoring substrate returns.
     if (config_.health_tracking &&
         shard.health == ShardHealth::Quarantined) {
-      ++shard.stats.sweeps_quarantined;
-      continue;
-    }
-    const bool clean = config_.skip_clean_shards && shard.swept_once &&
-                       !shard.dirty && !structure_moved &&
-                       !shard.manager->repair_active();
-    if (clean) {
       ++shard.stats.sweeps_skipped;
     } else {
-      selected[id] = 1;
       sweep.push_back(id);
     }
   }
@@ -348,38 +323,20 @@ void FleetManager::run_sweep() {
     found[id] = shards_[id].manager->detect();
   };
   if (pool_ && sweep.size() > 1) {
-    ++stats_.parallel_rounds;
     pool_->parallel_for(sweep.size(), detect_one);
   } else {
     for (std::size_t k = 0; k < sweep.size(); ++k) detect_one(k);
   }
 
-  // Deterministic dispatch, shard order. A skipped shard re-dispatches its
-  // cached verdicts — exactly what its incremental checker would have
-  // returned verbatim had we swept it.
-  for (ShardId id = 0; id < shards_.size(); ++id) {
+  // Deterministic dispatch, shard order.
+  for (const ShardId id : sweep) {
     Shard& shard = shards_[id];
     // Dispatch mutates the shard's model and schedules tenant events.
     util::SerialLane in_lane(shard.lane);
-    if (config_.health_tracking &&
-        shard.health == ShardHealth::Quarantined) {
-      continue;
-    }
-    if (selected[id]) {
-      shard.last_violations = std::move(found[id]);
-      shard.swept_once = true;
-      shard.dirty = false;
-      ++shard.stats.sweeps;
-    }
-    if (shard.last_violations.empty()) continue;
-    shard.stats.violations += shard.last_violations.size();
-    if (shard.manager->dispatch(shard.last_violations)) {
-      // The repair just mutated this shard's model; whatever it changed must
-      // be re-examined next round even if no report arrives meanwhile.
-      shard.dirty = true;
-    }
+    ++shard.stats.sweeps;
+    shard.stats.violations += found[id].size();
+    shard.manager->dispatch(found[id]);
   }
-  structure_seen_ = structure_now;
   stats_.sweep_wall_s +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();

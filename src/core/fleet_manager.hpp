@@ -13,15 +13,12 @@
 //     window spans a sweep period, the sweep is the only reader:
 //     read_schedule() publishes when it reads, so gauges can send just the
 //     report each sweep will keep (demand-aligned reporting, DESIGN.md §3c);
-//   * parallel constraint sweep — the periodic check runs each shard's
-//     incremental detection concurrently on a util::ThreadPool. Detection is
-//     read-only per shard (disjoint models), so threads never contend on
-//     model state;
-//   * clean-shard skipping — a shard that received no reports, ran no
-//     repair, had no verdict hold change, and saw no structural edit since
-//     its last sweep is not swept at all; its cached verdicts (what the
-//     incremental checker would have returned verbatim) are re-dispatched
-//     instead.
+//   * parallel constraint sweep — the periodic check runs detection on
+//     every shard that is not quarantined, concurrently on a
+//     util::ThreadPool. Detection is read-only per shard (disjoint models),
+//     so threads never contend on model state. Each shard's checker memo is
+//     the only verdict cache: a quiet shard's detect() answers every
+//     constraint from it.
 //
 // Determinism contract: parallel evaluation only *detects* violations.
 // Violation dispatch — and therefore every repair, every model mutation,
@@ -41,7 +38,6 @@
 #include "core/arch_manager.hpp"
 #include "events/bus.hpp"
 #include "monitor/gauge_manager.hpp"
-#include "repair/constraint.hpp"
 #include "sim/simulator.hpp"
 #include "util/annotations.hpp"
 #include "util/symbol.hpp"
@@ -59,11 +55,8 @@ struct FleetManagerConfig {
   /// exactly when the sweep needs them.
   SimTime coalesce_window = SimTime::millis(500);
   /// Worker threads for the parallel sweep; <= 1 sweeps on the simulation
-  /// thread (still batched, still skipping clean shards).
+  /// thread (still batched).
   std::size_t sweep_threads = 0;  ///< 0 = hardware concurrency
-  /// Skip shards whose model provably did not change since their last
-  /// sweep. Disable to force every shard through detection every period.
-  bool skip_clean_shards = true;
   /// Per-tenant health state machine (healthy -> degraded -> quarantined ->
   /// recovering). Driven by report silence: gauges report every few
   /// seconds, so a shard that has been silent past degraded_after has lost
@@ -89,22 +82,19 @@ struct FleetShardStats {
   std::uint64_t reports_enqueued = 0;   ///< gauge reports received
   std::uint64_t reports_coalesced = 0;  ///< superseded inside a batch
   std::uint64_t reports_applied = 0;    ///< property writes that reached the model
-  std::uint64_t reports_unchanged = 0;  ///< dead-band: repeated steady values
   std::uint64_t reports_ignored = 0;    ///< malformed / unknown element
   std::uint64_t batches = 0;            ///< batch flushes
-  std::uint64_t sweeps = 0;             ///< detections actually run
-  std::uint64_t sweeps_skipped = 0;     ///< clean-shard skips
-  std::uint64_t violations = 0;         ///< violations dispatched (incl. cached)
+  std::uint64_t sweeps = 0;             ///< detections run
+  std::uint64_t sweeps_skipped = 0;     ///< sweeps sat out while quarantined
+  std::uint64_t violations = 0;         ///< violations dispatched
   // Health state machine transitions.
   std::uint64_t health_degraded = 0;     ///< entries into Degraded
   std::uint64_t health_quarantined = 0;  ///< entries into Quarantined
   std::uint64_t health_recovered = 0;    ///< returns to Healthy
-  std::uint64_t sweeps_quarantined = 0;  ///< sweeps skipped while quarantined
 };
 
 struct FleetStats {
   std::uint64_t sweep_rounds = 0;     ///< periodic sweeps of the whole fleet
-  std::uint64_t parallel_rounds = 0;  ///< rounds that used the thread pool
   std::uint64_t shards_quarantined = 0;  ///< quarantine entries, fleet-wide
   /// Real (host) wall-clock spent inside run_sweep — flush, health
   /// bookkeeping, parallel detect, ordered dispatch. Each shard's own
@@ -181,16 +171,13 @@ class FleetManager {
   /// a sweep would read.
   std::optional<monitor::ReadSchedule> read_schedule() const;
 
-  /// Apply a shard's pending coalesced reports immediately (also happens
-  /// automatically before every sweep and when the window timer fires).
-  void flush(ShardId id);
-
-  /// One fleet sweep: flush pending batches, detect (parallel) on every
-  /// non-clean shard, dispatch in shard order. Runs from the periodic task;
-  /// public so tests and benches can drive sweeps explicitly. Sweeps run at
-  /// window barriers, so throws Error if any shard clock differs from
-  /// the control clock (a bound fleet driven with the control simulator's
-  /// run_until instead of Fleet::run_until).
+  /// One fleet sweep: flush pending batches, update health, detect
+  /// (parallel) on every shard that is not quarantined, dispatch in shard
+  /// order. Runs from the periodic task; public so tests and benches can
+  /// drive sweeps explicitly. Sweeps run at window barriers, so throws
+  /// Error if any shard clock differs from the control clock (a bound
+  /// fleet driven with the control simulator's run_until instead of
+  /// Fleet::run_until).
   void run_sweep();
 
  private:
@@ -234,15 +221,6 @@ class FleetManager {
     std::vector<std::uint32_t> touched;
     sim::EventHandle flush_timer;
 
-    /// Reports were applied, or a verdict hold changed, since the last
-    /// sweep.
-    bool dirty = false;
-    bool swept_once = false;
-    /// The violations of this shard's last detection; re-dispatched verbatim
-    /// when the shard is skipped as clean (matching what the incremental
-    /// checker's cache would have produced).
-    std::vector<repair::Violation> last_violations;
-
     // Health state machine (evaluated on the sim thread each sweep).
     ShardHealth health = ShardHealth::Healthy;
     SimTime last_report_at;    ///< any gauge report counts as liveness
@@ -255,6 +233,9 @@ class FleetManager {
   void apply(Shard& shard, const Shard::PendingSlot& slot);
   void note_lifecycle(ShardId id, const events::Notification& n);
   void update_health(ShardId id);
+  /// Apply a shard's pending coalesced reports (before every sweep, and
+  /// when the shard's window timer fires).
+  void flush(ShardId id);
 
   sim::Simulator& sim_;
   const SimTime check_period_;
@@ -273,10 +254,6 @@ class FleetManager {
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<sim::PeriodicTask> sweep_task_;
   SimTime first_sweep_;  ///< set by start()
-  /// Structure clock at the end of the previous sweep round: any structural
-  /// edit anywhere (repairs are the only in-run source) re-sweeps every
-  /// shard — spurious work for the untouched ones, never a stale verdict.
-  std::uint64_t structure_seen_ = 0;
   bool started_ = false;
   FleetStats stats_;
   util::SerialDomain serial_;

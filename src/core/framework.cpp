@@ -263,7 +263,6 @@ void Framework::start() {
     FleetManagerConfig loop_cfg;
     loop_cfg.coalesce_window = SimTime::zero();
     loop_cfg.sweep_threads = 1;
-    loop_cfg.skip_clean_shards = false;
     loop_cfg.health_tracking = false;
     loop_ = std::make_unique<FleetManager>(sim_, config_.check_period,
                                            config_.first_check, loop_cfg);

@@ -139,7 +139,6 @@ void GaugeManager::go_live(util::Symbol id, std::function<void()> on_live) {
   Managed* m = gauges_.find(id);
   if (!m) return;  // destroyed while being created
   bring_online(id, *m);
-  ++stats_.created;
   publish_lifecycle(id, m->gauge->spec().element, topics::kPhaseCreated);
   if (on_live) on_live();
 }
@@ -206,7 +205,6 @@ void GaugeManager::destroy(util::Symbol gauge_id,
   }
   take_offline(*m);
   gauges_.erase(gauge_id);
-  ++stats_.destroyed;
   publish_lifecycle(gauge_id, element, topics::kPhaseDeleted);
   sim_.schedule_in(config_.destroy_cost, [on_done] {
     if (on_done) on_done();
@@ -338,7 +336,6 @@ SimTime GaugeManager::redeploy_cost(const std::string& element) const {
 void GaugeManager::redeploy_elements(const std::vector<std::string>& elements,
                                      std::function<void()> on_done) {
   serial_.check();
-  ++stats_.redeploy_batches;
   if (elements.empty()) {
     sim_.schedule_in(SimTime::zero(), [on_done] {
       if (on_done) on_done();
@@ -383,12 +380,9 @@ void GaugeManager::redeploy_element(const std::string& element,
     Managed& m = *gauges_.find(id);
     take_offline(m);
     if (config_.caching) {
-      ++stats_.relocated;
       cursor += config_.relocate_cost;
       // Relocation keeps accumulated state (the cache is the point).
     } else {
-      ++stats_.destroyed;
-      ++stats_.created;
       m.gauge->reset();
       cursor += config_.destroy_cost + config_.create_cost;
     }

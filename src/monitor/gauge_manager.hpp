@@ -70,15 +70,11 @@ SimTime next_demanded_tick(SimTime origin, SimTime period, SimTime from,
                            const ReadSchedule& reads, SimTime delay);
 
 struct GaugeManagerStats {
-  std::uint64_t created = 0;
-  std::uint64_t destroyed = 0;
-  std::uint64_t relocated = 0;
   std::uint64_t reports = 0;
   std::uint64_t reports_suppressed = 0;  ///< channel down: dropped at source
   std::uint64_t suspects_marked = 0;     ///< watchdog staleness trips
   std::uint64_t suspects_cleared = 0;    ///< reports that cleared a suspect
   std::uint64_t redeploys = 0;
-  std::uint64_t redeploy_batches = 0;  ///< redeploy_elements() calls
 };
 
 /// Owns gauges; wires them to the probe bus; reports their readings on the

@@ -26,8 +26,8 @@ bool has_rule(const std::vector<Finding>& findings, const std::string& rule) {
   return std::find(hit.begin(), hit.end(), rule) != hit.end();
 }
 
-TEST(ArclintTest, ListsAllNineRules) {
-  EXPECT_EQ(arclint::rule_ids().size(), 9u);
+TEST(ArclintTest, ListsAllTenRules) {
+  EXPECT_EQ(arclint::rule_ids().size(), 10u);
   EXPECT_TRUE(std::find(arclint::rule_ids().begin(), arclint::rule_ids().end(),
                         "entropy") != arclint::rule_ids().end());
   EXPECT_TRUE(std::find(arclint::rule_ids().begin(), arclint::rule_ids().end(),
@@ -38,6 +38,8 @@ TEST(ArclintTest, ListsAllNineRules) {
                         "shard-isolation") != arclint::rule_ids().end());
   EXPECT_TRUE(std::find(arclint::rule_ids().begin(), arclint::rule_ids().end(),
                         "one-loop") != arclint::rule_ids().end());
+  EXPECT_TRUE(std::find(arclint::rule_ids().begin(), arclint::rule_ids().end(),
+                        "one-memo") != arclint::rule_ids().end());
 }
 
 // ---- unordered-container -------------------------------------------------
@@ -287,6 +289,29 @@ TEST(ArclintTest, ShardRuleHonorsAllowDirectives) {
       "// arclint: shard\n"
       "core::FleetManager* m;  // arclint: allow(shard-isolation): seam\n";
   EXPECT_TRUE(lint_source("src/sim/x.cpp", src).empty());
+}
+
+// ---- one-memo ------------------------------------------------------------
+
+TEST(ArclintTest, RevisionClockReadOutsideTheCheckerIsASecondMemo) {
+  const std::string src =
+      "const std::uint64_t now = model::structure_clock();\n"
+      "if (model::property_clock () != seen_) dirty = true;\n";
+  const auto findings = lint_source("src/core/fleet_manager.cpp", src);
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].rule, "one-memo");
+  EXPECT_EQ(findings[0].line, 1u);
+  EXPECT_EQ(findings[1].line, 2u);
+  // The checker's memo and the model that keeps the clocks are its homes.
+  EXPECT_FALSE(
+      has_rule(lint_source("src/repair/constraint.cpp", src), "one-memo"));
+  EXPECT_FALSE(has_rule(lint_source("src/model/revision.cpp", src),
+                        "one-memo"));
+  // Bumping a clock, or naming one in a comment, is not a read.
+  EXPECT_FALSE(has_rule(
+      lint_source("src/core/x.cpp",
+                  "stamp_ = bump_structure_clock();  // structure_clock()\n"),
+      "one-memo"));
 }
 
 // ---- tools-parity --------------------------------------------------------

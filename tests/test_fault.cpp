@@ -527,7 +527,7 @@ TEST(FleetHealthTest, SilenceWalksHealthyToQuarantinedAndBack) {
   EXPECT_EQ(ss.health_degraded, 1u);
   EXPECT_EQ(ss.health_quarantined, 1u);
   EXPECT_EQ(ss.health_recovered, 1u);
-  EXPECT_GE(ss.sweeps_quarantined, 1u);  // the t=45 sweep skipped it
+  EXPECT_GE(ss.sweeps_skipped, 1u);  // the t=45 sweep skipped it
   EXPECT_EQ(fleet.stats().shards_quarantined, 1u);
 }
 
@@ -569,8 +569,7 @@ events::Notification gauge_lifecycle(const std::string& element,
   return n;
 }
 
-/// A shard whose cached verdicts may be re-dispatched (skip_clean_shards),
-/// without the silence FSM in the way.
+/// A shard without the silence FSM in the way.
 core::FleetManagerConfig hold_test_config() {
   core::FleetManagerConfig cfg;
   cfg.coalesce_window = SimTime::zero();
@@ -578,7 +577,7 @@ core::FleetManagerConfig hold_test_config() {
   return cfg;
 }
 
-TEST(FleetHealthTest, SuspectMarkDirtiesCleanShard) {
+TEST(FleetHealthTest, SuspectMarkHoldsTheStandingVerdict) {
   HealthRig rig;
   core::FleetManager fleet(rig.sim, kCheckPeriod, kManualSweeps,
                            hold_test_config());
@@ -591,26 +590,26 @@ TEST(FleetHealthTest, SuspectMarkDirtiesCleanShard) {
   EXPECT_EQ(fleet.shard_stats(0).violations, 1u);
 
   // The watchdog marks User1's evidence stale and no report follows. The
-  // hold must reach the checker: re-dispatching the cached violation would
-  // act on exactly the evidence the hold distrusts.
+  // hold must reach the checker: dispatching the standing violation again
+  // would act on exactly the evidence the hold distrusts.
   rig.bus.publish(gauge_lifecycle("User1", topics::kPhaseSuspect));
   rig.bus.drain();
   fleet.run_sweep();
   EXPECT_EQ(fleet.shard_stats(0).sweeps, 2u);
-  EXPECT_EQ(fleet.shard_stats(0).sweeps_skipped, 0u);
   EXPECT_EQ(fleet.shard_stats(0).violations, 1u);
   EXPECT_EQ(rig.manager->checker().check_stats().holds, 1u);
 
-  // A second stale gauge on the same element changes no hold: the shard
-  // stays clean and its (empty) cached verdicts stand.
+  // A second stale gauge on the same element changes no hold: the verdict
+  // stays held, one more hold for this sweep.
   rig.bus.publish(gauge_lifecycle("User1", topics::kPhaseSuspect));
   rig.bus.drain();
   fleet.run_sweep();
-  EXPECT_EQ(fleet.shard_stats(0).sweeps_skipped, 1u);
+  EXPECT_EQ(fleet.shard_stats(0).sweeps, 3u);
   EXPECT_EQ(fleet.shard_stats(0).violations, 1u);
+  EXPECT_EQ(rig.manager->checker().check_stats().holds, 2u);
 }
 
-TEST(FleetHealthTest, ClearedMarkDirtiesCleanShard) {
+TEST(FleetHealthTest, ClearedMarkReleasesTheHeldVerdict) {
   HealthRig rig;
   core::FleetManager fleet(rig.sim, kCheckPeriod, kManualSweeps,
                            hold_test_config());
@@ -624,12 +623,11 @@ TEST(FleetHealthTest, ClearedMarkDirtiesCleanShard) {
   EXPECT_EQ(fleet.shard_stats(0).violations, 0u);
 
   // The channel recovers with no new report: the released verdict must be
-  // detected, not the held (empty) cache re-dispatched.
+  // detected on the next sweep.
   rig.bus.publish(gauge_lifecycle("User1", topics::kPhaseCleared));
   rig.bus.drain();
   fleet.run_sweep();
   EXPECT_EQ(fleet.shard_stats(0).sweeps, 2u);
-  EXPECT_EQ(fleet.shard_stats(0).sweeps_skipped, 0u);
   EXPECT_EQ(fleet.shard_stats(0).violations, 1u);
 }
 

@@ -114,10 +114,10 @@ TEST(FleetManagerTest, ZeroWindowAppliesOnDelivery) {
   EXPECT_EQ(fleet.shard_stats(0).reports_applied, 1u);
 }
 
-TEST(FleetManagerTest, DeadBandKeepsQuietShardsClean) {
-  // A gauge re-publishing a steady value must not dirty the shard: the
-  // model cannot have moved, so the sweep is skippable. This is what lets
-  // idle tenants in a duty-cycled fleet drop out of the sweep entirely.
+TEST(FleetManagerTest, DeadBandKeepsTheCheckerMemoValid) {
+  // A gauge re-publishing a steady value must not write the model: the
+  // element's stamp stays put, so the next sweep answers the constraint
+  // from the checker's memo instead of re-evaluating it.
   sim::Simulator sim;
   ShardRig rig(sim, "User1");
   core::FleetManagerConfig cfg;
@@ -126,34 +126,41 @@ TEST(FleetManagerTest, DeadBandKeepsQuietShardsClean) {
   core::FleetManager fleet(sim, kCheckPeriod, kManualSweeps, cfg);
   fleet.add_shard("t1", *rig.manager, rig.bus);
   fleet.start();
+  const repair::ConstraintChecker::CheckStats& ck =
+      rig.manager->checker().check_stats();
 
   rig.bus.publish(gauge_report("User1", "averageLatency", 1.25));
   rig.bus.drain();
   fleet.run_sweep();  // applies 1.25 (a real change), sweeps
   EXPECT_EQ(fleet.shard_stats(0).reports_applied, 1u);
   EXPECT_EQ(fleet.shard_stats(0).sweeps, 1u);
+  const std::uint64_t evaluations = ck.evaluations;
+  const std::uint64_t cache_hits = ck.cache_hits;
 
   // The same value again — and once more with sub-noise-floor jitter.
   rig.bus.publish(gauge_report("User1", "averageLatency", 1.25));
   rig.bus.publish(gauge_report("User1", "averageLatency", 1.25 + 1e-9));
   rig.bus.drain();
   fleet.run_sweep();
-  EXPECT_EQ(fleet.shard_stats(0).reports_unchanged, 1u);  // after coalescing
-  EXPECT_EQ(fleet.shard_stats(0).reports_applied, 1u);
-  EXPECT_EQ(fleet.shard_stats(0).sweeps, 1u);  // skipped: provably clean
-  EXPECT_EQ(fleet.shard_stats(0).sweeps_skipped, 1u);
+  EXPECT_EQ(fleet.shard_stats(0).reports_coalesced, 1u);
+  EXPECT_EQ(fleet.shard_stats(0).reports_applied, 1u);  // repeat not applied
+  EXPECT_EQ(fleet.shard_stats(0).sweeps, 2u);
+  EXPECT_EQ(ck.evaluations, evaluations);  // nothing re-evaluated
+  EXPECT_EQ(ck.cache_hits, cache_hits + 1);
 
-  // A genuine change wakes the shard back up.
+  // A genuine change is applied and re-evaluated.
   rig.bus.publish(gauge_report("User1", "averageLatency", 3.0));
   rig.bus.drain();
   fleet.run_sweep();
-  EXPECT_EQ(fleet.shard_stats(0).sweeps, 2u);
+  EXPECT_EQ(fleet.shard_stats(0).sweeps, 3u);
+  EXPECT_EQ(fleet.shard_stats(0).reports_applied, 2u);
+  EXPECT_EQ(ck.evaluations, evaluations + 1);
   EXPECT_DOUBLE_EQ(
       rig.system.component("User1").property("averageLatency").as_double(),
       3.0);
 }
 
-TEST(FleetManagerTest, SkipsCleanShardsAndKeepsCachedVerdicts) {
+TEST(FleetManagerTest, QuietShardsAnswerFromTheCheckerMemo) {
   sim::Simulator sim;
   ShardRig hot(sim, "User1");
   ShardRig cold(sim, "User2");
@@ -164,32 +171,41 @@ TEST(FleetManagerTest, SkipsCleanShardsAndKeepsCachedVerdicts) {
   fleet.add_shard("hot", *hot.manager, hot.bus);
   fleet.add_shard("cold", *cold.manager, cold.bus);
   fleet.start();
+  const repair::ConstraintChecker::CheckStats& hot_ck =
+      hot.manager->checker().check_stats();
+  const repair::ConstraintChecker::CheckStats& cold_ck =
+      cold.manager->checker().check_stats();
 
   // Shard "hot" goes into violation; "cold" stays quiet.
   hot.bus.publish(gauge_report("User1", "averageLatency", 9.0));
   hot.bus.drain();
   fleet.run_sweep();  // flushes the pending batch first
   EXPECT_EQ(fleet.shard_stats(0).sweeps, 1u);
-  EXPECT_EQ(fleet.shard_stats(1).sweeps, 1u);  // first sweep covers everyone
+  EXPECT_EQ(fleet.shard_stats(1).sweeps, 1u);
   EXPECT_EQ(fleet.shard_stats(0).violations, 1u);
   EXPECT_EQ(fleet.shard_stats(1).violations, 0u);
+  const std::uint64_t hot_evaluations = hot_ck.evaluations;
+  const std::uint64_t cold_evaluations = cold_ck.evaluations;
 
-  // Nothing changed: both shards are clean and must be skipped — but the
-  // hot shard's standing violation keeps being reported from cache, exactly
-  // as the incremental checker would have reported it.
+  // Nothing changed: both shards are detected, from their memos, and the
+  // hot shard's standing violation is dispatched again.
   fleet.run_sweep();
-  EXPECT_EQ(fleet.shard_stats(0).sweeps, 1u);
-  EXPECT_EQ(fleet.shard_stats(0).sweeps_skipped, 1u);
-  EXPECT_EQ(fleet.shard_stats(1).sweeps_skipped, 1u);
+  EXPECT_EQ(fleet.shard_stats(0).sweeps, 2u);
+  EXPECT_EQ(fleet.shard_stats(1).sweeps, 2u);
   EXPECT_EQ(fleet.shard_stats(0).violations, 2u);
+  EXPECT_EQ(fleet.shard_stats(1).violations, 0u);
+  EXPECT_EQ(hot_ck.evaluations, hot_evaluations);
+  EXPECT_EQ(cold_ck.evaluations, cold_evaluations);
 
-  // A report to the cold shard re-sweeps it — and only it.
+  // A report to the cold shard re-evaluates its constraint — and only its.
   cold.bus.publish(gauge_report("User2", "averageLatency", 0.7));
   sim.run_until(sim.now() + SimTime::seconds(1));  // flush timer
   fleet.run_sweep();
-  EXPECT_EQ(fleet.shard_stats(1).sweeps, 2u);
-  EXPECT_EQ(fleet.shard_stats(0).sweeps, 1u);
-  EXPECT_EQ(fleet.shard_stats(0).sweeps_skipped, 2u);
+  EXPECT_EQ(fleet.shard_stats(0).sweeps, 3u);
+  EXPECT_EQ(fleet.shard_stats(1).sweeps, 3u);
+  EXPECT_EQ(fleet.shard_stats(0).violations, 3u);
+  EXPECT_EQ(hot_ck.evaluations, hot_evaluations);
+  EXPECT_EQ(cold_ck.evaluations, cold_evaluations + 1);
   EXPECT_EQ(fleet.stats().sweep_rounds, 3u);
 }
 
@@ -369,7 +385,7 @@ TEST(FleetDeterminismTest, SweepRejectsShardClocksBehindControl) {
 }
 
 
-// ---- demand-aligned reporting parity ----
+// ---- repair and model parity pins ----
 
 /// One tenant's adaptation outcome, reduced to what the parity pin holds:
 /// the repair record count, an FNV-1a digest over each record's strategy,
@@ -382,31 +398,9 @@ struct TenantOutcome {
   bool operator==(const TenantOutcome&) const = default;
 };
 
-/// fleet-4x16 under the e2e bench's fleet config (QoS monitoring, 250 ms
-/// gauge reports, a 1 s sweep and coalesce window, the Figure 7 schedule
-/// with stress over 30-80% of the horizon): 8 tenants, 600 s, 4 sim
-/// threads.
-std::vector<TenantOutcome> run_bench_fleet(std::uint64_t seed) {
+/// Runs a fleet for 600 s and reduces each tenant to its outcome.
+std::vector<TenantOutcome> run_outcomes(const core::FleetOptions& opt) {
   sim::Simulator sim;
-  core::FleetOptions opt;
-  opt.scenario = "fleet-4x16";
-  opt.tenants = 8;
-  opt.use_scenario_defaults = false;
-  opt.config = sim::scenario_defaults("fleet-4x16");
-  opt.config.seed = seed;
-  opt.config.quiescent_end = SimTime::seconds(10);
-  opt.config.stress_start = SimTime::seconds(180);
-  opt.config.stress_end = SimTime::seconds(480);
-  opt.config.normal_rate_hz = 1.0;
-  opt.config.stress_rate_hz = 1.1;
-  opt.config.fleet.phase_shift = SimTime::seconds(2);
-  opt.config.fleet.active_duration = SimTime::zero();
-  opt.framework.monitoring_qos = true;
-  opt.framework.gauge_costs.report_period = SimTime::millis(250);
-  opt.framework.check_period = SimTime::seconds(1);
-  opt.manager.coalesce_window = SimTime::seconds(1);
-  opt.manager.sweep_threads = 1;
-  opt.sim_threads = 4;
   auto fleet = std::make_unique<core::Fleet>(sim, opt);
   fleet->start();
   fleet->run_until(SimTime::seconds(600));
@@ -432,6 +426,57 @@ std::vector<TenantOutcome> run_bench_fleet(std::uint64_t seed) {
     out.push_back(o);
   }
   return out;
+}
+
+/// fleet-4x16 under the e2e bench's fleet config (QoS monitoring, 250 ms
+/// gauge reports, a 1 s sweep and coalesce window, the Figure 7 schedule
+/// with stress over 30-80% of the horizon): 8 tenants, 600 s, 4 sim
+/// threads.
+std::vector<TenantOutcome> run_bench_fleet(std::uint64_t seed) {
+  core::FleetOptions opt;
+  opt.scenario = "fleet-4x16";
+  opt.tenants = 8;
+  opt.use_scenario_defaults = false;
+  opt.config = sim::scenario_defaults("fleet-4x16");
+  opt.config.seed = seed;
+  opt.config.quiescent_end = SimTime::seconds(10);
+  opt.config.stress_start = SimTime::seconds(180);
+  opt.config.stress_end = SimTime::seconds(480);
+  opt.config.normal_rate_hz = 1.0;
+  opt.config.stress_rate_hz = 1.1;
+  opt.config.fleet.phase_shift = SimTime::seconds(2);
+  opt.config.fleet.active_duration = SimTime::zero();
+  opt.framework.monitoring_qos = true;
+  opt.framework.gauge_costs.report_period = SimTime::millis(250);
+  opt.framework.check_period = SimTime::seconds(1);
+  opt.manager.coalesce_window = SimTime::seconds(1);
+  opt.manager.sweep_threads = 1;
+  opt.sim_threads = 4;
+  return run_outcomes(opt);
+}
+
+/// bench_durability's duty-cycled fleet: 8 tenants of fleet-4x16 at
+/// 2.5 req/s, each active for a 40 s window after a 40 s quiet start, the
+/// windows staggered by 30 s; QoS monitoring, 250 ms gauge reports, a 1 s
+/// sweep and coalesce window; 600 s on one sim thread. Most tenants are
+/// idle at any sweep, so most shards' models do not move between sweeps.
+std::vector<TenantOutcome> run_duty_cycled_fleet() {
+  core::FleetOptions opt;
+  opt.scenario = "fleet-4x16";
+  opt.tenants = 8;
+  opt.use_scenario_defaults = false;
+  opt.config = sim::scenario_defaults("fleet-4x16");
+  opt.config.quiescent_end = SimTime::seconds(40);
+  opt.config.normal_rate_hz = 2.5;
+  opt.config.fleet.phase_shift = SimTime::seconds(30);
+  opt.config.fleet.active_duration = SimTime::seconds(40);
+  opt.framework.monitoring_qos = true;
+  opt.framework.gauge_costs.report_period = SimTime::millis(250);
+  opt.framework.check_period = SimTime::seconds(1);
+  opt.manager.coalesce_window = SimTime::seconds(1);
+  opt.manager.sweep_threads = 1;
+  opt.sim_threads = 1;
+  return run_outcomes(opt);
 }
 
 TEST(FleetParityTest, DemandAlignedReportsKeepRepairsAndModels) {
@@ -471,6 +516,32 @@ TEST(FleetParityTest, DemandAlignedReportsKeepRepairsAndModels) {
       EXPECT_EQ(got[t].model_digest, pinned[t].model_digest)
           << "seed " << seed << " tenant " << t;
     }
+  }
+}
+
+TEST(FleetParityTest, DutyCycledFleetKeepsRepairsAndModels) {
+  // Recorded while the sweep still skipped a shard whose model had not
+  // moved since its last sweep and re-dispatched that shard's previous
+  // violations (about 60% of this run's shard sweeps). Every shard that is
+  // not quarantined is now detected every sweep, and the checker's memo
+  // returns the same verdicts, so nothing here may move.
+  const std::vector<TenantOutcome> pinned = {
+      {102, 0x21951d5b4983795fULL, 0xac12c6f6062c0f6dULL},
+      {99, 0x9507648115cfb9a2ULL, 0x8051ebc7181676c4ULL},
+      {89, 0x914f8e5fd26348a3ULL, 0x631219d162be422dULL},
+      {87, 0xb6b0b0fd4d71206cULL, 0x9f5b6ff33fa20814ULL},
+      {79, 0xfd469379d4c55902ULL, 0x18a78f5b1ab59bbeULL},
+      {77, 0x9c6c4f8b95dcf8faULL, 0x52109c6bedbb0498ULL},
+      {64, 0xa3d5438018beedf9ULL, 0xc4d4699f41fc1c5fULL},
+      {63, 0xf4fdd6207588bd0aULL, 0x05414ebffccdc7c3ULL},
+  };
+  const std::vector<TenantOutcome> got = run_duty_cycled_fleet();
+  ASSERT_EQ(got.size(), pinned.size());
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    EXPECT_EQ(got[t].repairs, pinned[t].repairs) << "tenant " << t;
+    EXPECT_EQ(got[t].records_digest, pinned[t].records_digest)
+        << "tenant " << t;
+    EXPECT_EQ(got[t].model_digest, pinned[t].model_digest) << "tenant " << t;
   }
 }
 

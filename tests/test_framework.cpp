@@ -193,11 +193,14 @@ TEST(FrameworkTest, GaugeCachingRelocatesOnRedeploy) {
   fw.start();
   sim.run_until(SimTime::seconds(20));  // every gauge is live
   ASSERT_TRUE(fw.gauges().is_live("latency:User1"));
-  fw.gauges().redeploy_element("User1");
+  const SimTime start = sim.now();
+  SimTime done;
+  fw.gauges().redeploy_element("User1", [&] { done = sim.now(); });
   sim.run_until(SimTime::seconds(40));
   EXPECT_TRUE(fw.gauges().config().caching);
-  EXPECT_GT(fw.gauges().stats().relocated, 0u);
-  EXPECT_EQ(fw.gauges().stats().destroyed, 0u);
+  // User1's one gauge is relocated in 1.5 s, not destroyed and re-created
+  // in 3 + 12 s.
+  EXPECT_EQ(done - start, SimTime::seconds(1.5));
 }
 
 TEST(FrameworkTest, CustomScriptSourceUsed) {

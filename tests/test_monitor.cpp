@@ -200,7 +200,6 @@ TEST(GaugeManagerTest, RedeployCachedIsFast) {
   rig.mgr->redeploy_element("U", [&] { done = rig.sim.now(); });
   rig.sim.run_until(SimTime::seconds(120));
   EXPECT_EQ(done - start, SimTime::seconds(3));  // 2 * 1.5 s relocations
-  EXPECT_EQ(rig.mgr->stats().relocated, 2u);
 }
 
 TEST(GaugeManagerTest, ColdRedeployResetsGaugeState) {

@@ -374,7 +374,6 @@ TEST(PlanExecutorTest, BatchedGaugeRedeployCostsTheSlowestElement) {
   // Two elements, one gauge each: concurrent chains finish together at
   // 15 s — the sequential chain would have taken 30 s.
   EXPECT_EQ((done_at - t0), SimTime::seconds(15));
-  EXPECT_EQ(rig.gauges.stats().redeploy_batches, 1u);
 }
 
 // ---- the engine pipeline end to end ----

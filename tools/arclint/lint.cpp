@@ -263,7 +263,8 @@ const std::vector<std::string>& rule_ids() {
   static const std::vector<std::string> ids = {
       "unordered-container", "wall-clock",   "raw-mutex",
       "hotpath-std-function", "entropy",     "tools-parity",
-      "durability-io",       "shard-isolation", "one-loop"};
+      "durability-io",       "shard-isolation", "one-loop",
+      "one-memo"};
   return ids;
 }
 
@@ -334,6 +335,10 @@ std::vector<Finding> lint_source(std::string_view path,
   // The single allow-listed detection loop: only the FleetManager folds
   // gauge reports and liveness marks into a model shard.
   const bool is_fleet_manager = path == "src/core/fleet_manager.cpp";
+  // The single allow-listed verdict cache: the model keeps the revision
+  // clocks, and only the constraint checker's memo is keyed on them.
+  const bool is_memo_home = starts_with(path, "src/model/") ||
+                            path == "src/repair/constraint.cpp";
 
   struct Rule {
     bool applies;
@@ -348,6 +353,7 @@ std::vector<Finding> lint_source(std::string_view path,
       {in_src && !is_durability_io, "durability-io"},
       {shard_marked, "shard-isolation"},
       {in_src && !is_fleet_manager, "one-loop"},
+      {in_src && !is_memo_home, "one-memo"},
   };
   constexpr std::size_t kNumRules = sizeof(rules) / sizeof(rules[0]);
   bool any = false;
@@ -526,6 +532,15 @@ std::vector<Finding> lint_source(std::string_view path,
           "core/fleet_manager.cpp; the FleetManager is the one detection "
           "loop — register the model shard with one (a solo Framework runs "
           "a one-shard FleetManager)");
+
+    // one-memo: a revision-clock read outside the model and the checker is
+    // a second verdict cache keyed on the clocks.
+    check(8,
+          calls_word(line, "structure_clock") ||
+              calls_word(line, "property_clock"),
+          "revision-clock read outside src/model/ and "
+          "repair/constraint.cpp; the constraint checker's memo is the one "
+          "verdict cache — ask the checker instead of caching its answer");
 
     if (s_end >= stripped.size() || r_end >= source.size()) break;
     s_pos = s_end + 1;

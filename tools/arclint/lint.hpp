@@ -45,6 +45,12 @@
 //                         kGaugeLifecycle, or their Sym forms, on one
 //                         line). The FleetManager is the one detection
 //                         loop; a solo Framework runs a one-shard instance.
+//   one-memo              Under src/, only src/model/ and
+//                         repair/constraint.cpp may call structure_clock()
+//                         or property_clock(). The constraint checker's
+//                         memo is the one verdict cache; a second cache
+//                         keyed on the revision clocks would have to be
+//                         kept in step with it.
 //
 // Exemptions are explicit and carry a justification in the source:
 //   // arclint: allow(<rule>): <reason>        exempts that line
