@@ -434,29 +434,69 @@ void bench_maxmin(Report& report) {
   }
 }
 
-/// Warm-pair lookups on the request and probe paths: Topology::path, called
-/// per transfer, and RemosService::get_flow, called per client per
-/// bandwidth-probe tick. A fleet-tenant-shaped star: 4 group hosts and 64
-/// clients on one router, every group -> client pair warmed first.
-void bench_pair_lookups(Report& report) {
-  constexpr int kGroups = 4;
-  constexpr int kClients = 64;
-  constexpr std::uint64_t kLookups = 100'000;
+/// A fleet-tenant-shaped star: 4 group hosts and 64 clients on one router,
+/// routed.
+struct Star {
+  static constexpr int kGroups = 4;
+  static constexpr int kClients = 64;
   sim::Topology topo;
-  const auto router = topo.add_node("r", sim::NodeKind::Router);
   std::vector<sim::NodeId> groups;
   std::vector<sim::NodeId> clients;
-  for (int g = 0; g < kGroups; ++g) {
-    groups.push_back(
-        topo.add_node("g" + std::to_string(g), sim::NodeKind::Host));
-    topo.add_link(groups.back(), router, Bandwidth::mbps(100));
+  Star() {
+    const auto router = topo.add_node("r", sim::NodeKind::Router);
+    for (int g = 0; g < kGroups; ++g) {
+      groups.push_back(
+          topo.add_node("g" + std::to_string(g), sim::NodeKind::Host));
+      topo.add_link(groups.back(), router, Bandwidth::mbps(100));
+    }
+    for (int c = 0; c < kClients; ++c) {
+      clients.push_back(
+          topo.add_node("c" + std::to_string(c), sim::NodeKind::Host));
+      topo.add_link(clients.back(), router, Bandwidth::mbps(10));
+    }
+    topo.compute_routes();
   }
-  for (int c = 0; c < kClients; ++c) {
-    clients.push_back(
-        topo.add_node("c" + std::to_string(c), sim::NodeKind::Host));
-    topo.add_link(clients.back(), router, Bandwidth::mbps(10));
-  }
-  topo.compute_routes();
+};
+
+/// Cold-pair lookups: the first Topology::path of every group -> client
+/// pair of a fresh star. A path is written into the topology's block arena,
+/// so the allocations are one lookup row per group plus the arena blocks
+/// (each twice the last, the first node_count() + 1 words), not one or
+/// more per path.
+void bench_topology_materialize(Report& report) {
+  Star star;
+  double acc = 0.0;
+  constexpr std::uint64_t kPairs = Star::kGroups * Star::kClients;
+  Path p = measure("topology_materialize", kPairs, [&] {
+    for (sim::NodeId g : star.groups) {
+      for (sim::NodeId c : star.clients) {
+        acc += static_cast<double>(star.topo.path(g, c).size());
+      }
+    }
+  });
+  g_sink = acc;
+  const std::uint64_t paths = star.topo.materialized_paths();
+  p.counts = {{"materialized_paths", paths}};
+  report.add(p);
+  // 69 nodes: 256 paths of [length, 2 channels] fill blocks of 70, 140,
+  // 280 and 560 words (23 + 46 + 93 paths, the rest in the fourth).
+  report.gate("topology_materialize.allocations", p.allocations,
+              Star::kGroups + 4);
+  report.gate("topology_materialize.materialized_paths", paths, kPairs);
+}
+
+/// Warm-pair lookups on the request and probe paths: Topology::path, called
+/// per transfer, and RemosService::get_flow, called per client per
+/// bandwidth-probe tick. The star above, every group -> client pair warmed
+/// first.
+void bench_pair_lookups(Report& report) {
+  constexpr int kGroups = Star::kGroups;
+  constexpr int kClients = Star::kClients;
+  constexpr std::uint64_t kLookups = 100'000;
+  Star star;
+  const sim::Topology& topo = star.topo;
+  const std::vector<sim::NodeId>& groups = star.groups;
+  const std::vector<sim::NodeId>& clients = star.clients;
   sim::Simulator sim;
   sim::FlowNetwork net(sim, topo);
   remos::RemosService remos(sim, net);
@@ -610,6 +650,7 @@ int main(int argc, char** argv) {
   std::cout << "bench_micro: simulator, max-min allocator, pair lookups\n";
   bench_simulator(report);
   bench_maxmin(report);
+  bench_topology_materialize(report);
   bench_pair_lookups(report);
   std::cout << "bench_micro: event bus\n";
   bench_keyed_publish(report);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
 namespace arcadia::sim {
 
@@ -45,25 +44,43 @@ void Topology::compute_routes() {
   // same tables; returning early keeps every path() reference alive.
   if (routes_ready_) return;
   const std::size_t n = nodes_.size();
-  parent_node_.assign(n * n, kNoNode);
-  parent_link_.assign(n * n, -1);
+  // A path's [length, channels...] must fit in one arena block.
+  if (n >= (std::size_t{1} << kBlockBits)) {
+    throw SimError("Topology: too many nodes to route");
+  }
+  // A leaf L (degree 1, its neighbour R not degree 1) needs no BFS of its
+  // own: from L, BFS discovers only R, then expands R exactly as a BFS from
+  // R would (L is already seen and expands nothing), so every route from L
+  // is [L->R] + the route from R. Everything else is an anchor. A lone
+  // two-node link keeps both ends as anchors, so every leaf's neighbour is
+  // one.
+  anchor_row_.assign(n, -1);
+  std::int32_t anchors = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto& adj = nodes_[v].adj;
+    const bool leaf = adj.size() == 1 && nodes_[adj[0].first].adj.size() != 1;
+    if (!leaf) anchor_row_[v] = anchors++;
+  }
+  parent_link_.assign(static_cast<std::size_t>(anchors) * n, -1);
   path_rows_.assign(n, {});
-  // BFS from every source; deterministic neighbor order = insertion order.
-  // Only the predecessor matrices are kept; channel sequences materialize
-  // on demand in path().
+  // BFS from every anchor; deterministic neighbor order = insertion order.
+  // Only the predecessor links are kept; channel sequences materialize on
+  // demand in path().
+  std::vector<bool> seen(n);
+  std::vector<NodeId> frontier;  // FIFO: visited in push order
+  frontier.reserve(n);
   for (NodeId src = 0; src < static_cast<NodeId>(n); ++src) {
-    NodeId* prev_node = parent_node_.data() + static_cast<std::size_t>(src) * n;
-    LinkId* prev_link = parent_link_.data() + static_cast<std::size_t>(src) * n;
-    std::vector<bool> seen(n, false);
-    std::deque<NodeId> frontier{src};
+    if (anchor_row_[src] < 0) continue;
+    LinkId* prev_link =
+        parent_link_.data() + static_cast<std::size_t>(anchor_row_[src]) * n;
+    seen.assign(n, false);
+    frontier.assign(1, src);
     seen[src] = true;
-    while (!frontier.empty()) {
-      NodeId u = frontier.front();
-      frontier.pop_front();
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      const NodeId u = frontier[head];
       for (const auto& [v, link] : nodes_[u].adj) {
         if (seen[v]) continue;
         seen[v] = true;
-        prev_node[v] = u;
         prev_link[v] = link;
         frontier.push_back(v);
       }
@@ -72,49 +89,78 @@ void Topology::compute_routes() {
   routes_ready_ = true;
 }
 
-const std::vector<ChannelId>& Topology::path(NodeId src, NodeId dst) const {
-  // Hot path: a materialized pair is two indexings. Out-of-range ids (and
-  // every id before compute_routes, when there are no rows) miss here.
+Path Topology::path(NodeId src, NodeId dst) const {
+  // Hot path: a materialized pair is a row indexing plus an arena handle.
+  // Out-of-range ids (and every id before compute_routes, when there are no
+  // rows) miss here.
   if (static_cast<std::size_t>(src) < path_rows_.size()) {
     const std::vector<std::int32_t>& row = path_rows_[src];
     if (static_cast<std::size_t>(dst) < row.size() && row[dst] >= 0) {
-      return path_arena_[row[dst]];
+      return stored(row[dst]);
     }
   }
   return materialize(src, dst);
 }
 
-const std::vector<ChannelId>& Topology::materialize(NodeId src,
-                                                     NodeId dst) const {
+Path Topology::materialize(NodeId src, NodeId dst) const {
   if (!routes_ready_) throw SimError("Topology::path before compute_routes");
   const std::size_t n = nodes_.size();
   if (src < 0 || dst < 0 || src >= static_cast<NodeId>(n) ||
       dst >= static_cast<NodeId>(n)) {
     throw SimError("path: bad node id");
   }
-  if (src == dst) return empty_path_;
-  const NodeId* prev_node =
-      parent_node_.data() + static_cast<std::size_t>(src) * n;
+  if (src == dst) return {};
+  auto other_end = [this](LinkId link, NodeId v) {
+    return links_[link].a == v ? links_[link].b : links_[link].a;
+  };
+  // channel direction: even = a->b, odd = b->a
+  auto channel_from = [this](LinkId link, NodeId from) -> ChannelId {
+    return links_[link].a == from ? link * 2 : link * 2 + 1;
+  };
+  // A leaf routes through its only neighbour, which is an anchor.
+  NodeId anchor = src;
+  if (anchor_row_[src] < 0) anchor = nodes_[src].adj[0].first;
   const LinkId* prev_link =
-      parent_link_.data() + static_cast<std::size_t>(src) * n;
-  if (prev_node[dst] == kNoNode) {
-    throw SimError("no route " + node_name(src) + " -> " + node_name(dst));
+      parent_link_.data() + static_cast<std::size_t>(anchor_row_[anchor]) * n;
+  // Count the hops first so the path is written straight into the arena.
+  std::size_t hops = anchor == src ? 0 : 1;
+  for (NodeId cur = dst; cur != anchor; ++hops) {
+    const LinkId link = prev_link[cur];
+    if (link < 0) {
+      throw SimError("no route " + node_name(src) + " -> " + node_name(dst));
+    }
+    cur = other_end(link, cur);
   }
-  // Backtrack the predecessor chain dst -> src; identical construction (and
-  // therefore identical channel sequence) to an eager all-pairs table.
-  std::vector<ChannelId> rev;
-  for (NodeId cur = dst; cur != src; cur = prev_node[cur]) {
-    LinkId link = prev_link[cur];
-    NodeId from = prev_node[cur];
-    // channel direction: even = a->b, odd = b->a
-    ChannelId chan = (links_[link].a == from) ? link * 2 : link * 2 + 1;
-    rev.push_back(chan);
+  if (block_used_ + hops + 1 > block_capacity_) {
+    if (block_count_ == kMaxBlocks) throw SimError("Topology: path arena full");
+    block_capacity_ = block_count_ == 0
+                          ? n + 1
+                          : std::min(block_capacity_ * 2,
+                                     std::size_t{1} << kBlockBits);
+    blocks_[block_count_++] =
+        std::make_unique_for_overwrite<ChannelId[]>(block_capacity_);
+    block_used_ = 0;
   }
-  std::reverse(rev.begin(), rev.end());
+  // Store [len, channels...]; backtracking dst -> anchor fills the channels
+  // from the back, identical construction (and channel sequence) to
+  // backtracking a BFS from src itself.
+  const std::size_t block = block_count_ - 1;
+  ChannelId* out = blocks_[block].get() + block_used_;
+  out[0] = static_cast<ChannelId>(hops);
+  std::size_t i = hops;
+  for (NodeId cur = dst; cur != anchor;) {
+    const LinkId link = prev_link[cur];
+    const NodeId from = other_end(link, cur);
+    out[i--] = channel_from(link, from);
+    cur = from;
+  }
+  if (anchor != src) out[1] = channel_from(nodes_[src].adj[0].second, src);
   std::vector<std::int32_t>& row = path_rows_[src];
   if (row.empty()) row.assign(n, -1);
-  row[dst] = static_cast<std::int32_t>(path_arena_.size());
-  return path_arena_.emplace_back(std::move(rev));
+  row[dst] = static_cast<std::int32_t>((block << kBlockBits) | block_used_);
+  block_used_ += hops + 1;
+  ++materialized_;
+  return Path(out + 1, hops);
 }
 
 FlowNetwork::FlowNetwork(Simulator& sim, const Topology& topo)
@@ -150,7 +196,7 @@ FlowId FlowNetwork::start_transfer(NodeId src, NodeId dst, DataSize size,
   t.remaining_bits = size.as_bits();
   t.last_update = sim_.now();
   t.on_complete = std::move(on_complete);
-  t.path = &topo_.path(src, dst);
+  t.path = topo_.path(src, dst);
   transfers_.emplace(id, std::move(t));
   reallocate();
   return id;
@@ -170,7 +216,7 @@ FlowId FlowNetwork::add_background(NodeId src, NodeId dst) {
   Background b;
   b.src = src;
   b.dst = dst;
-  b.path = &topo_.path(src, dst);
+  b.path = topo_.path(src, dst);
   backgrounds_.emplace(id, std::move(b));
   refresh_capacity();
   return id;
@@ -214,7 +260,7 @@ void FlowNetwork::refresh_capacity() {
   // non-responsive blast cannot push more than the wire carries).
   std::vector<double> bg(capacity_.size(), 0.0);
   for (const auto& [id, b] : backgrounds_) {
-    for (ChannelId c : *b.path) bg[c] += b.rate_bps;
+    for (ChannelId c : b.path) bg[c] += b.rate_bps;
   }
   for (std::size_t c = 0; c < capacity_.size(); ++c) {
     capacity_[c] = std::max(0.0, capacity_[c] - std::min(bg[c], capacity_[c]));
@@ -249,7 +295,7 @@ void FlowNetwork::reallocate() {
     t.last_update = now;
     t.rate_bps = 0.0;
     unfrozen_.push_back(&t);
-    for (ChannelId c : *t.path) {
+    for (ChannelId c : t.path) {
       if (active_mark_[c] == epoch_) continue;
       active_mark_[c] = epoch_;
       active_.push_back(c);
@@ -261,7 +307,7 @@ void FlowNetwork::reallocate() {
     ++stats_.waterfill_rounds;
     for (ChannelId c : active_) load_[c] = 0;
     for (const Transfer* t : unfrozen_) {
-      for (ChannelId c : *t->path) ++load_[c];
+      for (ChannelId c : t->path) ++load_[c];
     }
     double share = std::numeric_limits<double>::infinity();
     for (ChannelId c : active_) {
@@ -284,7 +330,7 @@ void FlowNetwork::reallocate() {
     frozen_now_.clear();
     for (Transfer* t : unfrozen_) {
       bool crosses = false;
-      for (ChannelId c : *t->path) {
+      for (ChannelId c : t->path) {
         if (bottleneck_[c]) {
           crosses = true;
           break;
@@ -298,7 +344,7 @@ void FlowNetwork::reallocate() {
     }
     for (Transfer* t : frozen_now_) {
       t->rate_bps = share;
-      for (ChannelId c : *t->path) residual_[c] -= share;
+      for (ChannelId c : t->path) residual_[c] -= share;
     }
     unfrozen_.swap(still_);
   }
@@ -334,7 +380,7 @@ Bandwidth FlowNetwork::available_bandwidth(NodeId src, NodeId dst) const {
   for (ChannelId c : topo_.path(src, dst)) {
     double residual = capacity_[c];
     for (const auto& [id, t] : transfers_) {
-      for (ChannelId tc : *t.path) {
+      for (ChannelId tc : t.path) {
         if (tc == c) residual -= t.rate_bps;
       }
     }
@@ -349,12 +395,12 @@ double FlowNetwork::path_utilization(NodeId src, NodeId dst) const {
   for (ChannelId c : topo_.path(src, dst)) {
     double used = 0.0;
     for (const auto& [id, b] : backgrounds_) {
-      for (ChannelId bc : *b.path) {
+      for (ChannelId bc : b.path) {
         if (bc == c) used += b.rate_bps;
       }
     }
     for (const auto& [id, t] : transfers_) {
-      for (ChannelId tc : *t.path) {
+      for (ChannelId tc : t.path) {
         if (tc == c) used += t.rate_bps;
       }
     }

@@ -6,11 +6,13 @@
 // — what Remos predicts — is the residual capacity a new flow would see.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,9 +33,14 @@ inline constexpr FlowId kNoFlow = -1;
 
 enum class NodeKind { Host, Router };
 
+/// A directed channel sequence, as Topology::path hands it out.
+using Path = std::span<const ChannelId>;
+
 /// Static topology plus shortest-path routing. Routes are computed once
 /// (hop-count BFS, deterministic tie-break by node id) and are stable for
-/// the lifetime of the topology — the testbed's static routing.
+/// the lifetime of the topology — the testbed's static routing. The routing
+/// state grows with the routers, not the hosts: only route anchors get a BFS
+/// row, and every materialized path lives in one append-only arena.
 class Topology {
  public:
   NodeId add_node(const std::string& name, NodeKind kind);
@@ -53,26 +60,27 @@ class Topology {
   }
   std::pair<NodeId, NodeId> channel_endpoints(ChannelId c) const;
 
-  /// Finalize routing: run the all-pairs BFS and keep only the parent
-  /// matrices (predecessor node + link per source). Must be called after
-  /// the last add_*; path() throws before this, and a repeat call is a
-  /// no-op (it must not free paths a FlowNetwork holds). Channel sequences are
-  /// materialized lazily per (src, dst) pair on first use, and only sources
-  /// that are used get a row of the path table — a fleet of 64 tenant
-  /// topologies only ever asks for the pairs its workload actually
-  /// exercises, so an eager O(n^2) path table (hundreds of MB at
-  /// fleet-64x256 scale) never gets built.
+  /// Finalize routing: run BFS from every route anchor and keep one
+  /// predecessor-link row per anchor. A leaf — a degree-1 node whose
+  /// neighbour is not itself a leaf — is not an anchor: its routes are its
+  /// uplink followed by its neighbour's, which is exactly what a BFS from
+  /// the leaf would find, so a fleet tenant's hosts cost no BFS row. Must be
+  /// called after the last add_*; path() throws before this, and a repeat
+  /// call is a no-op (it must not free paths a FlowNetwork holds). Channel
+  /// sequences are materialized lazily per (src, dst) pair on first use,
+  /// and only sources that are used get a lookup row, so a tenant pays only
+  /// for the pairs its workload exercises.
   void compute_routes();
   bool routes_ready() const { return routes_ready_; }
 
   /// Directed channel sequence from src to dst (empty when src == dst).
-  /// Throws SimError if unreachable. The returned reference is stable for
-  /// the lifetime of the topology (FlowNetwork caches the pointer). Not
+  /// Throws SimError if unreachable. The span's storage is stable for the
+  /// lifetime of the topology (FlowNetwork keeps the span per flow). Not
   /// thread-safe: confine each topology to its owning shard's lane.
-  const std::vector<ChannelId>& path(NodeId src, NodeId dst) const;
+  Path path(NodeId src, NodeId dst) const;
 
   /// Number of (src, dst) channel sequences materialized so far.
-  std::size_t materialized_paths() const { return path_arena_.size(); }
+  std::size_t materialized_paths() const { return materialized_; }
 
  private:
   struct Node {
@@ -86,9 +94,20 @@ class Topology {
     Bandwidth capacity;
   };
 
+  // An arena handle: the block index in the high bits, the offset of the
+  // path's length word in the low kBlockBits.
+  static constexpr int kBlockBits = 26;
+  static constexpr std::size_t kMaxBlocks = std::size_t{1} << (31 - kBlockBits);
+
   /// path()'s miss path: validates the pair, then builds and files its
   /// channel sequence (or returns the empty path when src == dst).
-  const std::vector<ChannelId>& materialize(NodeId src, NodeId dst) const;
+  Path materialize(NodeId src, NodeId dst) const;
+  /// The channel sequence stored under arena handle `h`.
+  Path stored(std::int32_t h) const {
+    const ChannelId* at = blocks_[h >> kBlockBits].get() +
+                          (h & ((std::int32_t{1} << kBlockBits) - 1));
+    return Path(at + 1, static_cast<std::size_t>(at[0]));
+  }
 
   std::vector<Node> nodes_;
   std::vector<Link> links_;
@@ -97,18 +116,24 @@ class Topology {
   // rule `unordered-container` holds tree-wide).
   std::map<std::string, NodeId> by_name_;
   bool routes_ready_ = false;
-  // BFS predecessor matrices, indexed [src * N + v]: the node before `v`
-  // on the shortest path from `src`, and the link taken into `v`.
-  std::vector<NodeId> parent_node_;
+  // anchor_row_[v]: v's row in parent_link_ when v is a route anchor, -1
+  // for a leaf (whose routes start with its only link, adj[0]).
+  std::vector<std::int32_t> anchor_row_;
+  // BFS predecessor links, indexed [anchor_row * N + v]: the link taken
+  // into `v` on the shortest path from the anchor (-1 = unreached). The
+  // predecessor node is that link's other endpoint.
   std::vector<LinkId> parent_link_;
   // Lazily materialized channel sequences. path_rows_[src] is empty until
-  // src is first used, then holds one index into path_arena_ per
-  // destination (-1 = not yet materialized). A deque never moves its
-  // elements on push_back, which is what makes path()'s returned reference
-  // stable.
+  // src is first used, then holds one arena handle per destination (-1 =
+  // not yet materialized). The arena is append-only blocks, each twice the
+  // last and never reallocated, holding [length, channels...] per path:
+  // that is what keeps every returned span valid.
   mutable std::vector<std::vector<std::int32_t>> path_rows_;
-  mutable std::deque<std::vector<ChannelId>> path_arena_;
-  const std::vector<ChannelId> empty_path_{};
+  mutable std::array<std::unique_ptr<ChannelId[]>, kMaxBlocks> blocks_;
+  mutable std::size_t block_count_ = 0;
+  mutable std::size_t block_capacity_ = 0;  // of blocks_[block_count_ - 1]
+  mutable std::size_t block_used_ = 0;      // of blocks_[block_count_ - 1]
+  mutable std::size_t materialized_ = 0;
 };
 
 /// Statistics the benches report about the allocator.
@@ -170,13 +195,13 @@ class FlowNetwork {
     SimTime last_update;
     std::function<void()> on_complete;
     EventHandle completion;
-    const std::vector<ChannelId>* path;
+    Path path;
   };
   struct Background {
     NodeId src;
     NodeId dst;
     double rate_bps = 0.0;
-    const std::vector<ChannelId>* path;
+    Path path;
   };
 
   void reallocate();

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <sstream>
 
 #include "sim/network.hpp"
@@ -90,7 +92,7 @@ TEST(TopologyTest, DirectedChannelsDistinct) {
 
 TEST(TopologyTest, RepeatComputeRoutesKeepsPathsAlive) {
   Dumbbell db;  // first compute_routes()
-  const std::vector<ChannelId>* before = &db.topo.path(db.a, db.b);
+  const ChannelId* before = db.topo.path(db.a, db.b).data();
   Simulator sim;
   FlowNetwork net(sim, db.topo);
   SimTime done = SimTime::infinity();
@@ -98,7 +100,7 @@ TEST(TopologyTest, RepeatComputeRoutesKeepsPathsAlive) {
                      [&] { done = sim.now(); });
   db.topo.compute_routes();  // must not free the path the transfer holds
   EXPECT_EQ(db.topo.materialized_paths(), 1u);
-  EXPECT_EQ(&db.topo.path(db.a, db.b), before);
+  EXPECT_EQ(db.topo.path(db.a, db.b).data(), before);
   sim.run_until(SimTime::seconds(100));
   EXPECT_NEAR(done.as_seconds(), 8.0 * 1024 * 1024 / 1e7, 1e-6);
 }
@@ -122,8 +124,8 @@ TEST(TopologyTest, FirstPathSurvivesArenaGrowth) {
   }
   topo.compute_routes();
   const NodeId far = nodes.back();
-  const std::vector<ChannelId>& first = topo.path(nodes[0], far);
-  const std::vector<ChannelId> first_copy = first;
+  const Path first = topo.path(nodes[0], far);
+  const std::vector<ChannelId> first_copy(first.begin(), first.end());
   ASSERT_EQ(first.size(), static_cast<std::size_t>(kRows - 1 + kCols - 1));
   const std::size_t n = nodes.size();
   for (NodeId src : nodes) {
@@ -133,8 +135,8 @@ TEST(TopologyTest, FirstPathSurvivesArenaGrowth) {
     }
   }
   EXPECT_EQ(topo.materialized_paths(), n * (n - 1));
-  EXPECT_EQ(&topo.path(nodes[0], far), &first);
-  EXPECT_EQ(first, first_copy);
+  EXPECT_EQ(topo.path(nodes[0], far).data(), first.data());
+  EXPECT_EQ(std::vector<ChannelId>(first.begin(), first.end()), first_copy);
 }
 
 TEST(TopologyTest, BadNodeIdThrows) {
@@ -158,6 +160,160 @@ TEST(TopologyTest, PathBeforeComputeRoutesThrows) {
   const NodeId y = topo.add_node("y", NodeKind::Host);
   topo.add_link(x, y, Bandwidth::mbps(1));
   EXPECT_THROW(topo.path(x, y), SimError);
+}
+
+/// Routing as it was before route anchors: BFS from every node into
+/// predecessor node + link matrices, then backtracking per pair. The
+/// adjacency is rebuilt in link-id order, which is add_link's order.
+/// Returns the channel sequence, or nullopt when dst is unreachable.
+class AllPairsBfsRoutes {
+ public:
+  explicit AllPairsBfsRoutes(const Topology& topo) : n_(topo.node_count()) {
+    std::vector<std::vector<std::pair<NodeId, LinkId>>> adj(n_);
+    for (LinkId l = 0; l < static_cast<LinkId>(topo.link_count()); ++l) {
+      const auto [a, b] = topo.channel_endpoints(l * 2);
+      adj[a].emplace_back(b, l);
+      adj[b].emplace_back(a, l);
+      link_a_.push_back(a);
+    }
+    prev_node_.assign(n_ * n_, kNoNode);
+    prev_link_.assign(n_ * n_, -1);
+    for (std::size_t src = 0; src < n_; ++src) {
+      std::vector<bool> seen(n_, false);
+      std::deque<NodeId> frontier{static_cast<NodeId>(src)};
+      seen[src] = true;
+      while (!frontier.empty()) {
+        const NodeId u = frontier.front();
+        frontier.pop_front();
+        for (const auto& [v, link] : adj[u]) {
+          if (seen[v]) continue;
+          seen[v] = true;
+          prev_node_[src * n_ + v] = u;
+          prev_link_[src * n_ + v] = link;
+          frontier.push_back(v);
+        }
+      }
+    }
+  }
+
+  std::optional<std::vector<ChannelId>> path(NodeId src, NodeId dst) const {
+    if (src == dst) return std::vector<ChannelId>{};
+    const std::size_t row = static_cast<std::size_t>(src) * n_;
+    if (prev_node_[row + dst] == kNoNode) return std::nullopt;
+    std::vector<ChannelId> rev;
+    for (NodeId cur = dst; cur != src; cur = prev_node_[row + cur]) {
+      const LinkId link = prev_link_[row + cur];
+      rev.push_back(link_a_[link] == prev_node_[row + cur] ? link * 2
+                                                           : link * 2 + 1);
+    }
+    return std::vector<ChannelId>(rev.rbegin(), rev.rend());
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<NodeId> prev_node_;
+  std::vector<LinkId> prev_link_;
+  std::vector<NodeId> link_a_;
+};
+
+/// Every (src, dst) pair of `topo`: same channel sequence as the all-pairs
+/// reference, and a throw exactly where the reference finds no route.
+void expect_routes_match_reference(const Topology& topo,
+                                   const std::string& label) {
+  const AllPairsBfsRoutes reference(topo);
+  const NodeId n = static_cast<NodeId>(topo.node_count());
+  std::size_t mismatches = 0;
+  for (NodeId src = 0; src < n; ++src) {
+    for (NodeId dst = 0; dst < n; ++dst) {
+      const auto expected = reference.path(src, dst);
+      std::optional<std::vector<ChannelId>> got;
+      try {
+        const Path p = topo.path(src, dst);
+        got.emplace(p.begin(), p.end());
+      } catch (const SimError&) {
+      }
+      if (got != expected && ++mismatches <= 5) {
+        ADD_FAILURE() << label << ": route " << topo.node_name(src) << " -> "
+                      << topo.node_name(dst) << " differs from all-pairs BFS";
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << label;
+}
+
+TEST(TopologyTest, RoutesMatchAllPairsBfsReference) {
+  for (const char* scenario : {"fleet-64x256", "grid-4x16", "paper-fig6"}) {
+    Simulator sim;
+    const Testbed tb = build_scenario(sim, scenario);
+    expect_routes_match_reference(*tb.topo, scenario);
+  }
+  const Bandwidth bw = Bandwidth::mbps(10);
+  auto nodes = [](Topology& topo, int count, NodeKind kind) {
+    std::vector<NodeId> ids;
+    for (int i = 0; i < count; ++i) {
+      const std::string name = "n" + std::to_string(topo.node_count());
+      ids.push_back(topo.add_node(name, kind));
+    }
+    return ids;
+  };
+  {  // 6x8 grid: every node has degree 2 or more, so no leaves.
+    Topology topo;
+    const auto g = nodes(topo, 48, NodeKind::Router);
+    for (int i = 0; i < 48; ++i) {
+      if (i % 8 + 1 < 8) topo.add_link(g[i], g[i + 1], bw);
+      if (i + 8 < 48) topo.add_link(g[i], g[i + 8], bw);
+    }
+    topo.compute_routes();
+    expect_routes_match_reference(topo, "grid 6x8");
+  }
+  {  // Chain: each end is a leaf whose neighbour has degree 2.
+    Topology topo;
+    const auto c = nodes(topo, 5, NodeKind::Router);
+    for (int i = 0; i + 1 < 5; ++i) topo.add_link(c[i + 1], c[i], bw);
+    topo.compute_routes();
+    expect_routes_match_reference(topo, "chain");
+  }
+  {  // A lone link: both ends have degree 1, so both stay anchors.
+    Topology topo;
+    const auto p = nodes(topo, 2, NodeKind::Host);
+    topo.add_link(p[1], p[0], bw);
+    topo.compute_routes();
+    expect_routes_match_reference(topo, "lone link");
+  }
+  {  // Star, hub added last so the leaves' uplinks run both directions.
+    Topology topo;
+    const auto h = nodes(topo, 6, NodeKind::Host);
+    const NodeId hub = nodes(topo, 1, NodeKind::Router)[0];
+    for (int i = 0; i < 6; ++i) {
+      if (i % 2 == 0) topo.add_link(h[i], hub, bw);
+      else topo.add_link(hub, h[i], bw);
+    }
+    topo.compute_routes();
+    expect_routes_match_reference(topo, "star");
+  }
+  {  // A host with two parallel links to its router has degree 2.
+    Topology topo;
+    const auto r = nodes(topo, 2, NodeKind::Router);
+    const auto h = nodes(topo, 3, NodeKind::Host);
+    topo.add_link(r[0], r[1], bw);
+    topo.add_link(h[0], r[0], bw);
+    topo.add_link(h[0], r[0], bw);
+    topo.add_link(h[1], r[0], bw);
+    topo.add_link(h[2], r[1], bw);
+    topo.compute_routes();
+    expect_routes_match_reference(topo, "parallel links");
+  }
+  {  // Disconnected: two stars and an isolated node; cross pairs throw.
+    Topology topo;
+    const auto r = nodes(topo, 2, NodeKind::Router);
+    const auto h = nodes(topo, 5, NodeKind::Host);
+    topo.add_link(h[0], r[0], bw);
+    topo.add_link(h[1], r[0], bw);
+    topo.add_link(h[2], r[1], bw);
+    topo.add_link(r[1], h[3], bw);
+    topo.compute_routes();
+    expect_routes_match_reference(topo, "disconnected");
+  }
 }
 
 TEST(FlowNetworkTest, SingleTransferTakesNominalTime) {
@@ -380,7 +536,7 @@ class ReferenceFlowNetwork {
     t.remaining_bits = size.as_bits();
     t.last_update = sim_.now();
     t.on_complete = std::move(on_complete);
-    t.path = &topo_.path(src, dst);
+    t.path = topo_.path(src, dst);
     transfers_.emplace(id, std::move(t));
     reallocate();
     return id;
@@ -400,7 +556,7 @@ class ReferenceFlowNetwork {
     Background b;
     b.src = src;
     b.dst = dst;
-    b.path = &topo_.path(src, dst);
+    b.path = topo_.path(src, dst);
     backgrounds_.emplace(id, std::move(b));
     return id;
   }
@@ -425,7 +581,7 @@ class ReferenceFlowNetwork {
     if (src == dst) return Bandwidth::infinity();
     std::vector<double> residual = effective_capacity();
     for (const auto& [id, t] : transfers_) {
-      for (ChannelId c : *t.path) residual[c] -= t.rate_bps;
+      for (ChannelId c : t.path) residual[c] -= t.rate_bps;
     }
     double avail = std::numeric_limits<double>::infinity();
     for (ChannelId c : topo_.path(src, dst)) {
@@ -438,10 +594,10 @@ class ReferenceFlowNetwork {
     if (src == dst) return 0.0;
     std::vector<double> used(topo_.channel_count(), 0.0);
     for (const auto& [id, b] : backgrounds_) {
-      for (ChannelId c : *b.path) used[c] += b.rate_bps;
+      for (ChannelId c : b.path) used[c] += b.rate_bps;
     }
     for (const auto& [id, t] : transfers_) {
-      for (ChannelId c : *t.path) used[c] += t.rate_bps;
+      for (ChannelId c : t.path) used[c] += t.rate_bps;
     }
     double worst = 0.0;
     for (ChannelId c : topo_.path(src, dst)) {
@@ -460,13 +616,13 @@ class ReferenceFlowNetwork {
     SimTime last_update;
     std::function<void()> on_complete;
     EventHandle completion;
-    const std::vector<ChannelId>* path;
+    Path path;
   };
   struct Background {
     NodeId src;
     NodeId dst;
     double rate_bps = 0.0;
-    const std::vector<ChannelId>* path;
+    Path path;
   };
 
   std::vector<double> effective_capacity() const {
@@ -476,7 +632,7 @@ class ReferenceFlowNetwork {
     }
     std::vector<double> bg(eff.size(), 0.0);
     for (const auto& [id, b] : backgrounds_) {
-      for (ChannelId c : *b.path) bg[c] += b.rate_bps;
+      for (ChannelId c : b.path) bg[c] += b.rate_bps;
     }
     for (std::size_t c = 0; c < eff.size(); ++c) {
       eff[c] = std::max(0.0, eff[c] - std::min(bg[c], eff[c]));
@@ -515,7 +671,7 @@ class ReferenceFlowNetwork {
       ++stats_.waterfill_rounds;
       std::fill(load.begin(), load.end(), 0);
       for (FlowId id : unfrozen) {
-        for (ChannelId c : *transfers_.at(id).path) ++load[c];
+        for (ChannelId c : transfers_.at(id).path) ++load[c];
       }
       double share = std::numeric_limits<double>::infinity();
       for (std::size_t c = 0; c < residual.size(); ++c) {
@@ -538,7 +694,7 @@ class ReferenceFlowNetwork {
       for (FlowId id : unfrozen) {
         Transfer& t = transfers_.at(id);
         bool crosses = false;
-        for (ChannelId c : *t.path) {
+        for (ChannelId c : t.path) {
           if (bottleneck[c]) {
             crosses = true;
             break;
@@ -557,7 +713,7 @@ class ReferenceFlowNetwork {
       for (FlowId id : frozen_now) {
         Transfer& t = transfers_.at(id);
         t.rate_bps = share;
-        for (ChannelId c : *t.path) residual[c] -= share;
+        for (ChannelId c : t.path) residual[c] -= share;
       }
       unfrozen = std::move(still);
     }

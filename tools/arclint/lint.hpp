@@ -23,12 +23,26 @@
 //   hotpath-std-function  In files carrying a `// arclint: hotpath` marker,
 //                         no std::function (heap-owning type erasure) —
 //                         util::SmallFn or templates only.
+//   entropy               No randomness source other than
+//                         src/util/deterministic_rng.hpp anywhere under
+//                         src/: no <random> include and no random_device,
+//                         rand/srand, mt19937(_64), minstd_rand or
+//                         default_random_engine. arcadia::Rng (seeded,
+//                         forkable) is the only generator; determinism and
+//                         fault replay depend on it.
 //   tools-parity          Every tools/* binary must be wired into both the
 //                         ctest suite (an add_test in the root
 //                         CMakeLists.txt) and the CI workflow — a tool
 //                         nobody runs is a gate nobody trusts. Project-
 //                         level: checked once over CMakeLists.txt and
 //                         .github/workflows/ci.yml, not per source file.
+//   durability-io         No direct file I/O under src/ outside
+//                         src/durability/io.*: no <fstream> include and no
+//                         ofstream / ifstream / fstream / fopen / freopen
+//                         (<cstdio> stays legal for stderr logging). Files
+//                         go through durability/io.hpp (AppendFile,
+//                         write_file_atomic, read_file) so crash atomicity
+//                         and torn-tail recovery stay in one place.
 //   shard-isolation       In src/sim/ files carrying a `// arclint: shard`
 //                         marker (the sharded simulation kernel), no
 //                         FleetManager / EventBus / DurabilityPlane tokens
